@@ -21,10 +21,7 @@ from .arith import (
 from .congruence import count_congruence_solutions
 from .epi import count_epi
 from .mapcount import (
-    MissingMapDataError,
-    RootedMapTable,
     dart_pair_oracle,
-    default_table,
     planar_rooted_count,
     rooted_map_count,
     theta,
@@ -66,15 +63,12 @@ __all__ = [
     "E_closed",
     "E_local",
     "LocalProfile",
-    "MissingMapDataError",
     "OrbifoldSignature",
     "PeriodTuple",
-    "RootedMapTable",
     "census",
     "count_congruence_solutions",
     "count_epi",
     "dart_pair_oracle",
-    "default_table",
     "divisors",
     "enumerate_nonvanishing_triples",
     "enumerate_orbifolds",

@@ -6,7 +6,7 @@ record on stdout in the requested --format (table, json, or csv).
 Harvey's conditions, exhaustive scans) and reports to stderr; a
 mismatch flips the exit code to 3 without touching the primary output.
 
-Exit codes: 0 ok, 1 guard or data error, 2 usage error, 3 failed check.
+Exit codes: 0 ok, 1 domain or guard error, 2 usage error, 3 failed check.
 """
 
 from __future__ import annotations
@@ -15,15 +15,14 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .arith import jordan_phi
 from .congruence import count_congruence_solutions
 from .epi import count_epi
-from .mapcount import RootedMapTable, dart_pair_oracle, default_table, theta
+from .mapcount import dart_pair_oracle, theta
 from .orbicyclic import (
     E_bruteforce,
     E_closed,
@@ -41,8 +40,6 @@ from .subgroups import (
     free_group_subgroups,
     transitive_pair_counts,
 )
-
-TABLE_ENV_VAR = "ORBICYCLIC_TABLE"
 
 RECORD_KINDS = frozenset(
     {
@@ -268,30 +265,22 @@ def _handle_census(args, parser) -> tuple[OutputRecord, list[OutputRecord]]:
     return record, checks
 
 
-def _load_table(args) -> tuple[Optional[RootedMapTable], str]:
-    path = args.table or os.environ.get(TABLE_ENV_VAR)
-    if path:
-        return RootedMapTable.from_csv(path), path
-    return None, "packaged default"
-
-
 def _handle_theta(args, parser) -> tuple[OutputRecord, list[OutputRecord]]:
-    table, source = _load_table(args)
-    value = theta(args.gamma, args.edges, table)
+    value = theta(args.gamma, args.edges)
     record = OutputRecord(
         "theta",
         {
             "gamma": args.gamma,
             "edges": args.edges,
             "value": str(value),
-            "table": source,
+            # Fixed schema field: the record once named the rooted-map table
+            # it used; kept verbatim so existing consumers parse it unchanged.
+            "table": "packaged default",
         },
     )
     checks = []
     if args.check:
-        dual = theta(
-            args.gamma, args.edges, table, enumerator=enumerate_orbifolds_via_harvey
-        )
+        dual = theta(args.gamma, args.edges, enumerator=enumerate_orbifolds_via_harvey)
         checks.append(_check_record("harvey_route", value, dual))
         if args.edges <= 3:
             _, unrooted = dart_pair_oracle(args.gamma, args.edges)
@@ -512,8 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact counts for cyclic symmetries: the orbicyclic "
         "function E, cyclic orbifolds, epimorphisms, unrooted maps, and "
         "free-group subgroups.",
-        epilog=f"The {TABLE_ENV_VAR} environment variable supplies a default "
-        "rooted-map table for the theta subcommand.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -546,7 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theta", parents=[common], help="unrooted map count")
     p.add_argument("--gamma", type=_nonnegative_int, required=True)
     p.add_argument("--edges", type=_positive_int, required=True)
-    p.add_argument("--table", help="rooted-map table CSV (genus,edges,count)")
     p.set_defaults(func=_handle_theta)
 
     p = sub.add_parser("freegroup", parents=[common], help="free-group subgroups")
@@ -575,7 +561,7 @@ def main(argv=None) -> int:
         record, checks = args.func(args, parser)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ValueError, LookupError, ArithmeticError, OSError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,10 +2,11 @@
 
 N_g(n) is the number of rooted maps with n edges on the genus-g surface,
 extended by N_g(n) = 0 whenever n is negative or not an integer.  Genus 0
-has a sum-free closed formula; higher genera are served from a shipped
-data table.  theta() combines rooted counts with the cyclic-orbifold and
-epimorphism machinery, Burnside-style, to count maps up to all
-orientation-preserving isomorphisms rather than up to rooted ones.
+has a sum-free closed formula; higher genera come from the exact
+Carrell-Chapuy recurrence.  theta() combines rooted counts with the
+cyclic-orbifold and epimorphism machinery, Burnside-style, to count maps
+up to all orientation-preserving isomorphisms rather than up to rooted
+ones.
 
 A small exhaustive oracle over dart pairs (sigma, alpha) is included for
 cross-checking both counts at tiny sizes.
@@ -13,26 +14,16 @@ cross-checking both counts at tiny sizes.
 
 from __future__ import annotations
 
-import csv
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
 from itertools import permutations
 from math import comb, factorial
-from typing import Optional, Union
+from typing import Union
 
 from .epi import count_epi
-from .orbifold import enumerate_orbifolds
+from .orbifold import ELL_GUARD, GAMMA_GUARD, enumerate_orbifolds
 
 Edges = Union[int, Fraction]
-
-
-class MissingMapDataError(LookupError):
-    """A rooted-map count was requested that the table does not carry.
-
-    Distinct from the convention N_g(n) = 0 at non-integer or negative n:
-    this error means the argument was legitimate but the data is absent.
-    """
 
 
 def planar_rooted_count(n: int) -> int:
@@ -40,69 +31,41 @@ def planar_rooted_count(n: int) -> int:
     return 2 * 3**n * factorial(2 * n) // (factorial(n) * factorial(n + 2))
 
 
-class RootedMapTable:
-    """Immutable (genus, edges) -> count table for rooted map numbers."""
+@lru_cache(maxsize=None)
+def _carrell_chapuy(g: int, n: int) -> int:
+    """N_g(n) by the Carrell-Chapuy recurrence, for g >= 0 and n >= 0.
 
-    def __init__(self, entries: dict[tuple[int, int], int]):
-        for (g, n), count in entries.items():
-            if g < 0 or n < 0:
-                raise ValueError(f"bad table key ({g}, {n})")
-            if count < 0:
-                raise ValueError(f"negative count at ({g}, {n})")
-            if n == 0 and (g != 0 or count != 1):
-                raise ValueError(
-                    f"zero-edge row ({g}, {n}) = {count}: only (0, 0) = 1 is allowed"
-                )
-            if g == 0 and count != planar_rooted_count(n):
-                raise ValueError(
-                    f"genus-0 row at n = {n} is {count}, closed form gives "
-                    f"{planar_rooted_count(n)}"
-                )
-        self._entries = dict(entries)
+    (n+1) N_g(n) = 4(2n-1) N_g(n-1) + (2n-3)(n-1)(2n-1) N_{g-1}(n-2)
+        + 3 sum_{k+l=n; k,l>=1} (2k-1)(2l-1) sum_{g1+g2=g} N_g1(k-1) N_g2(l-1),
 
-    def __contains__(self, key: tuple[int, int]) -> bool:
-        return key in self._entries
-
-    def __getitem__(self, key: tuple[int, int]) -> int:
-        return self._entries[key]
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @classmethod
-    def from_csv(cls, path) -> "RootedMapTable":
-        entries: dict[tuple[int, int], int] = {}
-        with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            for lineno, row in enumerate(reader, start=1):
-                if not row or (lineno == 1 and row == ["genus", "edges", "count"]):
-                    continue
-                if len(row) != 3:
-                    raise ValueError(f"{path}:{lineno}: expected genus,edges,count")
-                try:
-                    key = (int(row[0]), int(row[1]))
-                    count = int(row[2])
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: non-integer field") from exc
-                if key in entries:
-                    raise ValueError(f"{path}:{lineno}: duplicate row for {key}")
-                entries[key] = count
-        return cls(entries)
+    the published form multiplied through by 6, so every step is an exact
+    integer division by n + 1 (Carrell and Chapuy 2015).
+    """
+    if g < 0 or n < 0:
+        return 0
+    if n == 0:
+        return 1 if g == 0 else 0
+    total = 4 * (2 * n - 1) * _carrell_chapuy(g, n - 1)
+    total += (2 * n - 3) * (n - 1) * (2 * n - 1) * _carrell_chapuy(g - 1, n - 2)
+    pairs = 0
+    for k in range(1, n):
+        l = n - k
+        pairs += (2 * k - 1) * (2 * l - 1) * sum(
+            _carrell_chapuy(g1, k - 1) * _carrell_chapuy(g - g1, l - 1)
+            for g1 in range(g + 1)
+        )
+    count, rem = divmod(total + 3 * pairs, n + 1)
+    if rem:
+        raise ArithmeticError(f"Carrell-Chapuy step not integral at g={g}, n={n}")
+    return count
 
 
-@lru_cache(maxsize=1)
-def default_table() -> RootedMapTable:
-    path = resources.files("orbicyclic").joinpath("data/rooted_maps.csv")
-    with resources.as_file(path) as real:
-        return RootedMapTable.from_csv(real)
-
-
-def rooted_map_count(g: int, n: Edges, table: Optional[RootedMapTable] = None) -> int:
+def rooted_map_count(g: int, n: Edges) -> int:
     """N_g(n), with N_g(n) = 0 for non-integer or negative n.
 
-    The zero-edge map exists only on the sphere, so (g, 0) is answered in
-    code and never looked up.  Genus 0 uses the closed formula; genus >= 1
-    goes to the table and raises MissingMapDataError when absent.
+    The zero-edge map exists only on the sphere.  Genus 0 uses the closed
+    formula; genus >= 1 uses the Carrell-Chapuy recurrence, within
+    g <= GAMMA_GUARD and n <= ELL_GUARD // 2, the most theta() asks for.
     """
     if g < 0:
         raise ValueError(f"genus must be >= 0, got {g}")
@@ -116,11 +79,12 @@ def rooted_map_count(g: int, n: Edges, table: Optional[RootedMapTable] = None) -
         return 1 if g == 0 else 0
     if g == 0:
         return planar_rooted_count(n)
-    if table is None:
-        table = default_table()
-    if (g, n) not in table:
-        raise MissingMapDataError(f"no rooted-map count for genus {g}, {n} edges")
-    return table[(g, n)]
+    if g > GAMMA_GUARD or n > ELL_GUARD // 2:
+        raise ValueError(
+            f"rooted count N_{g}({n}) exceeds the guard "
+            f"(g <= {GAMMA_GUARD}, n <= {ELL_GUARD // 2})"
+        )
+    return _carrell_chapuy(g, n)
 
 
 def _multinomial(top: Fraction, parts: list[int]) -> int:
@@ -141,12 +105,7 @@ def _multinomial(top: Fraction, parts: list[int]) -> int:
     return value // factorial(rest)
 
 
-def theta(
-    gamma: int,
-    n: int,
-    table: Optional[RootedMapTable] = None,
-    enumerator=enumerate_orbifolds,
-) -> int:
+def theta(gamma: int, n: int, enumerator=enumerate_orbifolds) -> int:
     """Number of maps with n edges on the genus-gamma surface, unrooted.
 
     Burnside sum over cyclic symmetry orders ell | 2n and admissible
@@ -156,12 +115,19 @@ def theta(
     divisible by 2n.
 
     enumerator exists for cross-checking: any callable with the
-    enumerate_orbifolds contract may supply the orbifold lists.
+    enumerate_orbifolds contract may supply the orbifold lists.  Inputs
+    past gamma <= GAMMA_GUARD or 2n <= ELL_GUARD, the largest ell summed
+    over, are rejected before any work is done.
     """
     if n < 1:
         raise ValueError(f"edge count must be >= 1, got {n}")
     if gamma < 0:
         raise ValueError(f"genus must be >= 0, got {gamma}")
+    if gamma > GAMMA_GUARD or 2 * n > ELL_GUARD:
+        raise ValueError(
+            f"(gamma={gamma}, n={n}) exceeds the guard "
+            f"(gamma <= {GAMMA_GUARD}, 2n <= {ELL_GUARD})"
+        )
     total = 0
     for ell in range(1, 2 * n + 1):
         if (2 * n) % ell != 0:
@@ -182,9 +148,7 @@ def theta(
                 )
                 if placements == 0:
                     continue
-                sig_sum += ways * placements * rooted_map_count(
-                    sig.g, quotient_edges, table
-                )
+                sig_sum += ways * placements * rooted_map_count(sig.g, quotient_edges)
             total += epi * sig_sum
     count, rem = divmod(total, 2 * n)
     if rem:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from itertools import product
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from .arith import euler_phi, factorize, von_sterneck
 
@@ -172,20 +172,25 @@ def E_bruteforce(t: Periods, M: int | None = None, guard: int = 10**6) -> int:
     return q
 
 
+def _vanishing_primes(t: PeriodTuple) -> Iterator[tuple[int, int]]:
+    """Primes p | lcm whose local factor is 0, ascending, each with s(p).
+
+    The witnesses are the odd p with s(p) = 1 and p = 2 with s(2) odd.
+    """
+    for p, _ in factorize(t.m):
+        s = local_profile(t, p).s
+        if (s % 2 == 1) if p == 2 else (s == 1):
+            yield p, s
+
+
 def vanishes(t: Periods) -> tuple[bool, str | None]:
     """Whether E(t) = 0, with the witnessing local condition.
 
     E vanishes iff some odd prime p | lcm has s(p) = 1, or the lcm is
     even and s(2) is odd.
     """
-    t = _coerce(t).reduced()
-    for p, _ in factorize(t.m):
-        s = local_profile(t, p).s
-        if p == 2:
-            if s % 2 == 1:
-                return True, f"s(2) = {s} is odd"
-        elif s == 1:
-            return True, f"s({p}) = 1"
+    for p, s in _vanishing_primes(_coerce(t).reduced()):
+        return True, f"s(2) = {s} is odd" if p == 2 else f"s({p}) = 1"
     return False, None
 
 

@@ -17,10 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator
 
-from .arith import divisors, factorize
-from .orbicyclic import PeriodTuple, local_profile
+from .arith import divisors
+from .orbicyclic import PeriodTuple, _vanishing_primes
 
 GAMMA_GUARD = 6
 ELL_GUARD = 200
@@ -144,14 +144,8 @@ def epi_nonvanishing(sig: OrbifoldSignature, ell: int) -> tuple[bool, list[str]]
     if sig.g == 0 and ell > m:
         violated.append("E2")
     if sig.periods:
-        t = PeriodTuple(sig.periods)
-        for p, _ in factorize(m):
-            s = local_profile(t, p).s
-            if p == 2:
-                if s % 2 == 1:
-                    violated.append("E4")
-            elif s == 1:
-                violated.append("E3")
+        for p, _ in _vanishing_primes(PeriodTuple(sig.periods)):
+            violated.append("E4" if p == 2 else "E3")
     violated.sort()
     return not violated, violated
 
@@ -199,25 +193,32 @@ def _candidate_signatures(gamma: int, ell: int) -> Iterator[OrbifoldSignature]:
             yield OrbifoldSignature(g, periods)
 
 
+def _enumerate(
+    gamma: int, ell: int, admissible: Callable[[OrbifoldSignature], bool]
+) -> list[OrbifoldSignature]:
+    """The candidates that pass the admissibility test, sorted.
+
+    ell = 1 covers the surface by itself, giving exactly the unbranched
+    signature (gamma; -); it is answered here, as Harvey's test assumes
+    ell >= 2.
+    """
+    if ell == 1:
+        if gamma < 0 or gamma > GAMMA_GUARD:
+            raise ValueError(f"gamma must be in [0, {GAMMA_GUARD}], got {gamma}")
+        return [OrbifoldSignature(gamma, ())]
+    found = [sig for sig in _candidate_signatures(gamma, ell) if admissible(sig)]
+    return sorted(found, key=lambda s: (s.g, s.r, s.periods))
+
+
 def enumerate_orbifolds(gamma: int, ell: int) -> list[OrbifoldSignature]:
     """All signatures in Orb(S_gamma / Z_ell), sorted.
 
     Searches quotient genus g <= gamma and r <= 2*gamma + 2 branch
     points with orders dividing ell, keeps those satisfying
     Riemann-Hurwitz (exactly, by construction) whose epimorphism count
-    is nonzero.  ell = 1 covers the surface by itself, giving exactly
-    the unbranched signature (gamma; -).
+    is nonzero.
     """
-    if ell == 1:
-        if gamma < 0 or gamma > GAMMA_GUARD:
-            raise ValueError(f"gamma must be in [0, {GAMMA_GUARD}], got {gamma}")
-        return [OrbifoldSignature(gamma, ())]
-    found = [
-        sig
-        for sig in _candidate_signatures(gamma, ell)
-        if epi_nonvanishing(sig, ell)[0]
-    ]
-    return sorted(found, key=lambda s: (s.g, s.r, s.periods))
+    return _enumerate(gamma, ell, lambda sig: epi_nonvanishing(sig, ell)[0])
 
 
 def enumerate_orbifolds_via_harvey(gamma: int, ell: int) -> list[OrbifoldSignature]:
@@ -226,16 +227,7 @@ def enumerate_orbifolds_via_harvey(gamma: int, ell: int) -> list[OrbifoldSignatu
     Kept as a genuinely independent route for cross-checking; the two
     enumerations must agree everywhere in the guarded range.
     """
-    if ell == 1:
-        if gamma < 0 or gamma > GAMMA_GUARD:
-            raise ValueError(f"gamma must be in [0, {GAMMA_GUARD}], got {gamma}")
-        return [OrbifoldSignature(gamma, ())]
-    found = [
-        sig
-        for sig in _candidate_signatures(gamma, ell)
-        if harvey_admissible(sig, ell, gamma)[0]
-    ]
-    return sorted(found, key=lambda s: (s.g, s.r, s.periods))
+    return _enumerate(gamma, ell, lambda sig: harvey_admissible(sig, ell, gamma)[0])
 
 
 @dataclass(frozen=True)

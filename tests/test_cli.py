@@ -1,12 +1,9 @@
 import json
+from time import perf_counter
 
 import pytest
 
 from orbicyclic.cli import OutputRecord, main
-
-GOOD_TABLE = "genus,edges,count\n0,0,1\n1,1,0\n1,2,1\n1,3,20\n"
-# N_1(3) bumped by 6 = 2n: divisibility still holds, the value is wrong
-BAD_TABLE = "genus,edges,count\n0,0,1\n1,1,0\n1,2,1\n1,3,26\n"
 
 
 def run(capsys, *argv):
@@ -161,9 +158,29 @@ class TestTheta:
         assert out == "maps with 3 edges on genus 1: 6\n"
 
     def test_missing_data(self, capsys):
+        # past g <= 3, n <= 12, the range a packaged table used to cover
         code, out, err = run(capsys, "theta", "--gamma", "4", "--edges", "8")
+        assert code == 0
+        assert out == "maps with 8 edges on genus 4: 14118\n"
+        assert err == ""
+
+    def test_json_record(self, capsys):
+        # "table" is a frozen schema field; its value no longer varies
+        code, out, _ = run(capsys, "--format", "json", "theta", "--gamma", "1", "--edges", "3")
+        assert code == 0
+        assert out == (
+            '{"kind": "theta", "payload": {"edges": 3, "gamma": 1, '
+            '"table": "packaged default", "value": "6"}}\n'
+        )
+
+    def test_guard_fails_fast(self, capsys):
+        start = perf_counter()
+        code, out, err = run(capsys, "theta", "--gamma", "0", "--edges", "1000000")
+        assert perf_counter() - start < 5
         assert code == 1
-        assert "no rooted-map count" in err
+        assert out == ""
+        assert err.startswith("error:")
+        assert "2n <= 200" in err
 
     def test_check_passes(self, capsys):
         code, _, err = run(capsys, "--check", "theta", "--gamma", "0", "--edges", "3")
@@ -171,50 +188,14 @@ class TestTheta:
         assert "check[harvey_route]: ok" in err
         assert "check[dart_pair_oracle]: ok" in err
 
-    def test_corrupt_table_detected(self, capsys, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text(BAD_TABLE)
-        code, out, err = run(
-            capsys, "--check", "theta", "--gamma", "1", "--edges", "3", "--table", str(bad)
-        )
+    def test_oracle_mismatch_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr("orbicyclic.cli.dart_pair_oracle", lambda gamma, n: (20, 7))
+        code, out, err = run(capsys, "--check", "theta", "--gamma", "1", "--edges", "3")
         assert code == 3
-        # the wrong primary result is still reported
-        assert out == "maps with 3 edges on genus 1: 7\n"
-        assert "check[dart_pair_oracle]: MISMATCH expected=7 observed=6" in err
-
-    def test_env_var_table(self, capsys, tmp_path, monkeypatch):
-        good = tmp_path / "good.csv"
-        good.write_text(GOOD_TABLE)
-        monkeypatch.setenv("ORBICYCLIC_TABLE", str(good))
-        code, out, _ = run(capsys, "theta", "--gamma", "1", "--edges", "3")
-        assert code == 0
+        # the primary result is still reported
         assert out == "maps with 3 edges on genus 1: 6\n"
-
-    def test_flag_beats_env_var(self, capsys, tmp_path, monkeypatch):
-        bad = tmp_path / "bad.csv"
-        bad.write_text(BAD_TABLE)
-        good = tmp_path / "good.csv"
-        good.write_text(GOOD_TABLE)
-        monkeypatch.setenv("ORBICYCLIC_TABLE", str(bad))
-        code, out, _ = run(
-            capsys, "theta", "--gamma", "1", "--edges", "3", "--table", str(good)
-        )
-        assert code == 0
-        assert out == "maps with 3 edges on genus 1: 6\n"
-
-    def test_unreadable_table(self, capsys, tmp_path):
-        code, _, err = run(
-            capsys,
-            "theta",
-            "--gamma",
-            "1",
-            "--edges",
-            "3",
-            "--table",
-            str(tmp_path / "absent.csv"),
-        )
-        assert code == 1
-        assert err.startswith("error:")
+        assert "check[harvey_route]: ok" in err
+        assert "check[dart_pair_oracle]: MISMATCH expected=6 observed=7" in err
 
 
 class TestFreegroup:

@@ -1,22 +1,36 @@
 from fractions import Fraction
+from math import factorial
+from time import perf_counter
 
 import pytest
 
 from orbicyclic.mapcount import (
-    MissingMapDataError,
-    RootedMapTable,
+    _carrell_chapuy,
+    _dart_pair_census,
     dart_pair_oracle,
-    default_table,
     planar_rooted_count,
     rooted_map_count,
     theta,
 )
 from orbicyclic.orbifold import OrbifoldSignature, enumerate_orbifolds_via_harvey
 
-PLANAR = [2, 9, 54, 378, 2916, 24057, 208494, 1876446]
-TORUS = [0, 1, 20, 307, 4280, 56914, 736568, 9370183]
-GENUS2 = [0, 0, 0, 21, 966, 27954, 650076, 13271982]
-GENUS3 = [0, 0, 0, 0, 0, 1485, 113256, 5008230]
+# N_g(n) for n = 1..12.
+PLANAR = [
+    2, 9, 54, 378, 2916, 24057, 208494, 1876446,
+    17399772, 165297834, 1602117468, 15792300756,
+]
+TORUS = [
+    0, 1, 20, 307, 4280, 56914, 736568, 9370183,
+    117822512, 1469283166, 18210135416, 224636864830,
+]
+GENUS2 = [
+    0, 0, 0, 21, 966, 27954, 650076, 13271982,
+    248371380, 4366441128, 73231116024, 1183803697278,
+]
+GENUS3 = [
+    0, 0, 0, 0, 0, 1485, 113256, 5008230,
+    167808024, 4721384790, 117593590752, 2675326679856,
+]
 
 THETA0 = [2, 4, 14, 57, 312, 2071, 15030, 117735]
 THETA1 = [0, 1, 6, 46, 452, 4852, 52972, 587047]
@@ -25,44 +39,8 @@ THETA2 = [0, 0, 0, 4, 106, 2382, 46680, 830848]
 
 class TestPlanarClosedForm:
     def test_sequence(self):
-        assert [planar_rooted_count(n) for n in range(1, 9)] == PLANAR
+        assert [planar_rooted_count(n) for n in range(1, 13)] == PLANAR
         assert planar_rooted_count(0) == 1
-
-
-class TestTable:
-    def test_packaged_values(self):
-        table = default_table()
-        for n in range(1, 9):
-            assert table[(1, n)] == TORUS[n - 1]
-            assert table[(2, n)] == GENUS2[n - 1]
-            assert table[(3, n)] == GENUS3[n - 1]
-        assert (0, 12) in table
-        assert (4, 1) not in table
-        assert len(table) == 49
-
-    def test_validation(self):
-        RootedMapTable({(0, 0): 1, (0, 1): 2, (1, 2): 1})
-        with pytest.raises(ValueError):
-            RootedMapTable({(0, 1): 3})  # closed form gives 2
-        with pytest.raises(ValueError):
-            RootedMapTable({(1, 0): 0})  # no zero-edge rows off the sphere
-        with pytest.raises(ValueError):
-            RootedMapTable({(1, 2): -1})
-        with pytest.raises(ValueError):
-            RootedMapTable({(-1, 2): 5})
-
-    def test_from_csv_rejects_malformed(self, tmp_path):
-        bad_rows = ["1,2", "1,2,x", "0,1,2\n0,1,2"]
-        for i, body in enumerate(bad_rows):
-            path = tmp_path / f"bad{i}.csv"
-            path.write_text("genus,edges,count\n" + body + "\n")
-            with pytest.raises(ValueError):
-                RootedMapTable.from_csv(path)
-
-    def test_from_csv_header_optional(self, tmp_path):
-        path = tmp_path / "bare.csv"
-        path.write_text("0,0,1\n0,1,2\n")
-        assert RootedMapTable.from_csv(path)[(0, 1)] == 2
 
 
 class TestRootedMapCount:
@@ -76,16 +54,43 @@ class TestRootedMapCount:
             rooted_map_count(-1, 2)
 
     def test_missing_data(self):
-        with pytest.raises(MissingMapDataError):
-            rooted_map_count(4, 8)
-        with pytest.raises(LookupError):
-            rooted_map_count(1, 13)
+        # Past g <= 3, n <= 12, the range a packaged table used to cover.
+        # A genus-4 map with 8 edges has one vertex and one face, so it is
+        # a minimal gluing: (4g)! / ((2g+1)! 4^g) at g = 4.
+        assert rooted_map_count(4, 8) == factorial(16) // (factorial(9) * 4**4) == 225225
+        assert rooted_map_count(1, 13) == 2760899996816
 
-    def test_table_override(self):
-        table = RootedMapTable({(5, 1): 7})
-        assert rooted_map_count(5, 1, table) == 7
-        with pytest.raises(MissingMapDataError):
-            rooted_map_count(1, 1, table)
+    def test_pinned_values(self):
+        for n in range(1, 13):
+            assert rooted_map_count(1, n) == TORUS[n - 1]
+            assert rooted_map_count(2, n) == GENUS2[n - 1]
+            assert rooted_map_count(3, n) == GENUS3[n - 1]
+
+    def test_guard(self):
+        assert rooted_map_count(6, 100) > 0
+        with pytest.raises(ValueError, match=r"g <= 6, n <= 100"):
+            rooted_map_count(7, 8)
+        with pytest.raises(ValueError, match=r"g <= 6, n <= 100"):
+            rooted_map_count(1, 101)
+        # genus 0 is the closed formula and needs no guard
+        assert rooted_map_count(0, 101) == planar_rooted_count(101)
+
+
+class TestCarrellChapuy:
+    def test_planar_row_matches_closed_form(self):
+        for n in range(0, 101):
+            assert _carrell_chapuy(0, n) == planar_rooted_count(n), n
+
+    def test_matches_dart_pair_scan(self):
+        # n edges allow genus at most n // 2; the scan reports every genus it finds
+        for n in range(1, 5):
+            scan = {g: rooted for g, (rooted, _) in _dart_pair_census(n).items()}
+            assert scan == {g: _carrell_chapuy(g, n) for g in range(n // 2 + 1)}, n
+            assert _carrell_chapuy(n // 2 + 1, n) == 0
+
+    def test_minimal_genus_three(self):
+        # a genus-3 map with 6 edges has one vertex and one face
+        assert _carrell_chapuy(3, 6) == factorial(12) // (factorial(7) * 4**3) == 1485
 
 
 class TestTheta:
@@ -95,24 +100,32 @@ class TestTheta:
         assert [theta(2, n) for n in range(1, 9)] == THETA2
 
     def test_sparse_high_genus(self):
-        # genus 4 needs at least 8 edges; small n dies in the multinomial,
-        # not in the table
+        # genus 4 needs at least 8 edges; small n dies in the multinomial.
+        # test_enumerator_route_matches confirms both values by Harvey's route.
         assert theta(4, 2) == 0
-        with pytest.raises(MissingMapDataError):
-            theta(4, 8)
+        assert theta(4, 8) == 14118
+        assert theta(1, 13) == 106189359544
 
     def test_errors(self):
         with pytest.raises(ValueError):
             theta(0, 0)
         with pytest.raises(ValueError):
             theta(-1, 2)
+        start = perf_counter()
+        with pytest.raises(ValueError, match=r"gamma <= 6, 2n <= 200"):
+            theta(0, 10**6)
+        assert perf_counter() - start < 5
+        with pytest.raises(ValueError, match=r"gamma <= 6, 2n <= 200"):
+            theta(3, 101)
+        with pytest.raises(ValueError, match=r"gamma <= 6, 2n <= 200"):
+            theta(7, 1)
 
     def test_enumerator_route_matches(self):
-        for gamma in range(0, 3):
-            for n in range(1, 7):
+        for gamma in range(0, 7):
+            for n in (*range(1, 7), 8, 12, 13, 30, 60, 100):
                 assert theta(gamma, n) == theta(
                     gamma, n, enumerator=enumerate_orbifolds_via_harvey
-                )
+                ), (gamma, n)
 
     def test_trivial_group_term_only(self):
         # restricting the sum to ell = 1 counts each rooted quotient map once

@@ -101,6 +101,11 @@ class TestEpiNonvanishing:
         assert epi_nonvanishing(sig(1, 3, 3, 3), 3) == (True, [])
         assert epi_nonvanishing(sig(2), 6) == (True, [])
 
+    def test_one_entry_per_witnessing_prime(self):
+        assert epi_nonvanishing(sig(0, 3, 5), 15) == (False, ["E3", "E3"])
+        assert epi_nonvanishing(sig(0, 2, 3), 6) == (False, ["E3", "E4"])
+        assert epi_nonvanishing(sig(1, 2, 3, 5), 60) == (False, ["E3", "E3", "E4"])
+
 
 class TestEnumeration:
     def test_examples(self):
