@@ -52,11 +52,16 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    """Return a nontrivial factor of an odd composite n (Brent's cycle variant)."""
+    """Return a nontrivial factor of an odd composite n (Floyd cycle detection).
+
+    The random walks are drawn from a generator seeded with n, so the
+    result never depends on the state of the global random module.
+    """
+    rng = random.Random(n)
     while True:
-        c = random.randrange(1, n)
+        c = rng.randrange(1, n)
         f = lambda x: (x * x + c) % n
-        x = y = random.randrange(n)
+        x = y = rng.randrange(n)
         d = 1
         while d == 1:
             x = f(x)

@@ -15,11 +15,12 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
-from dataclasses import dataclass
+from itertools import product
 from typing import Callable
 
-from .arith import jordan_phi
+from .arith import divisors, jordan_phi
 from .congruence import count_congruence_solutions
 from .epi import count_epi
 from .mapcount import dart_pair_oracle, theta
@@ -41,71 +42,18 @@ from .subgroups import (
     transitive_pair_counts,
 )
 
-RECORD_KINDS = frozenset(
-    {
-        "e_value",
-        "epi_count",
-        "orbifold_list",
-        "census",
-        "theta",
-        "subgroup_count",
-        "oracle_check",
-    }
-)
 
+def _int_at_least(low: int) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
 
-@dataclass(frozen=True)
-class OutputRecord:
-    """One structured result; counts live in the payload as decimal strings."""
-
-    kind: str
-    payload: dict
-
-    def __post_init__(self):
-        if self.kind not in RECORD_KINDS:
-            raise ValueError(f"unknown record kind {self.kind!r}")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"kind": self.kind, "payload": self.payload}, sort_keys=True
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "OutputRecord":
-        data = json.loads(text)
-        return cls(kind=data["kind"], payload=data["payload"])
-
-
-def _check_record(oracle: str, expected, observed, detail: str = "") -> OutputRecord:
-    payload = {
-        "oracle": oracle,
-        "expected": str(expected),
-        "observed": str(observed),
-        "passed": str(expected) == str(observed),
-    }
-    if detail:
-        payload["detail"] = detail
-    return OutputRecord("oracle_check", payload)
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+    return parse
 
 
 def _period_list(text: str) -> tuple[int, ...]:
@@ -136,42 +84,63 @@ def _drop_unit_periods(periods) -> tuple[int, ...]:
     return kept
 
 
-def _sig_entry(ell: int, sig: OrbifoldSignature) -> dict:
-    return {"ell": ell, "g": sig.g, "periods": list(sig.periods)}
+def _shapes(kind: str, payload: dict, table: str, rows: list[list]) -> dict[str, str]:
+    """One result in every --format (json record, table text, csv rows), by name.
+
+    Counts live in the json payload as decimal strings.
+    """
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return {
+        "json": json.dumps({"kind": kind, "payload": payload}, sort_keys=True),
+        "table": table,
+        "csv": buf.getvalue().rstrip("\n"),
+    }
+
+
+def _orbifold_json(entries) -> list[dict]:
+    """The json form of (ell, signature) pairs, shared by orbifolds and census."""
+    return [
+        {"ell": ell, "g": sig.g, "periods": list(sig.periods)} for ell, sig in entries
+    ]
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers.  Each returns (primary record, check records).
+# Subcommand handlers.  Each returns its result in every output format and
+# its checks as (oracle, expected, observed[, detail]) tuples; a check
+# passes when str(expected) == str(observed).
+
+Handled = tuple[dict[str, str], list[tuple]]
 
 
-def _handle_e(args, parser) -> tuple[OutputRecord, list[OutputRecord]]:
+def _handle_e(args, parser) -> Handled:
     periods = _drop_unit_periods(args.periods)
     t = PeriodTuple(periods)
     value = E_closed(t)
-    record = OutputRecord(
+    shapes = _shapes(
         "e_value",
         {
             "periods": list(args.periods),
             "reduced": list(t.values),
             "value": str(value),
         },
+        f"E({', '.join(str(m) for m in args.periods)}) = {value}",
+        [["periods", "value"], [" ".join(map(str, args.periods)), value]],
     )
     checks = []
     if args.brute or args.check:
-        checks.append(_check_record("brute_force", value, E_bruteforce(t)))
+        checks.append(("brute_force", value, E_bruteforce(t)))
     if args.congruence is not None:
         observed = count_congruence_solutions(args.congruence, t)
-        checks.append(
-            _check_record(f"congruence(M={args.congruence})", value, observed)
-        )
-    return record, checks
+        checks.append((f"congruence(M={args.congruence})", value, observed))
+    return shapes, checks
 
 
-def _handle_epi(args, parser) -> tuple[OutputRecord, list[OutputRecord]]:
+def _handle_epi(args, parser) -> Handled:
     periods = _drop_unit_periods(args.periods)
     sig = OrbifoldSignature(args.genus, periods)
     value = count_epi(sig, args.order)
-    record = OutputRecord(
+    shapes = _shapes(
         "epi_count",
         {
             "genus": args.genus,
@@ -179,6 +148,11 @@ def _handle_epi(args, parser) -> tuple[OutputRecord, list[OutputRecord]]:
             "periods": list(sig.periods),
             "value": str(value),
         },
+        f"epimorphisms {sig} -> Z_{args.order}: {value}",
+        [
+            ["genus", "order", "periods", "value"],
+            [args.genus, args.order, " ".join(map(str, sig.periods)), value],
+        ],
     )
     checks = []
     if args.check:
@@ -191,35 +165,24 @@ def _handle_epi(args, parser) -> tuple[OutputRecord, list[OutputRecord]]:
             )
         else:
             observed = 0
-        checks.append(_check_record("brute_force", value, observed))
-    return record, checks
+        checks.append(("brute_force", value, observed))
+    return shapes, checks
 
 
-def _orbifold_entries(gamma: int, ells) -> list[tuple[int, OrbifoldSignature]]:
-    return [(ell, sig) for ell in ells for sig in enumerate_orbifolds(gamma, ell)]
-
-
-def _dual_route_check(gamma: int, ells) -> OutputRecord:
-    expected = _orbifold_entries(gamma, ells)
+def _dual_route_check(gamma: int, ells, found) -> tuple:
+    """Compare the epimorphism route's orbifolds with Harvey's route."""
+    expected = [f"{ell}:{sig}" for ell, sig in found]
     observed = [
-        (ell, sig)
+        f"{ell}:{sig}"
         for ell in ells
         for sig in enumerate_orbifolds_via_harvey(gamma, ell)
     ]
-    detail = ""
-    if expected != observed:
-        only_e = [f"{ell}:{sig}" for ell, sig in expected if (ell, sig) not in observed]
-        only_h = [f"{ell}:{sig}" for ell, sig in observed if (ell, sig) not in expected]
-        detail = f"epi-only={only_e} harvey-only={only_h}"
-    return _check_record(
-        "harvey_route",
-        [f"{ell}:{sig}" for ell, sig in expected],
-        [f"{ell}:{sig}" for ell, sig in observed],
-        detail,
-    )
+    only_e = [entry for entry in expected if entry not in observed]
+    only_h = [entry for entry in observed if entry not in expected]
+    return "harvey_route", expected, observed, f"epi-only={only_e} harvey-only={only_h}"
 
 
-def _handle_orbifolds(args, parser) -> tuple[OutputRecord, list[OutputRecord]]:
+def _handle_orbifolds(args, parser) -> Handled:
     if args.order is None:
         if args.gamma < 2:
             parser.error(
@@ -229,45 +192,61 @@ def _handle_orbifolds(args, parser) -> tuple[OutputRecord, list[OutputRecord]]:
         ells = range(1, 4 * args.gamma + 3)
     else:
         ells = [args.order]
-    entries = _orbifold_entries(args.gamma, ells)
-    record = OutputRecord(
+    entries = [
+        (ell, sig) for ell in ells for sig in enumerate_orbifolds(args.gamma, ell)
+    ]
+    shapes = _shapes(
         "orbifold_list",
         {
             "gamma": args.gamma,
             "order": args.order,
             "count": str(len(entries)),
-            "signatures": [_sig_entry(ell, sig) for ell, sig in entries],
+            "signatures": _orbifold_json(entries),
         },
+        "\n".join(
+            [f"ell={ell:<3d} {sig}" for ell, sig in entries]
+            + [f"count: {len(entries)}"]
+        ),
+        [["ell", "g", "periods"]]
+        + [[ell, sig.g, " ".join(map(str, sig.periods))] for ell, sig in entries],
     )
-    checks = []
-    if args.check:
-        checks.append(_dual_route_check(args.gamma, ells))
-    return record, checks
+    checks = [_dual_route_check(args.gamma, ells, entries)] if args.check else []
+    return shapes, checks
 
 
-def _handle_census(args, parser) -> tuple[OutputRecord, list[OutputRecord]]:
+def _handle_census(args, parser) -> Handled:
     result = census(args.gamma)
-    record = OutputRecord(
+    gamma = result.gamma
+    by_g = sorted(result.a_by_g.items())
+    shapes = _shapes(
         "census",
         {
-            "gamma": result.gamma,
+            "gamma": gamma,
             "a": str(result.a),
             "a_distinct": str(result.a_distinct),
-            "a_by_g": {str(g): str(n) for g, n in sorted(result.a_by_g.items())},
-            "orbifolds": [_sig_entry(ell, sig) for ell, sig in result.orbifolds],
+            "a_by_g": {str(g): str(n) for g, n in by_g},
+            "orbifolds": _orbifold_json(result.orbifolds),
         },
+        "\n".join(
+            [f"A({gamma}) = {result.a}"]
+            + [f"A_{g}({gamma}) = {n}" for g, n in by_g]
+            + [f"distinct signatures: {result.a_distinct}"]
+        ),
+        [["gamma", "quotient_genus", "count"]]
+        + [[gamma, g, n] for g, n in by_g]
+        + [[gamma, "all", result.a], [gamma, "distinct", result.a_distinct]],
     )
     checks = []
     if args.check:
         checks.append(
-            _dual_route_check(args.gamma, range(1, 4 * args.gamma + 3))
+            _dual_route_check(gamma, range(1, 4 * gamma + 3), result.orbifolds)
         )
-    return record, checks
+    return shapes, checks
 
 
-def _handle_theta(args, parser) -> tuple[OutputRecord, list[OutputRecord]]:
+def _handle_theta(args, parser) -> Handled:
     value = theta(args.gamma, args.edges)
-    record = OutputRecord(
+    shapes = _shapes(
         "theta",
         {
             "gamma": args.gamma,
@@ -277,21 +256,23 @@ def _handle_theta(args, parser) -> tuple[OutputRecord, list[OutputRecord]]:
             # it used; kept verbatim so existing consumers parse it unchanged.
             "table": "packaged default",
         },
+        f"maps with {args.edges} edges on genus {args.gamma}: {value}",
+        [["genus", "edges", "count"], [args.gamma, args.edges, value]],
     )
     checks = []
     if args.check:
         dual = theta(args.gamma, args.edges, enumerator=enumerate_orbifolds_via_harvey)
-        checks.append(_check_record("harvey_route", value, dual))
+        checks.append(("harvey_route", value, dual))
         if args.edges <= 3:
             _, unrooted = dart_pair_oracle(args.gamma, args.edges)
-            checks.append(_check_record("dart_pair_oracle", value, unrooted))
-    return record, checks
+            checks.append(("dart_pair_oracle", value, unrooted))
+    return shapes, checks
 
 
-def _handle_freegroup(args, parser) -> tuple[OutputRecord, list[OutputRecord]]:
+def _handle_freegroup(args, parser) -> Handled:
     subgroups = free_group_subgroups(args.rank, args.index)
     classes = free_group_conjugacy_classes(args.rank, args.index)
-    record = OutputRecord(
+    shapes = _shapes(
         "subgroup_count",
         {
             "rank": args.rank,
@@ -299,181 +280,46 @@ def _handle_freegroup(args, parser) -> tuple[OutputRecord, list[OutputRecord]]:
             "subgroups": str(subgroups),
             "conjugacy_classes": str(classes),
         },
+        f"F_{args.rank} index {args.index}: "
+        f"{subgroups} subgroups, {classes} conjugacy classes",
+        [
+            ["rank", "index", "subgroups", "conjugacy_classes"],
+            [args.rank, args.index, subgroups, classes],
+        ],
     )
     checks = []
     if args.check:
         brute_subs, brute_classes = transitive_pair_counts(args.rank, args.index)
-        checks.append(
-            _check_record(
-                "transitive_pairs",
-                f"{subgroups}/{classes}",
-                f"{brute_subs}/{brute_classes}",
-            )
-        )
-    return record, checks
+        expected = f"{subgroups}/{classes}"
+        checks.append(("transitive_pairs", expected, f"{brute_subs}/{brute_classes}"))
+    return shapes, checks
 
 
-def _handle_triples(args, parser) -> tuple[OutputRecord, list[OutputRecord]]:
+def _handle_triples(args, parser) -> Handled:
     triples = enumerate_nonvanishing_triples(args.lcm)
-    record = OutputRecord(
+    valued = [(t, E_closed(t)) for t in triples]
+    shapes = _shapes(
         "e_value",
         {
             "lcm": args.lcm,
             "count": str(len(triples)),
-            "triples": [
-                {"periods": list(t), "value": str(E_closed(t))} for t in triples
-            ],
+            "triples": [{"periods": list(t), "value": str(v)} for t, v in valued],
         },
+        "\n".join(
+            [f"{t}  E = {v}" for t, v in valued]
+            + [f"nonvanishing triples with lcm {args.lcm}: {len(triples)}"]
+        ),
+        [["m1", "m2", "m3", "value"]] + [[*t, v] for t, v in valued],
     )
     checks = []
     if args.check:
-        import math
-        from itertools import product as _product
-
-        from .arith import divisors
-
-        divs = divisors(args.lcm)
         scan = sorted(
             combo
-            for combo in _product(divs, repeat=3)
+            for combo in product(divisors(args.lcm), repeat=3)
             if math.lcm(*combo) == args.lcm and E_closed(combo) != 0
         )
-        checks.append(_check_record("exhaustive_scan", list(triples), scan))
-    return record, checks
-
-
-# ---------------------------------------------------------------------------
-# Rendering.
-
-
-def _render_json(record: OutputRecord) -> str:
-    return record.to_json()
-
-
-def _render_csv(record: OutputRecord) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    payload = record.payload
-    if record.kind == "e_value" and "triples" in payload:
-        writer.writerow(["m1", "m2", "m3", "value"])
-        for item in payload["triples"]:
-            writer.writerow(item["periods"] + [item["value"]])
-    elif record.kind == "e_value":
-        writer.writerow(["periods", "value"])
-        writer.writerow(
-            [" ".join(str(m) for m in payload["periods"]), payload["value"]]
-        )
-    elif record.kind == "epi_count":
-        writer.writerow(["genus", "order", "periods", "value"])
-        writer.writerow(
-            [
-                payload["genus"],
-                payload["order"],
-                " ".join(str(m) for m in payload["periods"]),
-                payload["value"],
-            ]
-        )
-    elif record.kind == "orbifold_list":
-        writer.writerow(["ell", "g", "periods"])
-        for entry in payload["signatures"]:
-            writer.writerow(
-                [
-                    entry["ell"],
-                    entry["g"],
-                    " ".join(str(m) for m in entry["periods"]),
-                ]
-            )
-    elif record.kind == "census":
-        writer.writerow(["gamma", "quotient_genus", "count"])
-        for g, count in sorted(payload["a_by_g"].items(), key=lambda kv: int(kv[0])):
-            writer.writerow([payload["gamma"], g, count])
-        writer.writerow([payload["gamma"], "all", payload["a"]])
-        writer.writerow([payload["gamma"], "distinct", payload["a_distinct"]])
-    elif record.kind == "theta":
-        writer.writerow(["genus", "edges", "count"])
-        writer.writerow([payload["gamma"], payload["edges"], payload["value"]])
-    elif record.kind == "subgroup_count":
-        writer.writerow(["rank", "index", "subgroups", "conjugacy_classes"])
-        writer.writerow(
-            [
-                payload["rank"],
-                payload["index"],
-                payload["subgroups"],
-                payload["conjugacy_classes"],
-            ]
-        )
-    else:
-        writer.writerow(["oracle", "passed", "expected", "observed"])
-        writer.writerow(
-            [
-                payload["oracle"],
-                payload["passed"],
-                payload["expected"],
-                payload["observed"],
-            ]
-        )
-    return buf.getvalue().rstrip("\n")
-
-
-def _format_sig(entry: dict) -> str:
-    inner = ",".join(str(m) for m in entry["periods"]) if entry["periods"] else "-"
-    return f"({entry['g']};{inner})"
-
-
-def _render_table(record: OutputRecord) -> str:
-    payload = record.payload
-    if record.kind == "e_value" and "triples" in payload:
-        lines = [
-            f"({', '.join(str(m) for m in item['periods'])})  E = {item['value']}"
-            for item in payload["triples"]
-        ]
-        lines.append(f"nonvanishing triples with lcm {payload['lcm']}: {payload['count']}")
-        return "\n".join(lines)
-    if record.kind == "e_value":
-        shown = ", ".join(str(m) for m in payload["periods"])
-        return f"E({shown}) = {payload['value']}"
-    if record.kind == "epi_count":
-        sig = _format_sig({"g": payload["genus"], "periods": payload["periods"]})
-        return f"epimorphisms {sig} -> Z_{payload['order']}: {payload['value']}"
-    if record.kind == "orbifold_list":
-        lines = [
-            f"ell={entry['ell']:<3d} {_format_sig(entry)}"
-            for entry in payload["signatures"]
-        ]
-        lines.append(f"count: {payload['count']}")
-        return "\n".join(lines)
-    if record.kind == "census":
-        gamma = payload["gamma"]
-        lines = [f"A({gamma}) = {payload['a']}"]
-        for g, count in sorted(payload["a_by_g"].items(), key=lambda kv: int(kv[0])):
-            lines.append(f"A_{g}({gamma}) = {count}")
-        lines.append(f"distinct signatures: {payload['a_distinct']}")
-        return "\n".join(lines)
-    if record.kind == "theta":
-        return (
-            f"maps with {payload['edges']} edges on genus {payload['gamma']}: "
-            f"{payload['value']}"
-        )
-    if record.kind == "subgroup_count":
-        return (
-            f"F_{payload['rank']} index {payload['index']}: "
-            f"{payload['subgroups']} subgroups, "
-            f"{payload['conjugacy_classes']} conjugacy classes"
-        )
-    status = "ok" if payload["passed"] else "MISMATCH"
-    line = f"check[{payload['oracle']}]: {status}"
-    if not payload["passed"]:
-        line += f" expected={payload['expected']} observed={payload['observed']}"
-        if payload.get("detail"):
-            line += f" ({payload['detail']})"
-    return line
-
-
-_RENDERERS: dict[str, Callable[[OutputRecord], str]] = {
-    "table": _render_table,
-    "json": _render_json,
-    "csv": _render_csv,
-}
+        checks.append(("exhaustive_scan", list(triples), scan))
+    return shapes, checks
 
 
 # ---------------------------------------------------------------------------
@@ -505,43 +351,43 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("e", parents=[common], help="orbicyclic function E")
-    p.add_argument("periods", nargs="*", type=_positive_int, metavar="m")
+    p.add_argument("periods", nargs="*", type=_int_at_least(1), metavar="m")
     p.add_argument("--brute", action="store_true", help="cross-check by brute force")
     p.add_argument(
         "--congruence",
-        type=_positive_int,
+        type=_int_at_least(1),
         metavar="M",
         help="cross-check by counting congruence solutions modulo M",
     )
     p.set_defaults(func=_handle_e)
 
     p = sub.add_parser("epi", parents=[common], help="epimorphism count")
-    p.add_argument("--genus", type=_nonnegative_int, required=True)
-    p.add_argument("--order", type=_positive_int, required=True)
+    p.add_argument("--genus", type=_int_at_least(0), required=True)
+    p.add_argument("--order", type=_int_at_least(1), required=True)
     p.add_argument("--periods", type=_period_list, default=())
     p.set_defaults(func=_handle_epi)
 
     p = sub.add_parser("orbifolds", parents=[common], help="admissible orbifolds")
-    p.add_argument("--gamma", type=_nonnegative_int, required=True)
-    p.add_argument("--order", type=_positive_int)
+    p.add_argument("--gamma", type=_int_at_least(0), required=True)
+    p.add_argument("--order", type=_int_at_least(1))
     p.set_defaults(func=_handle_orbifolds)
 
     p = sub.add_parser("census", parents=[common], help="orbifold census A(gamma)")
-    p.add_argument("--gamma", type=_nonnegative_int, required=True)
+    p.add_argument("--gamma", type=_int_at_least(0), required=True)
     p.set_defaults(func=_handle_census)
 
     p = sub.add_parser("theta", parents=[common], help="unrooted map count")
-    p.add_argument("--gamma", type=_nonnegative_int, required=True)
-    p.add_argument("--edges", type=_positive_int, required=True)
+    p.add_argument("--gamma", type=_int_at_least(0), required=True)
+    p.add_argument("--edges", type=_int_at_least(1), required=True)
     p.set_defaults(func=_handle_theta)
 
     p = sub.add_parser("freegroup", parents=[common], help="free-group subgroups")
-    p.add_argument("--rank", type=_positive_int, required=True)
-    p.add_argument("--index", type=_positive_int, required=True)
+    p.add_argument("--rank", type=_int_at_least(1), required=True)
+    p.add_argument("--index", type=_int_at_least(1), required=True)
     p.set_defaults(func=_handle_freegroup)
 
     p = sub.add_parser("triples", parents=[common], help="nonvanishing triples")
-    p.add_argument("--lcm", type=_positive_int, required=True)
+    p.add_argument("--lcm", type=_int_at_least(1), required=True)
     p.set_defaults(func=_handle_triples)
 
     return parser
@@ -558,19 +404,23 @@ def main(argv=None) -> int:
     args.check = getattr(args, "check", False)
 
     try:
-        record, checks = args.func(args, parser)
+        shapes, checks = args.func(args, parser)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    print(_RENDERERS[fmt](record))
+    print(shapes[fmt])
     failed = False
-    for check in checks:
-        print(_render_table(check), file=sys.stderr)
-        if not check.payload["passed"]:
+    for oracle, expected, observed, *detail in checks:
+        line = f"check[{oracle}]: ok"
+        if str(expected) != str(observed):
             failed = True
+            line = f"check[{oracle}]: MISMATCH expected={expected} observed={observed}"
+            if detail:
+                line += f" ({detail[0]})"
+        print(line, file=sys.stderr)
     return 3 if failed else 0
 
 

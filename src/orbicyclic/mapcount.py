@@ -63,9 +63,10 @@ def _carrell_chapuy(g: int, n: int) -> int:
 def rooted_map_count(g: int, n: Edges) -> int:
     """N_g(n), with N_g(n) = 0 for non-integer or negative n.
 
-    The zero-edge map exists only on the sphere.  Genus 0 uses the closed
-    formula; genus >= 1 uses the Carrell-Chapuy recurrence, within
-    g <= GAMMA_GUARD and n <= ELL_GUARD // 2, the most theta() asks for.
+    The zero-edge map exists only on the sphere.  Every genus is guarded
+    by g <= GAMMA_GUARD and n <= ELL_GUARD // 2, the most theta() asks
+    for; within it genus 0 uses the closed formula and genus >= 1 the
+    Carrell-Chapuy recurrence.
     """
     if g < 0:
         raise ValueError(f"genus must be >= 0, got {g}")
@@ -77,13 +78,13 @@ def rooted_map_count(g: int, n: Edges) -> int:
         return 0
     if n == 0:
         return 1 if g == 0 else 0
-    if g == 0:
-        return planar_rooted_count(n)
     if g > GAMMA_GUARD or n > ELL_GUARD // 2:
         raise ValueError(
             f"rooted count N_{g}({n}) exceeds the guard "
             f"(g <= {GAMMA_GUARD}, n <= {ELL_GUARD // 2})"
         )
+    if g == 0:
+        return planar_rooted_count(n)
     return _carrell_chapuy(g, n)
 
 

@@ -1,10 +1,12 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from orbicyclic.arith import (
+    _pollard_rho,
     divisors,
     euler_phi,
     factorize,
@@ -46,6 +48,26 @@ def test_factorize_rejects_bad_input():
 def test_factorize_large_semiprime():
     p, q = 1_000_003, 1_000_033
     assert factorize(p * q) == [(p, 1), (q, 1)]
+
+
+def test_factorize_ignores_global_random_state():
+    p, q = 1_000_003, 1_000_033
+    n = 7919**2 * p * q
+    saved = random.getstate()
+    try:
+        random.seed(0)
+        next_draw = random.random()
+        random.seed(0)
+        factor = _pollard_rho(p * q)
+        assert factorize(n) == [(7919, 2), (p, 1), (q, 1)]
+        # the global stream was left untouched
+        assert random.random() == next_draw
+        for seed in range(5):
+            random.seed(seed)
+            assert _pollard_rho(p * q) == factor
+            assert factorize(n) == [(7919, 2), (p, 1), (q, 1)]
+    finally:
+        random.setstate(saved)
 
 
 def test_is_prime_agrees_with_sieve():

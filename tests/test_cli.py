@@ -3,23 +3,13 @@ from time import perf_counter
 
 import pytest
 
-from orbicyclic.cli import OutputRecord, main
+from orbicyclic.cli import main
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-class TestOutputRecord:
-    def test_round_trip(self):
-        rec = OutputRecord("e_value", {"periods": [12, 12], "value": "4"})
-        assert OutputRecord.from_json(rec.to_json()) == rec
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            OutputRecord("wrong_kind", {})
 
 
 class TestEValue:
@@ -48,7 +38,6 @@ class TestEValue:
             "kind": "e_value",
             "payload": {"periods": [10, 5, 2], "reduced": [10, 5, 2], "value": "4"},
         }
-        assert OutputRecord.from_json(out).kind == "e_value"
 
     def test_csv(self, capsys):
         code, out, _ = run(capsys, "--format", "csv", "e", "12", "12")
@@ -234,6 +223,88 @@ class TestTriples:
         code, _, err = run(capsys, "--check", "triples", "--lcm", "12")
         assert code == 0
         assert "check[exhaustive_scan]: ok" in err
+
+
+# Exact stdout of every subcommand x format pair not pinned above.
+EXACT_STDOUT = [
+    (
+        ("--format", "json", "e", "12", "12"),
+        '{"kind": "e_value", "payload": {"periods": [12, 12], '
+        '"reduced": [12, 12], "value": "4"}}\n',
+    ),
+    (
+        ("--format", "csv", "epi", "--genus", "0", "--order", "10", "--periods", "2,5,10"),
+        "genus,order,periods,value\n0,10,2 5 10,4\n",
+    ),
+    (
+        ("--format", "json", "orbifolds", "--gamma", "2", "--order", "2"),
+        '{"kind": "orbifold_list", "payload": {"count": "2", "gamma": 2, "order": 2, '
+        '"signatures": [{"ell": 2, "g": 0, "periods": [2, 2, 2, 2, 2, 2]}, '
+        '{"ell": 2, "g": 1, "periods": [2, 2]}]}}\n',
+    ),
+    (
+        ("census", "--gamma", "2"),
+        "A(2) = 10\nA_0(2) = 8\nA_1(2) = 1\nA_2(2) = 1\ndistinct signatures: 10\n",
+    ),
+    (
+        ("--format", "json", "census", "--gamma", "2"),
+        '{"kind": "census", "payload": {"a": "10", '
+        '"a_by_g": {"0": "8", "1": "1", "2": "1"}, "a_distinct": "10", "gamma": 2, '
+        '"orbifolds": [{"ell": 1, "g": 2, "periods": []}, '
+        '{"ell": 2, "g": 0, "periods": [2, 2, 2, 2, 2, 2]}, '
+        '{"ell": 2, "g": 1, "periods": [2, 2]}, '
+        '{"ell": 3, "g": 0, "periods": [3, 3, 3, 3]}, '
+        '{"ell": 4, "g": 0, "periods": [2, 2, 4, 4]}, '
+        '{"ell": 5, "g": 0, "periods": [5, 5, 5]}, '
+        '{"ell": 6, "g": 0, "periods": [3, 6, 6]}, '
+        '{"ell": 6, "g": 0, "periods": [2, 2, 3, 3]}, '
+        '{"ell": 8, "g": 0, "periods": [2, 8, 8]}, '
+        '{"ell": 10, "g": 0, "periods": [2, 5, 10]}]}}\n',
+    ),
+    (
+        ("--format", "csv", "theta", "--gamma", "1", "--edges", "3"),
+        "genus,edges,count\n1,3,6\n",
+    ),
+    (
+        ("--format", "json", "freegroup", "--rank", "2", "--index", "3"),
+        '{"kind": "subgroup_count", "payload": {"conjugacy_classes": "7", '
+        '"index": 3, "rank": 2, "subgroups": "13"}}\n',
+    ),
+    (
+        ("triples", "--lcm", "2"),
+        "(1, 2, 2)  E = 1\n(2, 1, 2)  E = 1\n(2, 2, 1)  E = 1\n"
+        "nonvanishing triples with lcm 2: 3\n",
+    ),
+    (
+        ("--format", "json", "triples", "--lcm", "2"),
+        '{"kind": "e_value", "payload": {"count": "3", "lcm": 2, "triples": '
+        '[{"periods": [1, 2, 2], "value": "1"}, {"periods": [2, 1, 2], "value": "1"}, '
+        '{"periods": [2, 2, 1], "value": "1"}]}}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected", EXACT_STDOUT, ids=[" ".join(argv) for argv, _ in EXACT_STDOUT]
+)
+def test_exact_stdout(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert out == expected
+    assert err == ""
+
+
+def test_route_mismatch_detail(capsys, monkeypatch):
+    monkeypatch.setattr("orbicyclic.cli.enumerate_orbifolds_via_harvey", lambda gamma, ell: [])
+    code, out, err = run(capsys, "--check", "orbifolds", "--gamma", "2", "--order", "2")
+    assert code == 3
+    # the primary result is still reported
+    assert out == "ell=2   (0;2,2,2,2,2,2)\nell=2   (1;2,2)\ncount: 2\n"
+    found = "['2:(0;2,2,2,2,2,2)', '2:(1;2,2)']"
+    assert err == (
+        f"check[harvey_route]: MISMATCH expected={found} observed=[] "
+        f"(epi-only={found} harvey-only=[])\n"
+    )
 
 
 class TestUsageErrors:
