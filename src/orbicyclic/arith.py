@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 # A Factorization is an ordered list of (prime, exponent) pairs with the
 # primes strictly increasing; [] represents 1.
@@ -183,6 +183,21 @@ def ramanujan_sum(n: int, k: int) -> int:
     return sum(d * mobius(n // d) for d in divisors(g))
 
 
+def _periodic_sum(f: Callable[[int, int], int], periods: Sequence[int], M: int) -> int:
+    """sum_{k=0..M-1} prod_j f(k, m_j), calling f once per residue of each distinct m_j.
+
+    Every m_j divides M and f is periodic, so k = 0 stands in for k = M.
+    """
+    tables = {m: [f(k, m) for k in range(m)] for m in set(periods)}
+    total = 0
+    for k in range(M):
+        term = 1
+        for m in periods:
+            term *= tables[m][k % m]
+        total += term
+    return total
+
+
 def periodic_average(
     f: Callable[[int, int], int],
     periods: Iterable[int],
@@ -201,10 +216,4 @@ def periodic_average(
     for m in ms:
         if m < 1 or modulus % m != 0:
             raise ValueError(f"period {m} does not divide modulus {modulus}")
-    total = 0
-    for k in range(1, modulus + 1):
-        term = 1
-        for m in ms:
-            term *= f(k, m)
-        total += term
-    return Fraction(total, modulus)
+    return Fraction(_periodic_sum(f, ms, modulus), modulus)

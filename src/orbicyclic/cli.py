@@ -59,17 +59,8 @@ def _int_at_least(low: int) -> Callable[[str], int]:
 def _period_list(text: str) -> tuple[int, ...]:
     if not text:
         return ()
-    values = []
-    for token in text.split(","):
-        token = token.strip()
-        try:
-            value = int(token)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad period {token!r}")
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"periods must be >= 1, got {value}")
-        values.append(value)
-    return tuple(values)
+    parse = _int_at_least(1)
+    return tuple(parse(token) for token in text.split(","))
 
 
 def _drop_unit_periods(periods) -> tuple[int, ...]:

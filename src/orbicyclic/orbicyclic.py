@@ -23,7 +23,10 @@ import math
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple, Union
 
-from .arith import euler_phi, factorize, von_sterneck
+from .arith import _periodic_sum, factorize, von_sterneck
+
+BRUTE_FORCE_GUARD = 10**6
+TRIPLES_GUARD = 10**4
 
 
 class PeriodTuple:
@@ -145,30 +148,16 @@ def E_closed(t: Periods) -> int:
     return result
 
 
-def E_bruteforce(t: Periods, M: int | None = None, guard: int = 10**6) -> int:
-    """E directly from the defining mean over k = 1..M.
-
-    M defaults to the lcm of the tuple; an explicit common multiple may
-    be passed to exercise independence of the choice.  The sum is always
-    exactly divisible by M (a failure would be an internal error).
-    """
+def E_bruteforce(t: Periods) -> int:
+    """E directly from the defining mean, summed over one period k = 1..lcm."""
     t = _coerce(t)
-    if M is None:
-        M = t.m
-    elif any(M % mj for mj in t.values) or M < 1:
-        raise ValueError(f"{M} is not a common multiple of {t.values}")
-    if M > guard:
-        raise ValueError(f"modulus {M} exceeds the brute-force guard {guard}")
-    tables = {mj: [von_sterneck(k, mj) for k in range(mj)] for mj in set(t.values)}
-    total = 0
-    for k in range(M):
-        term = 1
-        for mj in t.values:
-            term *= tables[mj][k % mj]
-        total += term
-    q, rem = divmod(total, M)
-    if rem:
-        raise ArithmeticError(f"brute-force sum {total} not divisible by {M}")
+    if t.m > BRUTE_FORCE_GUARD:
+        raise ValueError(
+            f"modulus {t.m} exceeds the brute-force guard {BRUTE_FORCE_GUARD}"
+        )
+    q, rem = divmod(_periodic_sum(von_sterneck, t.values, t.m), t.m)
+    if rem:  # the mean is always an integer; a remainder is an internal error
+        raise ArithmeticError(f"brute-force sum not divisible by {t.m}")
     return q
 
 
@@ -213,7 +202,7 @@ def f_r(m: int, r: int) -> int:
     return result
 
 
-def enumerate_nonvanishing_triples(m: int, guard: int = 10**4) -> list[tuple[int, int, int]]:
+def enumerate_nonvanishing_triples(m: int) -> list[tuple[int, int, int]]:
     """All ordered triples (m_1, m_2, m_3) with lcm m and E != 0, sorted.
 
     Built per prime p | m: the p-parts of a nonvanishing triple are
@@ -224,8 +213,8 @@ def enumerate_nonvanishing_triples(m: int, guard: int = 10**4) -> list[tuple[int
     """
     if m < 1:
         raise ValueError(f"lcm must be >= 1, got {m}")
-    if m > guard:
-        raise ValueError(f"lcm {m} exceeds the enumeration guard {guard}")
+    if m > TRIPLES_GUARD:
+        raise ValueError(f"lcm {m} exceeds the enumeration guard {TRIPLES_GUARD}")
     per_prime: list[list[tuple[int, int, int]]] = []
     for p, a in factorize(m):
         options = [] if p == 2 else [(p**a, p**a, p**a)]

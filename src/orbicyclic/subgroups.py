@@ -23,12 +23,16 @@ from math import factorial
 from .arith import divisors, jordan_phi
 
 INDEX_GUARD = 12
+# Keeps M(12), about 8.7 * (rank - 1) digits, within Python's 4,300-digit str limit.
+RANK_GUARD = 400
 BRUTE_FORCE_GUARD = 20_000
 
 
 def _check_args(rank: int, index: int) -> None:
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
+    if rank > RANK_GUARD:
+        raise ValueError(f"rank {rank} exceeds guard {RANK_GUARD}")
     if index < 1:
         raise ValueError(f"index must be >= 1, got {index}")
     if index > INDEX_GUARD:

@@ -221,6 +221,20 @@ def test_periodic_average_modulus_invariance():
         assert periodic_average(von_sterneck, t, math.prod(t)) == base
 
 
+def test_periodic_average_calls_f_once_per_residue_of_each_distinct_period():
+    calls = []
+
+    def f(k, m):
+        calls.append((k % m, m))
+        return von_sterneck(k, m)
+
+    assert periodic_average(f, (12, 12, 4), 24) == periodic_average(
+        von_sterneck, (12, 12, 4), 48
+    )
+    assert len(calls) == 16
+    assert set(calls) == {(k, m) for m in (12, 4) for k in range(m)}
+
+
 def test_periodic_average_rejects_bad_modulus():
     with pytest.raises(ValueError):
         periodic_average(von_sterneck, (4, 3), 4)

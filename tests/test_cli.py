@@ -59,6 +59,14 @@ class TestEValue:
         assert code == 0
         assert "check[congruence(M=24)]: ok" in err
 
+    def test_congruence_guard_fails_fast(self, capsys):
+        start = perf_counter()
+        code, out, err = run(capsys, "e", "9973", "9973", "9973", "--congruence", "9973")
+        assert perf_counter() - start < 1
+        assert code == 1
+        assert out == ""
+        assert err == "error: 99440784 residue tuples exceed the guard 1000000\n"
+
 
 class TestEpi:
     def test_table(self, capsys):
@@ -206,6 +214,14 @@ class TestFreegroup:
         code, _, err = run(capsys, "freegroup", "--rank", "2", "--index", "13")
         assert code == 1
 
+    def test_rank_guard_fails_fast(self, capsys):
+        start = perf_counter()
+        code, out, err = run(capsys, "freegroup", "--rank", "1000000", "--index", "12")
+        assert perf_counter() - start < 1
+        assert code == 1
+        assert out == ""
+        assert err == "error: rank 1000000 exceeds guard 400\n"
+
 
 class TestTriples:
     def test_csv(self, capsys):
@@ -310,6 +326,21 @@ def test_route_mismatch_detail(capsys, monkeypatch):
 class TestUsageErrors:
     def test_bad_period(self, capsys):
         assert run(capsys, "e", "0")[0] == 2
+
+    @pytest.mark.parametrize(
+        "periods, message",
+        [
+            ("x", "not an integer: 'x'"),
+            ("4,x", "not an integer: 'x'"),
+            ("0", "must be >= 1, got 0"),
+        ],
+    )
+    def test_bad_period_list(self, capsys, periods, message):
+        argv = ["epi", "--genus", "0", "--order", "12", "--periods", periods]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.endswith(f"error: argument --periods: {message}\n")
 
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "nosuch")[0] == 2

@@ -1,6 +1,7 @@
 import math
 import random
 from itertools import combinations_with_replacement
+from time import perf_counter
 
 import pytest
 
@@ -47,3 +48,14 @@ def test_errors():
         count_congruence_solutions(0, ())
     with pytest.raises(ValueError):
         count_congruence_solutions(10**5, (2,))
+
+
+def test_tuple_guard_fails_fast():
+    # three coordinates of 9972 units each would need 9972**2 tuples
+    start = perf_counter()
+    limit = "99440784 residue tuples exceed the guard 1000000"
+    with pytest.raises(ValueError, match=limit):
+        count_congruence_solutions(9973, (9973, 9973, 9973))
+    assert perf_counter() - start < 1
+    # (101,) * 4 enumerates 100**3 tuples, exactly the guard
+    assert count_congruence_solutions(101, (101,) * 4) == E_closed((101,) * 4)

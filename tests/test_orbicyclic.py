@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from orbicyclic.arith import euler_phi
+from orbicyclic.arith import euler_phi, periodic_average, von_sterneck
 from orbicyclic.orbicyclic import (
     E_bruteforce,
     E_closed,
@@ -150,17 +150,16 @@ class TestEValues:
             assert len(values) == 1
 
     def test_bruteforce_modulus_independence(self):
+        # E_bruteforce averages over one lcm; any common multiple gives the same mean
         for t in [(12, 12), (4, 4, 3), (10, 5, 2), (6, 4), (2, 2, 2)]:
             m = math.lcm(*t)
             base = E_bruteforce(t)
-            assert E_bruteforce(t, M=2 * m) == base
-            assert E_bruteforce(t, M=3 * m) == base
+            assert periodic_average(von_sterneck, t, 2 * m) == base
+            assert periodic_average(von_sterneck, t, 3 * m) == base
 
     def test_bruteforce_errors(self):
-        with pytest.raises(ValueError):
-            E_bruteforce((4, 3), M=4)
-        with pytest.raises(ValueError):
-            E_bruteforce((12, 12), guard=10)
+        with pytest.raises(ValueError, match="brute-force guard 1000000"):
+            E_bruteforce((1000001,))
 
 
 class TestVanishes:

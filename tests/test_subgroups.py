@@ -1,3 +1,5 @@
+from time import perf_counter
+
 import pytest
 
 from orbicyclic.subgroups import (
@@ -53,3 +55,14 @@ def test_guards():
         free_group_subgroups(2, 13)
     with pytest.raises(ValueError):
         transitive_pair_counts(3, 5)
+
+
+def test_rank_guard():
+    # the largest allowed rank still converts to decimal at the largest index
+    assert len(str(free_group_subgroups(400, 12))) == 3465
+    assert len(str(free_group_conjugacy_classes(400, 12))) == 3464
+    start = perf_counter()
+    for count in (free_group_subgroups, free_group_conjugacy_classes):
+        with pytest.raises(ValueError, match="rank 1000000 exceeds guard 400"):
+            count(10**6, 12)
+    assert perf_counter() - start < 1
