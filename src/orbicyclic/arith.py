@@ -21,13 +21,16 @@ Factorization = list[tuple[int, int]]
 
 _TRIAL_LIMIT = 10_000
 
-# Witness set making Miller-Rabin deterministic for n < 3.3 * 10**24,
-# far beyond the desk-scale inputs this library is meant for.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes make Miller-Rabin deterministic below psi_13, the
+# least strong pseudoprime to all of them (Sorenson and Webster 2015).
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for desk-scale integers."""
+    """Deterministic Miller-Rabin primality test for n < MR_BOUND."""
+    if n >= MR_BOUND:
+        raise ValueError(f"Miller-Rabin is proven only below {MR_BOUND}, got {n}")
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -75,8 +78,8 @@ def factorize(n: int) -> Factorization:
     """Factor n >= 1 into (prime, exponent) pairs, primes increasing.
 
     Trial division up to 10**4, then deterministic Miller-Rabin plus
-    Pollard rho for any remaining cofactor.  Intended for desk-scale
-    inputs (below 2**64); no sub-exponential machinery.
+    Pollard rho for any remaining cofactor, which must be below MR_BOUND
+    (ValueError otherwise); no sub-exponential machinery.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"factorize expects a positive integer, got {n!r}")

@@ -35,12 +35,16 @@ from .orbifold import (
     census,
     enumerate_orbifolds,
     enumerate_orbifolds_via_harvey,
+    _wiman_range,
 )
 from .subgroups import (
     free_group_conjugacy_classes,
     free_group_subgroups,
     transitive_pair_counts,
 )
+
+# Python's default int-to-str limit, which bounds every count the CLI prints.
+PRINT_DIGITS = 4300
 
 
 def _int_at_least(low: int) -> Callable[[str], int]:
@@ -129,6 +133,10 @@ def _handle_e(args, parser) -> Handled:
 
 def _handle_epi(args, parser) -> Handled:
     periods = _drop_unit_periods(args.periods)
+    # The count is at most order^(2*genus) * prod(periods); genus stays an int.
+    room = PRINT_DIGITS - sum(map(math.log10, periods))
+    if args.order > 1 and args.genus >= room / (2 * math.log10(args.order)):
+        raise ValueError(f"the count may exceed the {PRINT_DIGITS}-digit print limit")
     sig = OrbifoldSignature(args.genus, periods)
     value = count_epi(sig, args.order)
     shapes = _shapes(
@@ -180,7 +188,7 @@ def _handle_orbifolds(args, parser) -> Handled:
                 "--order is required for --gamma 0 or 1 "
                 "(the orbifold family is infinite in the order)"
             )
-        ells = range(1, 4 * args.gamma + 3)
+        ells = _wiman_range(args.gamma)
     else:
         ells = [args.order]
     entries = [
@@ -229,9 +237,7 @@ def _handle_census(args, parser) -> Handled:
     )
     checks = []
     if args.check:
-        checks.append(
-            _dual_route_check(gamma, range(1, 4 * gamma + 3), result.orbifolds)
-        )
+        checks.append(_dual_route_check(gamma, _wiman_range(gamma), result.orbifolds))
     return shapes, checks
 
 

@@ -1,9 +1,9 @@
 """Counting maps on orientable surfaces: rooted counts and unrooted totals.
 
 N_g(n) is the number of rooted maps with n edges on the genus-g surface,
-extended by N_g(n) = 0 whenever n is negative or not an integer.  Genus 0
-has a sum-free closed formula; higher genera come from the exact
-Carrell-Chapuy recurrence.  theta() combines rooted counts with the
+extended by N_g(n) = 0 whenever n is negative.  Genus 0 has a sum-free
+closed formula; higher genera come from the exact Carrell-Chapuy
+recurrence.  theta() combines rooted counts with the
 cyclic-orbifold and epimorphism machinery, Burnside-style, to count maps
 up to all orientation-preserving isomorphisms rather than up to rooted
 ones.
@@ -14,16 +14,12 @@ cross-checking both counts at tiny sizes.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import comb, factorial
-from typing import Union
 
 from .epi import count_epi
 from .orbifold import ELL_GUARD, GAMMA_GUARD, enumerate_orbifolds
-
-Edges = Union[int, Fraction]
 
 
 def planar_rooted_count(n: int) -> int:
@@ -60,8 +56,8 @@ def _carrell_chapuy(g: int, n: int) -> int:
     return count
 
 
-def rooted_map_count(g: int, n: Edges) -> int:
-    """N_g(n), with N_g(n) = 0 for non-integer or negative n.
+def rooted_map_count(g: int, n: int) -> int:
+    """N_g(n), with N_g(n) = 0 for negative n.
 
     The zero-edge map exists only on the sphere.  Every genus is guarded
     by g <= GAMMA_GUARD and n <= ELL_GUARD // 2, the most theta() asks
@@ -70,10 +66,6 @@ def rooted_map_count(g: int, n: Edges) -> int:
     """
     if g < 0:
         raise ValueError(f"genus must be >= 0, got {g}")
-    if isinstance(n, Fraction):
-        if n.denominator != 1:
-            return 0
-        n = int(n)
     if n < 0:
         return 0
     if n == 0:
@@ -88,19 +80,12 @@ def rooted_map_count(g: int, n: Edges) -> int:
     return _carrell_chapuy(g, n)
 
 
-def _multinomial(top: Fraction, parts: list[int]) -> int:
-    """top! / (parts[0]! ... parts[-1]! (top - sum(parts))!), else 0.
-
-    Zero whenever top is not a nonnegative integer or the parts do not
-    fit; the remainder bucket top - sum(parts) absorbs the slack.
-    """
-    if top.denominator != 1 or top < 0:
-        return 0
-    t = int(top)
-    rest = t - sum(parts)
+def _multinomial(top: int, parts: list[int]) -> int:
+    """top! / (parts[0]! ... (top - sum(parts))!), or 0 if the parts exceed top."""
+    rest = top - sum(parts)
     if rest < 0:
         return 0
-    value = factorial(t)
+    value = factorial(top)
     for k in parts:
         value //= factorial(k)
     return value // factorial(rest)
@@ -133,6 +118,7 @@ def theta(gamma: int, n: int, enumerator=enumerate_orbifolds) -> int:
     for ell in range(1, 2 * n + 1):
         if (2 * n) % ell != 0:
             continue
+        dart_orbits = 2 * n // ell
         for sig in enumerator(gamma, ell):
             mult = sig.branch_multiplicities()
             b2 = mult.get(2, 0)
@@ -140,10 +126,11 @@ def theta(gamma: int, n: int, enumerator=enumerate_orbifolds) -> int:
             epi = count_epi(sig, ell)
             sig_sum = 0
             for s2 in range(0, b2 + 1):
-                ways = comb(2 * n // ell, s2)
-                if ways == 0:
+                # The quotient map has (2n/ell - s2) / 2 edges, so none if odd.
+                ways = comb(dart_orbits, s2)
+                if ways == 0 or (dart_orbits - s2) % 2:
                     continue
-                quotient_edges = Fraction(n, ell) - Fraction(s2, 2)
+                quotient_edges = (dart_orbits - s2) // 2
                 placements = _multinomial(
                     quotient_edges + 2 - 2 * sig.g, [b2 - s2] + higher
                 )

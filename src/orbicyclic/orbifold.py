@@ -2,9 +2,9 @@
 
 A signature (g; m_1, ..., m_r) records the quotient genus g and the
 branch orders m_j >= 2 of a cyclic group action Z_ell on a surface of
-genus gamma, tied together by the Riemann-Hurwitz relation
+genus gamma, tied together by the Riemann-Hurwitz relation, in integers
 
-    2 - 2*gamma = ell * (2 - 2g - sum_j (1 - 1/m_j)).
+    sum_j (ell - ell/m_j) = 2*gamma - 2 - ell*(2g - 2).
 
 This module provides the signature type, the Riemann-Hurwitz solver,
 Harvey's admissibility conditions, the equivalent nonvanishing test on
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Iterator
 
 from .arith import divisors
@@ -24,6 +23,11 @@ from .orbicyclic import PeriodTuple, _vanishing_primes
 
 GAMMA_GUARD = 6
 ELL_GUARD = 200
+
+
+def _wiman_range(gamma: int) -> range:
+    """Group orders ell <= 4*gamma + 2, all that act on genus gamma >= 2 (Wiman)."""
+    return range(1, 4 * gamma + 3)
 
 
 @dataclass(frozen=True)
@@ -65,16 +69,17 @@ class OrbifoldSignature:
 def rh_gamma(sig: OrbifoldSignature, ell: int) -> int | None:
     """Surface genus gamma solving Riemann-Hurwitz, or None.
 
-    Returns the unique gamma >= 0 with
-    2 - 2*gamma = ell * (2 - 2g - sum (1 - 1/m_j)), provided the right
-    side makes gamma a nonnegative integer; None otherwise.
+    Returns the unique gamma >= 0 with 2m*(gamma - 1) =
+    ell * (m*(2g - 2) + sum (m - m/m_j)), m = lcm(m_j), if that makes gamma
+    a nonnegative integer; None otherwise.  The m_j need not divide ell.
     """
     if ell < 1:
         raise ValueError(f"group order must be >= 1, got {ell}")
-    excess = Fraction(2 - 2 * sig.g) - sum(Fraction(mj - 1, mj) for mj in sig.periods)
-    gamma = Fraction(2 - ell * excess, 2)
-    if gamma.denominator == 1 and gamma >= 0:
-        return int(gamma)
+    m = sig.m
+    rhs = ell * (m * (2 * sig.g - 2) + sum(m - m // mj for mj in sig.periods))
+    gamma, rem = divmod(rhs + 2 * m, 2 * m)
+    if rem == 0 and gamma >= 0:
+        return gamma
     return None
 
 
@@ -151,19 +156,19 @@ def epi_nonvanishing(sig: OrbifoldSignature, ell: int) -> tuple[bool, list[str]]
 
 
 def _period_multisets(
-    ell: int, target: Fraction, max_parts: int
+    ell: int, target: int, max_parts: int
 ) -> Iterator[tuple[int, ...]]:
-    """Multisets of divisors (>= 2) of ell with sum (1 - 1/m_j) = target."""
+    """Multisets of divisors (>= 2) of ell with sum (ell - ell/m_j) = target."""
     divs = [d for d in divisors(ell) if d >= 2]
     divs.reverse()  # largest contribution first, for the pruning bound
 
-    def rec(idx: int, left: Fraction, slots: int, acc: list[int]):
+    def rec(idx: int, left: int, slots: int, acc: list[int]):
         if left == 0:
             yield tuple(reversed(acc))
             return
         if idx == len(divs) or slots == 0:
             return
-        part = Fraction(divs[idx] - 1, divs[idx])
+        part = ell - ell // divs[idx]
         if left > slots * part:
             return  # every remaining divisor contributes at most this much
         if part <= left:
@@ -184,12 +189,11 @@ def _candidate_signatures(gamma: int, ell: int) -> Iterator[OrbifoldSignature]:
             f"(gamma={gamma}, ell={ell}) exceeds the guard "
             f"(gamma <= {GAMMA_GUARD}, ell <= {ELL_GUARD})"
         )
-    r_cap = 2 * gamma + 2
     for g in range(gamma + 1):
-        target = Fraction(2 - 2 * g) - Fraction(2 - 2 * gamma, ell)
+        target = 2 * gamma - 2 - ell * (2 * g - 2)
         if target < 0:
             continue
-        for periods in _period_multisets(ell, target, r_cap):
+        for periods in _period_multisets(ell, target, 2 * gamma + 2):
             yield OrbifoldSignature(g, periods)
 
 
@@ -250,9 +254,8 @@ class CensusResult:
 def census(gamma: int) -> CensusResult:
     """Count all admissible orbifolds for surface genus gamma >= 2.
 
-    The union over ell is finite for gamma >= 2 and exhausted by
-    ell <= 4*gamma + 2 (Wiman's bound); gamma 0 and 1 are rejected as
-    their orbifold families are infinite in ell.
+    The union over ell is exhausted by ell <= 4*gamma + 2 (Wiman); gamma 0
+    and 1 are rejected, their orbifold families being infinite in ell.
     """
     if gamma in (0, 1):
         raise ValueError(f"census is infinite for gamma = {gamma}")
@@ -260,7 +263,7 @@ def census(gamma: int) -> CensusResult:
         raise ValueError(f"gamma must be in [2, {GAMMA_GUARD}], got {gamma}")
     entries: list[tuple[int, OrbifoldSignature]] = []
     seen: dict[OrbifoldSignature, int] = {}
-    for ell in range(1, 4 * gamma + 3):
+    for ell in _wiman_range(gamma):
         for sig in enumerate_orbifolds(gamma, ell):
             if sig in seen:
                 raise ArithmeticError(

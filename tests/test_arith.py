@@ -70,6 +70,26 @@ def test_factorize_ignores_global_random_state():
         random.setstate(saved)
 
 
+# The least strong pseudoprimes to the first 12 and the first 13 primes
+# (Sorenson and Webster 2015).
+PSI_12 = 318_665_857_834_031_151_167_461
+PSI_13 = 3_317_044_064_679_887_385_961_981
+
+
+def test_is_prime_past_twelve_witnesses():
+    assert is_prime(PSI_12) is False
+    assert factorize(PSI_12) == [(399165290221, 1), (798330580441, 1)]
+
+
+def test_is_prime_bound():
+    assert is_prime(PSI_13 - 1) is False
+    message = f"Miller-Rabin is proven only below {PSI_13}, got {PSI_13}"
+    with pytest.raises(ValueError, match=message):
+        is_prime(PSI_13)
+    with pytest.raises(ValueError, match=message):
+        factorize(PSI_13)
+
+
 def test_is_prime_agrees_with_sieve():
     limit = 2000
     sieve = [True] * (limit + 1)

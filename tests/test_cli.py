@@ -67,6 +67,15 @@ class TestEValue:
         assert out == ""
         assert err == "error: 99440784 residue tuples exceed the guard 1000000\n"
 
+    def test_miller_rabin_bound(self, capsys):
+        psi_13 = "3317044064679887385961981"
+        code, out, err = run(capsys, "e", psi_13, psi_13)
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"error: Miller-Rabin is proven only below {psi_13}, got {psi_13}\n"
+        )
+
 
 class TestEpi:
     def test_table(self, capsys):
@@ -99,6 +108,23 @@ class TestEpi:
         )
         assert code == 0
         assert "check[brute_force]: ok" in err
+
+    def test_genus_guard_fails_fast(self, capsys):
+        for genus in ("10000", "100000000", str(10**400)):
+            start = perf_counter()
+            code, out, err = run(capsys, "epi", "--genus", genus, "--order", "3")
+            assert perf_counter() - start < 1
+            assert code == 1
+            assert out == ""
+            assert err == "error: the count may exceed the 4300-digit print limit\n"
+        # phi_9000(3) = 3^9000 - 1 has 4,295 digits, just inside the limit
+        code, out, _ = run(capsys, "epi", "--genus", "4500", "--order", "3")
+        assert code == 0
+        assert out == f"epimorphisms (4500;-) -> Z_3: {3**9000 - 1}\n"
+        # order 1 has one epimorphism at any genus
+        code, out, _ = run(capsys, "epi", "--genus", str(10**400), "--order", "1")
+        assert code == 0
+        assert out == f"epimorphisms ({10**400};-) -> Z_1: 1\n"
 
 
 class TestOrbifolds:

@@ -48,6 +48,8 @@ class TestRiemannHurwitz:
         assert rh_gamma(sig(0, 2, 2, 2, 2, 2, 2), 2) == 2
         assert rh_gamma(sig(g=2), 1) == 2
         assert rh_gamma(sig(1), 7) == 1
+        # periods not dividing ell: 2m(gamma - 1) = ell(m(2g - 2) + sum(m - m/m_j))
+        assert rh_gamma(sig(0, 3, 3, 3), 2) == 1
 
     def test_non_realizable(self):
         # non-integer or negative gamma
