@@ -11,9 +11,11 @@ All functions are pure and use exact integer (or Fraction) arithmetic.
 from __future__ import annotations
 
 import math
+import operator
 import random
+from collections import Counter
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 # A Factorization is an ordered list of (prime, exponent) pairs with the
 # primes strictly increasing; [] represents 1.
@@ -77,8 +79,9 @@ def _pollard_rho(n: int) -> int:
 def factorize(n: int) -> Factorization:
     """Factor n >= 1 into (prime, exponent) pairs, primes increasing.
 
-    Trial division up to 10**4, then deterministic Miller-Rabin plus
-    Pollard rho for any remaining cofactor, which must be below MR_BOUND
+    Trial division up to 10**4, which alone decides every n below 10**8,
+    then deterministic Miller-Rabin plus Pollard rho for a cofactor that
+    trial division leaves undecided; that cofactor must be below MR_BOUND
     (ValueError otherwise); no sub-exponential machinery.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -94,7 +97,11 @@ def factorize(n: int) -> Factorization:
             exponents[d] = exponents.get(d, 0) + 1
             n //= d
         d += 2
-    stack = [n] if n > 1 else []
+    if d * d > n:  # trial division passed sqrt(n), so n is 1 or a prime
+        if n > 1:
+            exponents[n] = 1
+        return sorted(exponents.items())
+    stack = [n]
     while stack:
         m = stack.pop()
         if m == 1:
@@ -186,19 +193,34 @@ def ramanujan_sum(n: int, k: int) -> int:
     return sum(d * mobius(n // d) for d in divisors(g))
 
 
-def _periodic_sum(f: Callable[[int, int], int], periods: Sequence[int], M: int) -> int:
-    """sum_{k=0..M-1} prod_j f(k, m_j), calling f once per residue of each distinct m_j.
+def _von_sterneck_table(n: int) -> list[int]:
+    """[Phi(k, n) for k in range(n)], calling von_sterneck once per divisor of n.
 
-    Every m_j divides M and f is periodic, so k = 0 stands in for k = M.
+    Phi(k, n) depends on k only through gcd(k, n).  Writing Phi(g, n) at
+    every multiple of g, for the divisors g in increasing order, leaves
+    each k holding the value at the largest divisor of n that divides k,
+    which is gcd(k, n).
     """
-    tables = {m: [f(k, m) for k in range(m)] for m in set(periods)}
-    total = 0
-    for k in range(M):
-        term = 1
-        for m in periods:
-            term *= tables[m][k % m]
-        total += term
-    return total
+    table = [0] * n
+    for g in divisors(n):
+        table[::g] = [von_sterneck(g, n)] * (n // g)
+    return table
+
+
+def _periodic_sum(table: Callable[[int], list], periods: Iterable[int], M: int) -> int:
+    """sum_{k=0..M-1} prod_j f(k, m_j), given table(m) = [f(k, m) for k in range(m)].
+
+    table is called once per distinct m_j.  Every m_j divides M and f is
+    periodic, so k = 0 stands in for k = M.  A running column of M products
+    starts as the first distinct period's row (its table to the power of
+    its multiplicity, repeated M // m times) and takes each further row in
+    one C-level pass, so memory stays O(M).  With no periods the sum is M.
+    """
+    column = None
+    for m, c in Counter(periods).items():
+        row = [v**c for v in table(m)] * (M // m)
+        column = row if column is None else list(map(operator.mul, column, row))
+    return M if column is None else sum(column)
 
 
 def periodic_average(
@@ -219,4 +241,5 @@ def periodic_average(
     for m in ms:
         if m < 1 or modulus % m != 0:
             raise ValueError(f"period {m} does not divide modulus {modulus}")
-    return Fraction(_periodic_sum(f, ms, modulus), modulus)
+    total = _periodic_sum(lambda m: [f(k, m) for k in range(m)], ms, modulus)
+    return Fraction(total, modulus)

@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from orbicyclic import arith
 from orbicyclic.arith import (
     _pollard_rho,
+    _von_sterneck_table,
     divisors,
     euler_phi,
     factorize,
@@ -20,7 +22,7 @@ from orbicyclic.arith import (
 
 
 def test_factorize_round_trip():
-    for n in range(1, 2001):
+    for n in range(1, 10_001):
         fac = factorize(n)
         prod = 1
         for p, a in fac:
@@ -37,6 +39,28 @@ def test_factorize_examples():
     assert factorize(1) == []
     assert factorize(12) == [(2, 2), (3, 1)]
     assert factorize(10) == [(2, 1), (5, 1)]
+
+
+def test_factorize_below_trial_square_needs_no_miller_rabin(monkeypatch):
+    # Trial division to 10**4 decides every n < 10**8: the cofactor it
+    # leaves is 1 or a prime, so is_prime is never consulted.
+    calls = []
+    real = arith.is_prime
+    monkeypatch.setattr(arith, "is_prime", lambda n: calls.append(n) or real(n))
+    cases = {
+        99_999_989: [(99_999_989, 1)],  # the largest prime below 10**8
+        9_973**2: [(9_973, 2)],
+        9_967 * 9_973: [(9_967, 1), (9_973, 1)],
+        2 * 49_999_991: [(2, 1), (49_999_991, 1)],
+        10**8 - 1: [(3, 2), (11, 1), (73, 1), (101, 1), (137, 1)],
+    }
+    for n, fac in cases.items():
+        assert factorize(n) == fac
+    rng = random.Random(7)
+    for n in [*range(1, 5_000), *(rng.randrange(1, 10**8) for _ in range(300))]:
+        fac = factorize(n)
+        assert math.prod(p**a for p, a in fac) == n
+    assert calls == []
 
 
 def test_factorize_rejects_bad_input():
@@ -193,6 +217,11 @@ def test_von_sterneck_four_routes_agree():
             assert v == divisor_sum
             assert v == _totient_quotient(k, n)
             assert abs(v - roots) < 1e-6
+
+
+def test_von_sterneck_table_matches_pointwise():
+    for n in [*range(1, 401), 5040, 27720]:
+        assert _von_sterneck_table(n) == [von_sterneck(k, n) for k in range(n)]
 
 
 def test_ramanujan_sum_argument_order():

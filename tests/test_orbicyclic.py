@@ -1,10 +1,12 @@
 import math
 import random
+import time
 from itertools import combinations_with_replacement, product
 
 import pytest
 
-from orbicyclic.arith import euler_phi, periodic_average, von_sterneck
+from orbicyclic import arith
+from orbicyclic.arith import divisors, euler_phi, periodic_average, von_sterneck
 from orbicyclic.orbicyclic import (
     E_bruteforce,
     E_closed,
@@ -102,7 +104,7 @@ class TestEValues:
         assert E_closed((4, 4, 3)) == 0
         assert E_closed((10, 5, 2)) == 4
         assert E_closed((2, 2, 2)) == 0
-        assert E_closed(()) == 1
+        assert E_closed(()) == E_bruteforce(()) == 1
         assert E_closed((1, 1)) == 1
         for m in range(2, 21):
             assert E_closed((m,)) == 0
@@ -156,6 +158,32 @@ class TestEValues:
             base = E_bruteforce(t)
             assert periodic_average(von_sterneck, t, 2 * m) == base
             assert periodic_average(von_sterneck, t, 3 * m) == base
+
+    def test_bruteforce_calls_von_sterneck_once_per_divisor(self, monkeypatch):
+        calls = {}
+
+        def counted(k, n):
+            calls[n] = calls.get(n, 0) + 1
+            return von_sterneck(k, n)
+
+        monkeypatch.setattr(arith, "von_sterneck", counted)
+        t = (360, 360, 120, 8, 9, 5)
+        assert E_bruteforce(t) == E_closed(t)
+        assert sorted(calls) == sorted(set(t))
+        for m, count in calls.items():
+            assert count <= len(divisors(m)), (m, count)
+
+    def test_bruteforce_semiprime_lcm_is_fast(self):
+        # 988027 = 997 * 991: 988,027 residues but only 4 distinct Phi values
+        t = (988027, 997, 991, 988027)
+        start = time.perf_counter()
+        assert E_bruteforce(t) == E_closed(t)
+        assert time.perf_counter() - start < 2.0
+
+    def test_bruteforce_many_distinct_periods(self):
+        t = divisors(5040)
+        assert len(t) == 60
+        assert E_bruteforce(t) == E_closed(t)
 
     def test_bruteforce_errors(self):
         with pytest.raises(ValueError, match="brute-force guard 1000000"):
