@@ -23,7 +23,7 @@ from typing import Callable
 from .arith import divisors, jordan_phi
 from .congruence import count_congruence_solutions
 from .epi import count_epi
-from .mapcount import dart_pair_oracle, theta
+from .mapcount import DART_PAIR_GUARD, dart_pair_oracle, theta
 from .orbicyclic import (
     E_bruteforce,
     E_closed,
@@ -189,11 +189,12 @@ def _handle_orbifolds(args, parser) -> Handled:
                 "(the orbifold family is infinite in the order)"
             )
         ells = _wiman_range(args.gamma)
+        entries = census(args.gamma).orbifolds
     else:
         ells = [args.order]
-    entries = [
-        (ell, sig) for ell in ells for sig in enumerate_orbifolds(args.gamma, ell)
-    ]
+        entries = [
+            (args.order, sig) for sig in enumerate_orbifolds(args.gamma, args.order)
+        ]
     shapes = _shapes(
         "orbifold_list",
         {
@@ -260,7 +261,7 @@ def _handle_theta(args, parser) -> Handled:
     if args.check:
         dual = theta(args.gamma, args.edges, enumerator=enumerate_orbifolds_via_harvey)
         checks.append(("harvey_route", value, dual))
-        if args.edges <= 3:
+        if args.edges <= DART_PAIR_GUARD:
             _, unrooted = dart_pair_oracle(args.gamma, args.edges)
             checks.append(("dart_pair_oracle", value, unrooted))
     return shapes, checks

@@ -25,11 +25,6 @@ from typing import Iterable, Iterator, NamedTuple, Union
 
 from .arith import _periodic_sum, _von_sterneck_table, factorize
 
-# The brute-force mean costs about (distinct periods) x lcm C-level
-# multiplications.  Measured on a 2-core VM under CPython 3.11.7:
-# E_bruteforce((720720, 720720)) 0.09 s, the 16 largest divisors of
-# 720720 0.9 s, all 240 of them 10.5 s.
-BRUTE_FORCE_GUARD = 10**6
 TRIPLES_GUARD = 10**4
 
 
@@ -155,10 +150,6 @@ def E_closed(t: Periods) -> int:
 def E_bruteforce(t: Periods) -> int:
     """E directly from the defining mean, summed over one period k = 1..lcm."""
     t = _coerce(t)
-    if t.m > BRUTE_FORCE_GUARD:
-        raise ValueError(
-            f"modulus {t.m} exceeds the brute-force guard {BRUTE_FORCE_GUARD}"
-        )
     q, rem = divmod(_periodic_sum(_von_sterneck_table, t.values, t.m), t.m)
     if rem:  # the mean is always an integer; a remainder is an internal error
         raise ArithmeticError(f"brute-force sum not divisible by {t.m}")

@@ -15,6 +15,7 @@ admissible orbifolds for a given gamma.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -56,10 +57,7 @@ class OrbifoldSignature:
 
     def branch_multiplicities(self) -> dict[int, int]:
         """Map i -> number of branch points of order i (absent i omitted)."""
-        b: dict[int, int] = {}
-        for mj in self.periods:
-            b[mj] = b.get(mj, 0) + 1
-        return b
+        return dict(Counter(self.periods))
 
     def __str__(self) -> str:
         inner = ",".join(str(mj) for mj in self.periods) if self.periods else "-"
@@ -271,15 +269,11 @@ def census(gamma: int) -> CensusResult:
                 )
             seen[sig] = ell
             entries.append((ell, sig))
-    entries.sort(key=lambda e: (e[0], e[1].g, e[1].r, e[1].periods))
-    counts: dict[int, int] = {}
-    for _, sig in entries:
-        counts[sig.g] = counts.get(sig.g, 0) + 1
-    a_by_g = {g: counts[g] for g in sorted(counts)}
+    counts = Counter(sig.g for _, sig in entries)
     return CensusResult(
         gamma=gamma,
         orbifolds=tuple(entries),
         a=len(entries),
-        a_by_g=a_by_g,
+        a_by_g=dict(sorted(counts.items())),
         a_distinct=len(seen),
     )

@@ -65,6 +65,37 @@ def free_group_conjugacy_classes(rank: int, index: int) -> int:
     return count
 
 
+def _transitive(perms, n: int) -> bool:
+    """Whether the permutations of range(n) together reach every point from 0."""
+    seen = {0}
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for p in perms:
+            if p[x] not in seen:
+                seen.add(p[x])
+                stack.append(p[x])
+    return len(seen) == n
+
+
+def _conjugacy_orbits(tuples, group) -> int:
+    """Number of orbits of permutation tuples under simultaneous conjugation.
+
+    group must list a whole permutation group, so that one pass over it
+    from any tuple sweeps out that tuple's orbit.
+    """
+    # (tau p tau^-1)[i] = tau[p[inv[i]]], with inv the inverse of tau
+    pairs = [(tau, sorted(range(len(tau)), key=tau.__getitem__)) for tau in group]
+    pending = set(tuples)
+    orbits = 0
+    while pending:
+        seed = pending.pop()
+        orbits += 1
+        for tau, inv in pairs:
+            pending.discard(tuple(tuple([tau[p[j]] for j in inv]) for p in seed))
+    return orbits
+
+
 def transitive_pair_counts(rank: int, index: int) -> tuple[int, int]:
     """(subgroups, conjugacy classes) by brute force, for cross-checking.
 
@@ -80,34 +111,8 @@ def transitive_pair_counts(rank: int, index: int) -> tuple[int, int]:
             f"brute force at rank={r}, index={n} exceeds guard {BRUTE_FORCE_GUARD}"
         )
     perms = list(permutations(range(n)))
-
-    def transitive(tup) -> bool:
-        seen = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for p in tup:
-                if p[x] not in seen:
-                    seen.add(p[x])
-                    stack.append(p[x])
-        return len(seen) == n
-
-    tuples = [t for t in product(perms, repeat=r) if transitive(t)]
+    tuples = [t for t in product(perms, repeat=r) if _transitive(t, n)]
     subgroups, rem = divmod(len(tuples), factorial(n - 1))
     if rem:
         raise ArithmeticError("transitive tuple count not divisible by (n-1)!")
-
-    pending = set(tuples)
-    classes = 0
-    while pending:
-        seed = pending.pop()
-        classes += 1
-        for tau in perms:
-            inv = [0] * n
-            for i, v in enumerate(tau):
-                inv[v] = i
-            conj = tuple(
-                tuple(tau[p[inv[i]]] for i in range(n)) for p in seed
-            )
-            pending.discard(conj)
-    return subgroups, classes
+    return subgroups, _conjugacy_orbits(tuples, perms)

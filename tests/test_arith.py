@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from time import perf_counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -289,6 +290,11 @@ def test_periodic_average_rejects_bad_modulus():
         periodic_average(von_sterneck, (4, 3), 4)
     with pytest.raises(ValueError):
         periodic_average(von_sterneck, (2,), 0)
+    # the sum holds one entry per residue, so the modulus has a bound
+    start = perf_counter()
+    with pytest.raises(ValueError, match="brute-force guard 1000000"):
+        periodic_average(math.gcd, (2,), 2 * 10**6)
+    assert perf_counter() - start < 1
 
 
 @given(st.integers(min_value=1, max_value=120), st.integers(min_value=-500, max_value=500))

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from time import perf_counter
 
 import pytest
 
+import orbicyclic
 from orbicyclic.cli import main
 
 
@@ -136,6 +140,11 @@ class TestOrbifolds:
     def test_sweep_needs_finite_census(self, capsys):
         code, _, _ = run(capsys, "orbifolds", "--gamma", "1")
         assert code == 2
+        # the sweep is the census, so it names the census range
+        code, out, err = run(capsys, "orbifolds", "--gamma", "7")
+        assert code == 1
+        assert out == ""
+        assert err == "error: gamma must be in [2, 6], got 7\n"
 
     def test_check(self, capsys):
         code, _, err = run(capsys, "--check", "orbifolds", "--gamma", "2", "--order", "6")
@@ -378,3 +387,17 @@ class TestUsageErrors:
         code, _, err = run(capsys, "e", "1000003", "999983", "--brute")
         assert code == 1
         assert "guard" in err
+
+
+def test_cli_imports_only_the_standard_library():
+    # the package declares dependencies = []; importing the CLI must keep to it
+    probe = (
+        "import sys; before = set(sys.modules); import orbicyclic.cli; "
+        "print(*{m.split('.')[0] for m in set(sys.modules) - before})"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(orbicyclic.__path__[0]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    loaded = set(out.split()) - {"orbicyclic"}
+    assert loaded and loaded <= sys.stdlib_module_names, loaded

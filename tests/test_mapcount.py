@@ -59,6 +59,7 @@ class TestRootedMapCount:
 
     def test_pinned_values(self):
         for n in range(1, 13):
+            assert rooted_map_count(0, n) == PLANAR[n - 1]
             assert rooted_map_count(1, n) == TORUS[n - 1]
             assert rooted_map_count(2, n) == GENUS2[n - 1]
             assert rooted_map_count(3, n) == GENUS3[n - 1]
@@ -90,6 +91,9 @@ class TestCarrellChapuy:
             scan = {g: rooted for g, (rooted, _) in _dart_pair_census(n).items()}
             assert scan == {g: _carrell_chapuy(g, n) for g in range(n // 2 + 1)}, n
             assert _carrell_chapuy(n // 2 + 1, n) == 0
+        # the orbit counts at n = 4, past the public oracle's guard
+        unrooted = {g: orbits for g, (_, orbits) in _dart_pair_census(4).items()}
+        assert unrooted == {g: theta(g, 4) for g in range(3)} == {0: 57, 1: 46, 2: 4}
 
     def test_minimal_genus_three(self):
         # a genus-3 map with 6 edges has one vertex and one face
@@ -157,7 +161,7 @@ class TestDartPairOracle:
                 assert dart_pair_oracle(gamma, n)[1] == theta(gamma, n)
 
     def test_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n = 4 exceeds 3"):
             dart_pair_oracle(0, 4)
         with pytest.raises(ValueError):
             dart_pair_oracle(0, 0)

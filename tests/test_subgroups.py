@@ -44,6 +44,11 @@ def test_brute_force_agreement():
                 free_group_conjugacy_classes(rank, n),
             )
     assert transitive_pair_counts(2, 4) == (71, 26)
+    # Hall: M(3) = 3 * 6^4 - 2^4 * M(1) - M(2) with M(2) = 2 * 2^4 - 1
+    assert transitive_pair_counts(5, 3) == (3841, 1361) == (
+        free_group_subgroups(5, 3),
+        free_group_conjugacy_classes(5, 3),
+    )
 
 
 def test_guards():
