@@ -15,9 +15,10 @@ cross-checking both counts at tiny sizes.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 from math import comb, factorial, prod
 
+from .arith import divisors
 from .epi import count_epi
 from .orbifold import ELL_GUARD, GAMMA_GUARD, enumerate_orbifolds
 from .subgroups import _conjugacy_orbits, _transitive
@@ -117,27 +118,24 @@ def theta(gamma: int, n: int, enumerator=enumerate_orbifolds) -> int:
             f"(gamma <= {GAMMA_GUARD}, 2n <= {ELL_GUARD})"
         )
     total = 0
-    for ell in range(1, 2 * n + 1):
-        if (2 * n) % ell != 0:
-            continue
+    for ell in divisors(2 * n):
         dart_orbits = 2 * n // ell
         for sig in enumerator(gamma, ell):
             mult = sig.branch_multiplicities()
-            b2 = mult.get(2, 0)
-            higher = [mult[i] for i in sorted(mult) if i > 2]
+            b2 = mult.pop(2, 0)
+            higher = [mult[i] for i in sorted(mult)]
             epi = count_epi(sig, ell)
             sig_sum = 0
-            for s2 in range(0, b2 + 1):
-                # The quotient map has (2n/ell - s2) / 2 edges, so none if odd.
-                ways = comb(dart_orbits, s2)
-                if ways == 0 or (dart_orbits - s2) % 2:
-                    continue
+            # The quotient map has (2n/ell - s2) / 2 edges, so s2 keeps the
+            # parity of 2n/ell.
+            for s2 in range(dart_orbits % 2, min(b2, dart_orbits) + 1, 2):
                 quotient_edges = (dart_orbits - s2) // 2
                 placements = _multinomial(
                     quotient_edges + 2 - 2 * sig.g, [b2 - s2] + higher
                 )
                 if placements == 0:
                     continue
+                ways = comb(dart_orbits, s2)
                 sig_sum += ways * placements * rooted_map_count(sig.g, quotient_edges)
             total += epi * sig_sum
     count, rem = divmod(total, 2 * n)
@@ -162,6 +160,19 @@ def _cycle_count(perm) -> int:
     return count
 
 
+def _pair_centralizer(n: int) -> list[tuple[int, ...]]:
+    """The 2^n * n! permutations of 2n darts commuting with alpha_0 = (0 1)(2 3)...
+
+    Listed as the wreath product: tau(2i + b) = 2*pi(i) + (b xor f_i) for
+    pi in S_n and f in {0, 1}^n.
+    """
+    return [
+        tuple(2 * pi[i >> 1] + ((i & 1) ^ flips[i >> 1]) for i in range(2 * n))
+        for pi in permutations(range(n))
+        for flips in product((0, 1), repeat=n)
+    ]
+
+
 @lru_cache(maxsize=None)
 def _dart_pair_census(n: int) -> dict[int, tuple[int, int]]:
     """Exhaustive (sigma, alpha_0) scan: genus -> (rooted, unrooted)."""
@@ -178,10 +189,7 @@ def _dart_pair_census(n: int) -> dict[int, tuple[int, int]]:
     # the pair count by (2n-1)!!; rooting divides by (2n-1)!.  The
     # centralizer fixes alpha_0, so its orbits need only conjugate sigma.
     double_fact = prod(range(1, darts, 2))
-    centralizer = [
-        tau for tau in permutations(range(darts))
-        if all(tau[alpha[i]] == alpha[tau[i]] for i in range(darts))
-    ]
+    centralizer = _pair_centralizer(n)
     result: dict[int, tuple[int, int]] = {}
     for genus, sigmas in by_genus.items():
         rooted, rem = divmod(len(sigmas) * double_fact, factorial(darts - 1))

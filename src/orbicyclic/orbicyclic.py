@@ -138,7 +138,7 @@ def E_local(profile: LocalProfile) -> int:
 
 def E_closed(t: Periods) -> int:
     """E via the closed multiplicative formula (product of local factors)."""
-    t = _coerce(t).reduced()
+    t = _coerce(t)
     result = 1
     for p, _ in factorize(t.m):
         result *= E_local(local_profile(t, p))
@@ -173,7 +173,7 @@ def vanishes(t: Periods) -> tuple[bool, str | None]:
     E vanishes iff some odd prime p | lcm has s(p) = 1, or the lcm is
     even and s(2) is odd.
     """
-    for p, s in _vanishing_primes(_coerce(t).reduced()):
+    for p, s in _vanishing_primes(_coerce(t)):
         return True, f"s(2) = {s} is odd" if p == 2 else f"s({p}) = 1"
     return False, None
 
@@ -235,7 +235,7 @@ def equals_phi_classification(t: Periods) -> bool:
       * (2^a, 2^a, 2, ..., 2) for p = 2, with r(2) >= 3 arguments and
         r(2) even when a = 1.
     """
-    t = _coerce(t).reduced()
+    t = _coerce(t)
     for p, _ in factorize(t.m):
         prof = local_profile(t, p)
         a, s, r_p = prof.a, prof.s, prof.r_p

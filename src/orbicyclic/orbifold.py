@@ -97,7 +97,7 @@ def harvey_admissible(
     where for gamma = 0 the condition r = 2 replaces H3, and for
     gamma = 1 the extra constraint r in {0, 3, 4} supplements it
     (the test assumes ell >= 2; ell = 1 admits exactly the unbranched
-    signature and is handled by the enumerator).
+    signature, which enumerate_orbifolds_via_harvey accepts untested).
     """
     violated: list[str] = []
     if rh_gamma(sig, ell) != gamma:
@@ -153,33 +153,14 @@ def epi_nonvanishing(sig: OrbifoldSignature, ell: int) -> tuple[bool, list[str]]
     return not violated, violated
 
 
-def _period_multisets(
-    ell: int, target: int, max_parts: int
-) -> Iterator[tuple[int, ...]]:
-    """Multisets of divisors (>= 2) of ell with sum (ell - ell/m_j) = target."""
-    divs = [d for d in divisors(ell) if d >= 2]
-    divs.reverse()  # largest contribution first, for the pruning bound
-
-    def rec(idx: int, left: int, slots: int, acc: list[int]):
-        if left == 0:
-            yield tuple(reversed(acc))
-            return
-        if idx == len(divs) or slots == 0:
-            return
-        part = ell - ell // divs[idx]
-        if left > slots * part:
-            return  # every remaining divisor contributes at most this much
-        if part <= left:
-            acc.append(divs[idx])
-            yield from rec(idx, left - part, slots - 1, acc)
-            acc.pop()
-        yield from rec(idx + 1, left, slots, acc)
-
-    yield from rec(0, target, max_parts, [])
-
-
 def _candidate_signatures(gamma: int, ell: int) -> Iterator[OrbifoldSignature]:
-    """Signatures solving Riemann-Hurwitz in the bounded search space."""
+    """Signatures solving Riemann-Hurwitz in the bounded search space.
+
+    For each quotient genus g <= gamma, the periods are the multisets of
+    at most 2*gamma + 2 divisors m_j >= 2 of ell whose contributions
+    ell - ell/m_j sum to 2*gamma - 2 - ell*(2g - 2).  Periods are chosen
+    non-increasing in contribution, so each multiset comes out once.
+    """
     if gamma < 0 or ell < 1:
         raise ValueError(f"need gamma >= 0 and ell >= 1, got {gamma}, {ell}")
     if gamma > GAMMA_GUARD or ell > ELL_GUARD:
@@ -187,27 +168,30 @@ def _candidate_signatures(gamma: int, ell: int) -> Iterator[OrbifoldSignature]:
             f"(gamma={gamma}, ell={ell}) exceeds the guard "
             f"(gamma <= {GAMMA_GUARD}, ell <= {ELL_GUARD})"
         )
+    divs = divisors(ell)[:0:-1]  # the divisors >= 2, largest contribution first
+
+    def rec(start: int, left: int, slots: int, periods: tuple[int, ...]):
+        if left == 0:
+            yield periods
+            return
+        for i in range(start, len(divs)):
+            part = ell - ell // divs[i]
+            if left > slots * part:
+                return  # every later divisor contributes at most this much
+            if part <= left:
+                yield from rec(i, left - part, slots - 1, periods + (divs[i],))
+
     for g in range(gamma + 1):
         target = 2 * gamma - 2 - ell * (2 * g - 2)
-        if target < 0:
-            continue
-        for periods in _period_multisets(ell, target, 2 * gamma + 2):
-            yield OrbifoldSignature(g, periods)
+        if target >= 0:
+            for periods in rec(0, target, 2 * gamma + 2, ()):
+                yield OrbifoldSignature(g, periods)
 
 
 def _enumerate(
     gamma: int, ell: int, admissible: Callable[[OrbifoldSignature], bool]
 ) -> list[OrbifoldSignature]:
-    """The candidates that pass the admissibility test, sorted.
-
-    ell = 1 covers the surface by itself, giving exactly the unbranched
-    signature (gamma; -); it is answered here, as Harvey's test assumes
-    ell >= 2.
-    """
-    if ell == 1:
-        if gamma < 0 or gamma > GAMMA_GUARD:
-            raise ValueError(f"gamma must be in [0, {GAMMA_GUARD}], got {gamma}")
-        return [OrbifoldSignature(gamma, ())]
+    """The candidates that pass the admissibility test, sorted."""
     found = [sig for sig in _candidate_signatures(gamma, ell) if admissible(sig)]
     return sorted(found, key=lambda s: (s.g, s.r, s.periods))
 
@@ -229,7 +213,11 @@ def enumerate_orbifolds_via_harvey(gamma: int, ell: int) -> list[OrbifoldSignatu
     Kept as a genuinely independent route for cross-checking; the two
     enumerations must agree everywhere in the guarded range.
     """
-    return _enumerate(gamma, ell, lambda sig: harvey_admissible(sig, ell, gamma)[0])
+    # ell = 1 yields only (gamma; -), the surface covering itself; Harvey's
+    # test assumes ell >= 2 and would reject it at gamma = 0.
+    return _enumerate(
+        gamma, ell, lambda sig: ell == 1 or harvey_admissible(sig, ell, gamma)[0]
+    )
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+from itertools import permutations
 from math import factorial
 from time import perf_counter
 
@@ -6,6 +7,7 @@ import pytest
 from orbicyclic.mapcount import (
     _carrell_chapuy,
     _dart_pair_census,
+    _pair_centralizer,
     dart_pair_oracle,
     planar_rooted_count,
     rooted_map_count,
@@ -159,6 +161,17 @@ class TestDartPairOracle:
         for gamma in range(0, 3):
             for n in range(1, 4):
                 assert dart_pair_oracle(gamma, n)[1] == theta(gamma, n)
+
+    def test_centralizer_is_the_wreath_product(self):
+        for n, size in [(1, 2), (2, 8), (3, 48), (4, 384)]:
+            alpha = [i ^ 1 for i in range(2 * n)]
+            commuting = {
+                tau for tau in permutations(range(2 * n))
+                if all(tau[alpha[i]] == alpha[tau[i]] for i in range(2 * n))
+            }
+            listed = _pair_centralizer(n)
+            assert len(listed) == len(set(listed)) == size
+            assert set(listed) == commuting
 
     def test_guard(self):
         with pytest.raises(ValueError, match="n = 4 exceeds 3"):

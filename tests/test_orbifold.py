@@ -1,11 +1,13 @@
 import math
+from itertools import combinations_with_replacement
 
 import pytest
 
-from orbicyclic.arith import euler_phi
+from orbicyclic.arith import divisors, euler_phi
 from orbicyclic.orbifold import (
     CensusResult,
     OrbifoldSignature,
+    _candidate_signatures,
     census,
     enumerate_orbifolds,
     enumerate_orbifolds_via_harvey,
@@ -140,6 +142,27 @@ class TestEnumeration:
                 assert enumerate_orbifolds(gamma, ell) == enumerate_orbifolds_via_harvey(
                     gamma, ell
                 ), (gamma, ell)
+
+    def test_candidates_match_a_naive_search(self):
+        # Both admissibility routes filter the same generator, so a missing or
+        # repeated candidate would go unseen by test_routes_agree; rebuild the
+        # search space from every multiset of divisors instead.
+        total = 0
+        for gamma in range(4):
+            for ell in sorted(set(range(1, 4 * gamma + 3)) | {24, 30}):
+                orders = [d for d in divisors(ell) if d >= 2]
+                naive = {
+                    s
+                    for g in range(gamma + 1)
+                    for r in range(2 * gamma + 3)
+                    for ps in combinations_with_replacement(orders, r)
+                    if rh_gamma(s := OrbifoldSignature(g, ps), ell) == gamma
+                }
+                found = list(_candidate_signatures(gamma, ell))
+                assert len(found) == len(set(found)), (gamma, ell)
+                assert set(found) == naive, (gamma, ell)
+                total += len(found)
+        assert total == 86
 
     def test_guards(self):
         with pytest.raises(ValueError):
