@@ -116,7 +116,7 @@ def _handle_e(args, parser) -> Handled:
         "e_value",
         {
             "periods": list(args.periods),
-            "reduced": list(t.values),
+            "reduced": list(t),
             "value": str(value),
         },
         f"E({', '.join(str(m) for m in args.periods)}) = {value}",

@@ -33,17 +33,17 @@ def count_congruence_solutions(M: int, t: Periods) -> int:
         raise ValueError(f"modulus must be >= 1, got {M}")
     if M > MODULUS_GUARD:
         raise ValueError(f"modulus {M} exceeds the enumeration guard {MODULUS_GUARD}")
-    for mj in t.values:
+    for mj in t:
         if M % mj != 0:
             raise ValueError(f"period {mj} does not divide modulus {M}")
     if len(t) == 0:
         return 1
     gcd_of = [math.gcd(x, M) for x in range(M)]
-    distinct = {M // mj for mj in t.values}
+    distinct = {M // mj for mj in t}
     classes = {d: [x for x in range(M) if gcd_of[x] == d] for d in distinct}
     # Enumerate every coordinate except the one with the most residues;
     # that one is determined by the congruence and merely checked.
-    ds = sorted((M // mj for mj in t.values), key=lambda d: len(classes[d]))
+    ds = sorted((M // mj for mj in t), key=lambda d: len(classes[d]))
     d_last = ds.pop()
     tuples = math.prod(len(classes[d]) for d in ds)
     if tuples > TUPLE_GUARD:

@@ -21,54 +21,38 @@ from __future__ import annotations
 
 import math
 from itertools import product
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple
 
 from .arith import _periodic_sum, _von_sterneck_table, factorize
 
 TRIPLES_GUARD = 10**4
 
 
-class PeriodTuple:
+class PeriodTuple(tuple):
     """Multiset of integers >= 1, the argument tuple of E.
 
-    Stored nonincreasing so that equality and hashing ignore input
-    order.  Values equal to 1 are retained; reduced() drops them, which
-    leaves E unchanged.
+    A tuple stored nonincreasing, so that equality and hashing ignore
+    input order; m is the lcm.  Values equal to 1 are retained;
+    reduced() drops them, which leaves E unchanged.
     """
 
-    __slots__ = ("values", "m")
-
-    def __init__(self, values: Iterable[int] = ()):
-        vals = tuple(sorted(values, reverse=True))
-        for v in vals:
+    def __new__(cls, values: Iterable[int] = ()):
+        self = super().__new__(cls, sorted(values, reverse=True))
+        for v in self:
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ValueError(f"period values must be integers >= 1, got {v!r}")
-        self.values = vals
-        self.m = math.lcm(*vals) if vals else 1
+        self.m = math.lcm(*self)
+        return self
 
     def reduced(self) -> "PeriodTuple":
         """The same multiset with all 1s removed."""
-        return PeriodTuple(v for v in self.values if v > 1)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PeriodTuple):
-            return self.values == other.values
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.values)
+        return PeriodTuple(v for v in self if v > 1)
 
     def __repr__(self) -> str:
-        return f"PeriodTuple({list(self.values)!r})"
+        return f"PeriodTuple({list(self)!r})"
 
 
-Periods = Union[PeriodTuple, Iterable[int]]
+Periods = Iterable[int]
 
 
 def _coerce(t: Periods) -> PeriodTuple:
@@ -96,7 +80,7 @@ def local_profile(t: Periods, p: int) -> LocalProfile:
     if t.m % p != 0:
         raise ValueError(f"{p} does not divide lcm {t.m}")
     exps = []
-    for mj in t.values:
+    for mj in t:
         e = 0
         while mj % p == 0:
             e += 1
@@ -150,7 +134,7 @@ def E_closed(t: Periods) -> int:
 def E_bruteforce(t: Periods) -> int:
     """E directly from the defining mean, summed over one period k = 1..lcm."""
     t = _coerce(t)
-    q, rem = divmod(_periodic_sum(_von_sterneck_table, t.values, t.m), t.m)
+    q, rem = divmod(_periodic_sum(_von_sterneck_table, t, t.m), t.m)
     if rem:  # the mean is always an integer; a remainder is an internal error
         raise ArithmeticError(f"brute-force sum not divisible by {t.m}")
     return q

@@ -15,9 +15,8 @@ admissible orbifolds for a given gamma.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from collections import Counter, namedtuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .arith import divisors
 from .orbicyclic import PeriodTuple, _vanishing_primes
@@ -31,20 +30,19 @@ def _wiman_range(gamma: int) -> range:
     return range(1, 4 * gamma + 3)
 
 
-@dataclass(frozen=True)
-class OrbifoldSignature:
+class OrbifoldSignature(namedtuple("OrbifoldSignature", "g periods")):
     """Quotient genus plus branch orders, periods canonically ascending."""
 
-    g: int
-    periods: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.g < 0:
-            raise ValueError(f"quotient genus must be >= 0, got {self.g}")
-        object.__setattr__(self, "periods", tuple(sorted(self.periods)))
-        for mj in self.periods:
+    def __new__(cls, g: int, periods: Iterable[int] = ()):
+        if not isinstance(g, int) or isinstance(g, bool) or g < 0:
+            raise ValueError(f"quotient genus must be an integer >= 0, got {g!r}")
+        periods = tuple(sorted(periods))
+        for mj in periods:
             if not isinstance(mj, int) or mj < 2:
                 raise ValueError(f"branch orders must be integers >= 2, got {mj!r}")
+        return super().__new__(cls, g, periods)
 
     @property
     def m(self) -> int:
@@ -220,21 +218,28 @@ def enumerate_orbifolds_via_harvey(gamma: int, ell: int) -> list[OrbifoldSignatu
     )
 
 
-@dataclass(frozen=True)
-class CensusResult:
-    """Admissible orbifolds for one surface genus, across all group orders.
+class CensusResult(NamedTuple):
+    """Admissible orbifolds for one surface genus, as (ell, signature) pairs.
 
     a counts the orbifolds (signature together with its admitting ell);
-    a_distinct counts distinct signatures.  For gamma >= 2 the bracket
-    of Riemann-Hurwitz is nonzero, so a signature determines its ell
-    and the two counts coincide (asserted during construction).
+    a_distinct, the count of distinct signatures, is the same number:
+    for gamma >= 2 the bracket of Riemann-Hurwitz is nonzero, so a
+    signature determines its ell (census raises otherwise).
     """
 
     gamma: int
     orbifolds: tuple[tuple[int, OrbifoldSignature], ...]
-    a: int
-    a_by_g: dict[int, int] = field(compare=False)
-    a_distinct: int
+
+    @property
+    def a(self) -> int:
+        return len(self.orbifolds)
+
+    a_distinct = a
+
+    @property
+    def a_by_g(self) -> dict[int, int]:
+        """Map quotient genus g -> number of orbifolds, ascending in g."""
+        return dict(sorted(Counter(sig.g for _, sig in self.orbifolds).items()))
 
 
 def census(gamma: int) -> CensusResult:
@@ -247,7 +252,6 @@ def census(gamma: int) -> CensusResult:
         raise ValueError(f"census is infinite for gamma = {gamma}")
     if gamma < 0 or gamma > GAMMA_GUARD:
         raise ValueError(f"gamma must be in [2, {GAMMA_GUARD}], got {gamma}")
-    entries: list[tuple[int, OrbifoldSignature]] = []
     seen: dict[OrbifoldSignature, int] = {}
     for ell in _wiman_range(gamma):
         for sig in enumerate_orbifolds(gamma, ell):
@@ -256,12 +260,4 @@ def census(gamma: int) -> CensusResult:
                     f"signature {sig} admitted by both ell={seen[sig]} and ell={ell}"
                 )
             seen[sig] = ell
-            entries.append((ell, sig))
-    counts = Counter(sig.g for _, sig in entries)
-    return CensusResult(
-        gamma=gamma,
-        orbifolds=tuple(entries),
-        a=len(entries),
-        a_by_g=dict(sorted(counts.items())),
-        a_distinct=len(seen),
-    )
+    return CensusResult(gamma, tuple((ell, sig) for sig, ell in seen.items()))

@@ -1,10 +1,13 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from time import perf_counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import orbicyclic
 from orbicyclic.cli import main
@@ -401,3 +404,49 @@ def test_cli_imports_only_the_standard_library():
     ).stdout
     loaded = set(out.split()) - {"orbicyclic"}
     assert loaded and loaded <= sys.stdlib_module_names, loaded
+    # the heaviest standard-library imports stay off the CLI's start-up path
+    assert not loaded & {"dataclasses", "inspect"}, loaded
+
+
+# Each subcommand with its options; values and periods are drawn from TOKENS.
+CLI_OPTIONS = {
+    "e": ["--congruence"],
+    "epi": ["--genus", "--order", "--periods"],
+    "orbifolds": ["--gamma", "--order"],
+    "census": ["--gamma"],
+    "theta": ["--gamma", "--edges"],
+    "freegroup": ["--rank", "--index"],
+    "triples": ["--lcm"],
+}
+BAD_TOKENS = ["x", "", "1.5", "-1", "10000000"]
+TOKENS = st.sampled_from([str(i) for i in range(13)] + BAD_TOKENS)
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(sorted(CLI_OPTIONS)))
+    argv = [command]
+    for option in CLI_OPTIONS[command]:
+        if draw(st.integers(0, 4)) == 0:
+            continue  # a missing required option is a usage error
+        if option == "--periods":
+            argv += [option, ",".join(draw(st.lists(TOKENS, max_size=3)))]
+        else:
+            argv += [option, draw(TOKENS)]
+    if command == "e":
+        argv += draw(st.lists(TOKENS, max_size=4))
+        if draw(st.booleans()):
+            argv.append("--brute")
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["table", "json", "csv", "x"]))]
+    if draw(st.booleans()):
+        argv.append("--check")
+    return argv
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(cli_argvs())
+def test_cli_never_raises_and_exits_with_a_documented_code(argv):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, code)

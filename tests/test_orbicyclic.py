@@ -29,7 +29,7 @@ def small_tuples(max_value, max_len):
 
 class TestPeriodTuple:
     def test_normalizes_order(self):
-        assert PeriodTuple([3, 12, 4]).values == (12, 4, 3)
+        assert PeriodTuple([3, 12, 4]) == (12, 4, 3)
         assert PeriodTuple([2, 2, 5]) == PeriodTuple([5, 2, 2])
         assert hash(PeriodTuple([2, 5])) == hash(PeriodTuple([5, 2]))
 
@@ -258,7 +258,7 @@ class TestRepeatedTuples:
         # E is odd exactly for evenly many copies of 2 and nothing else
         for t in small_tuples(10, 4):
             reduced = PeriodTuple(t).reduced()
-            expect_odd = all(v == 2 for v in reduced.values) and len(reduced) % 2 == 0
+            expect_odd = all(v == 2 for v in reduced) and len(reduced) % 2 == 0
             assert (E_closed(t) % 2 == 1) == expect_odd
 
 

@@ -41,6 +41,14 @@ class TestSignature:
             sig(0, 1)
         with pytest.raises(ValueError):
             sig(0, 0)
+        for genus in (1.5, True):
+            with pytest.raises(ValueError):
+                sig(genus, 2, 2)
+        # signatures are immutable values, hashed regardless of period order
+        assert hash(sig(1, 3, 2, 6)) == hash(sig(1, 6, 2, 3))
+        s = sig(1, 2, 2)
+        with pytest.raises(AttributeError):
+            s.g = 2
 
 
 class TestRiemannHurwitz:
