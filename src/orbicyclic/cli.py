@@ -1,10 +1,16 @@
 """Command-line interface.
 
-One subcommand per library area; every invocation prints exactly one
-record on stdout in the requested --format (table, json, or csv).
---check reruns the result through an independent route (brute force,
-Harvey's conditions, exhaustive scans) and reports to stderr; a
-mismatch flips the exit code to 3 without touching the primary output.
+One subcommand per library area, each declared once in COMMANDS; every
+invocation prints exactly one record on stdout in the requested --format
+(table, json, or csv).  A handler returns (kind, payload, table_lines,
+csv_rows, checks): the json record's kind and payload, with counts as
+decimal strings; the table text's lines; the csv rows, header first; and
+its checks as (oracle, expected, observed[, detail]) tuples, each passing
+when str(expected) == str(observed).  main renders only the requested
+format.  --check (on e, also spelled --brute) reruns the result through
+an independent route (brute force, Harvey's conditions, exhaustive scans)
+and reports to stderr; a mismatch flips the exit code to 3 without
+touching the primary output.
 
 Exit codes: 0 ok, 1 domain or guard error, 2 usage error, 3 failed check.
 """
@@ -79,59 +85,40 @@ def _drop_unit_periods(periods) -> tuple[int, ...]:
     return kept
 
 
-def _shapes(kind: str, payload: dict, table: str, rows: list[list]) -> dict[str, str]:
-    """One result in every --format (json record, table text, csv rows), by name.
-
-    Counts live in the json payload as decimal strings.
-    """
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return {
-        "json": json.dumps({"kind": kind, "payload": payload}, sort_keys=True),
-        "table": table,
-        "csv": buf.getvalue().rstrip("\n"),
-    }
-
-
-def _orbifold_json(entries) -> list[dict]:
-    """The json form of (ell, signature) pairs, shared by orbifolds and census."""
-    return [
-        {"ell": ell, "g": sig.g, "periods": list(sig.periods)} for ell, sig in entries
-    ]
+def _orbifold_forms(entries) -> tuple[list[dict], list[str], list[list]]:
+    """The json, table and csv forms of (ell, signature) pairs."""
+    return (
+        [
+            {"ell": ell, "g": sig.g, "periods": list(sig.periods)}
+            for ell, sig in entries
+        ],
+        [f"ell={ell:<3d} {sig}" for ell, sig in entries],
+        [[ell, sig.g, " ".join(map(str, sig.periods))] for ell, sig in entries],
+    )
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers.  Each returns its result in every output format and
-# its checks as (oracle, expected, observed[, detail]) tuples; a check
-# passes when str(expected) == str(observed).
-
-Handled = tuple[dict[str, str], list[tuple]]
+# Subcommand handlers.  Each renders its counts before it runs its checks,
+# so a count past the print limit fails before any oracle runs.
 
 
-def _handle_e(args, parser) -> Handled:
+def _handle_e(args, parser):
     periods = _drop_unit_periods(args.periods)
     t = PeriodTuple(periods)
     value = E_closed(t)
-    shapes = _shapes(
-        "e_value",
-        {
-            "periods": list(args.periods),
-            "reduced": list(t),
-            "value": str(value),
-        },
-        f"E({', '.join(str(m) for m in args.periods)}) = {value}",
-        [["periods", "value"], [" ".join(map(str, args.periods)), value]],
-    )
+    payload = {"periods": list(args.periods), "reduced": list(t), "value": str(value)}
+    lines = [f"E({', '.join(str(m) for m in args.periods)}) = {value}"]
+    rows = [["periods", "value"], [" ".join(map(str, args.periods)), value]]
     checks = []
-    if args.brute or args.check:
+    if args.check:
         checks.append(("brute_force", value, E_bruteforce(t)))
     if args.congruence is not None:
         observed = count_congruence_solutions(args.congruence, t)
         checks.append((f"congruence(M={args.congruence})", value, observed))
-    return shapes, checks
+    return "e_value", payload, lines, rows, checks
 
 
-def _handle_epi(args, parser) -> Handled:
+def _handle_epi(args, parser):
     periods = _drop_unit_periods(args.periods)
     # The count is at most order^(2*genus) * prod(periods); genus stays an int.
     room = PRINT_DIGITS - sum(map(math.log10, periods))
@@ -139,20 +126,17 @@ def _handle_epi(args, parser) -> Handled:
         raise ValueError(f"the count may exceed the {PRINT_DIGITS}-digit print limit")
     sig = OrbifoldSignature(args.genus, periods)
     value = count_epi(sig, args.order)
-    shapes = _shapes(
-        "epi_count",
-        {
-            "genus": args.genus,
-            "order": args.order,
-            "periods": list(sig.periods),
-            "value": str(value),
-        },
-        f"epimorphisms {sig} -> Z_{args.order}: {value}",
-        [
-            ["genus", "order", "periods", "value"],
-            [args.genus, args.order, " ".join(map(str, sig.periods)), value],
-        ],
-    )
+    payload = {
+        "genus": args.genus,
+        "order": args.order,
+        "periods": list(sig.periods),
+        "value": str(value),
+    }
+    lines = [f"epimorphisms {sig} -> Z_{args.order}: {value}"]
+    rows = [
+        ["genus", "order", "periods", "value"],
+        [args.genus, args.order, " ".join(map(str, sig.periods)), value],
+    ]
     checks = []
     if args.check:
         m = sig.m
@@ -165,7 +149,7 @@ def _handle_epi(args, parser) -> Handled:
         else:
             observed = 0
         checks.append(("brute_force", value, observed))
-    return shapes, checks
+    return "epi_count", payload, lines, rows, checks
 
 
 def _dual_route_check(gamma: int, ells, found) -> tuple:
@@ -181,7 +165,7 @@ def _dual_route_check(gamma: int, ells, found) -> tuple:
     return "harvey_route", expected, observed, f"epi-only={only_e} harvey-only={only_h}"
 
 
-def _handle_orbifolds(args, parser) -> Handled:
+def _handle_orbifolds(args, parser):
     if args.order is None:
         if args.gamma < 2:
             parser.error(
@@ -195,68 +179,57 @@ def _handle_orbifolds(args, parser) -> Handled:
         entries = [
             (args.order, sig) for sig in enumerate_orbifolds(args.gamma, args.order)
         ]
-    shapes = _shapes(
-        "orbifold_list",
-        {
-            "gamma": args.gamma,
-            "order": args.order,
-            "count": str(len(entries)),
-            "signatures": _orbifold_json(entries),
-        },
-        "\n".join(
-            [f"ell={ell:<3d} {sig}" for ell, sig in entries]
-            + [f"count: {len(entries)}"]
-        ),
-        [["ell", "g", "periods"]]
-        + [[ell, sig.g, " ".join(map(str, sig.periods))] for ell, sig in entries],
-    )
+    signatures, lines, rows = _orbifold_forms(entries)
+    lines.append(f"count: {len(entries)}")
+    payload = {
+        "gamma": args.gamma,
+        "order": args.order,
+        "count": str(len(entries)),
+        "signatures": signatures,
+    }
     checks = [_dual_route_check(args.gamma, ells, entries)] if args.check else []
-    return shapes, checks
+    return "orbifold_list", payload, lines, [["ell", "g", "periods"]] + rows, checks
 
 
-def _handle_census(args, parser) -> Handled:
+def _handle_census(args, parser):
     result = census(args.gamma)
     gamma = result.gamma
     by_g = sorted(result.a_by_g.items())
-    shapes = _shapes(
-        "census",
-        {
-            "gamma": gamma,
-            "a": str(result.a),
-            "a_distinct": str(result.a_distinct),
-            "a_by_g": {str(g): str(n) for g, n in by_g},
-            "orbifolds": _orbifold_json(result.orbifolds),
-        },
-        "\n".join(
-            [f"A({gamma}) = {result.a}"]
-            + [f"A_{g}({gamma}) = {n}" for g, n in by_g]
-            + [f"distinct signatures: {result.a_distinct}"]
-        ),
+    payload = {
+        "gamma": gamma,
+        "a": str(result.a),
+        "a_distinct": str(result.a_distinct),
+        "a_by_g": {str(g): str(n) for g, n in by_g},
+        "orbifolds": _orbifold_forms(result.orbifolds)[0],
+    }
+    lines = (
+        [f"A({gamma}) = {result.a}"]
+        + [f"A_{g}({gamma}) = {n}" for g, n in by_g]
+        + [f"distinct signatures: {result.a_distinct}"]
+    )
+    rows = (
         [["gamma", "quotient_genus", "count"]]
         + [[gamma, g, n] for g, n in by_g]
-        + [[gamma, "all", result.a], [gamma, "distinct", result.a_distinct]],
+        + [[gamma, "all", result.a], [gamma, "distinct", result.a_distinct]]
     )
     checks = []
     if args.check:
         checks.append(_dual_route_check(gamma, _wiman_range(gamma), result.orbifolds))
-    return shapes, checks
+    return "census", payload, lines, rows, checks
 
 
-def _handle_theta(args, parser) -> Handled:
+def _handle_theta(args, parser):
     value = theta(args.gamma, args.edges)
-    shapes = _shapes(
-        "theta",
-        {
-            "gamma": args.gamma,
-            "edges": args.edges,
-            "value": str(value),
-            # Fixed schema field: the record once named the rooted-map table
-            # it used; kept verbatim so existing consumers parse it unchanged.
-            "table": "packaged default",
-        },
-        f"maps with {args.edges} edges on genus {args.gamma}: {value}",
-        [["genus", "edges", "count"], [args.gamma, args.edges, value]],
-    )
+    payload = {
+        "gamma": args.gamma,
+        "edges": args.edges,
+        "value": str(value),
+        # Fixed schema field: the record once named the rooted-map table
+        # it used; kept verbatim so existing consumers parse it unchanged.
+        "table": "packaged default",
+    }
+    lines = [f"maps with {args.edges} edges on genus {args.gamma}: {value}"]
+    rows = [["genus", "edges", "count"], [args.gamma, args.edges, value]]
     checks = []
     if args.check:
         dual = theta(args.gamma, args.edges, enumerator=enumerate_orbifolds_via_harvey)
@@ -264,51 +237,45 @@ def _handle_theta(args, parser) -> Handled:
         if args.edges <= DART_PAIR_GUARD:
             _, unrooted = dart_pair_oracle(args.gamma, args.edges)
             checks.append(("dart_pair_oracle", value, unrooted))
-    return shapes, checks
+    return "theta", payload, lines, rows, checks
 
 
-def _handle_freegroup(args, parser) -> Handled:
+def _handle_freegroup(args, parser):
     subgroups = free_group_subgroups(args.rank, args.index)
     classes = free_group_conjugacy_classes(args.rank, args.index)
-    shapes = _shapes(
-        "subgroup_count",
-        {
-            "rank": args.rank,
-            "index": args.index,
-            "subgroups": str(subgroups),
-            "conjugacy_classes": str(classes),
-        },
+    payload = {
+        "rank": args.rank,
+        "index": args.index,
+        "subgroups": str(subgroups),
+        "conjugacy_classes": str(classes),
+    }
+    lines = [
         f"F_{args.rank} index {args.index}: "
-        f"{subgroups} subgroups, {classes} conjugacy classes",
-        [
-            ["rank", "index", "subgroups", "conjugacy_classes"],
-            [args.rank, args.index, subgroups, classes],
-        ],
-    )
+        f"{subgroups} subgroups, {classes} conjugacy classes"
+    ]
+    rows = [
+        ["rank", "index", "subgroups", "conjugacy_classes"],
+        [args.rank, args.index, subgroups, classes],
+    ]
     checks = []
     if args.check:
         brute_subs, brute_classes = transitive_pair_counts(args.rank, args.index)
         expected = f"{subgroups}/{classes}"
         checks.append(("transitive_pairs", expected, f"{brute_subs}/{brute_classes}"))
-    return shapes, checks
+    return "subgroup_count", payload, lines, rows, checks
 
 
-def _handle_triples(args, parser) -> Handled:
+def _handle_triples(args, parser):
     triples = enumerate_nonvanishing_triples(args.lcm)
     valued = [(t, E_closed(t)) for t in triples]
-    shapes = _shapes(
-        "e_value",
-        {
-            "lcm": args.lcm,
-            "count": str(len(triples)),
-            "triples": [{"periods": list(t), "value": str(v)} for t, v in valued],
-        },
-        "\n".join(
-            [f"{t}  E = {v}" for t, v in valued]
-            + [f"nonvanishing triples with lcm {args.lcm}: {len(triples)}"]
-        ),
-        [["m1", "m2", "m3", "value"]] + [[*t, v] for t, v in valued],
-    )
+    payload = {
+        "lcm": args.lcm,
+        "count": str(len(triples)),
+        "triples": [{"periods": list(t), "value": str(v)} for t, v in valued],
+    }
+    lines = [f"{t}  E = {v}" for t, v in valued]
+    lines.append(f"nonvanishing triples with lcm {args.lcm}: {len(triples)}")
+    rows = [["m1", "m2", "m3", "value"]] + [[*t, v] for t, v in valued]
     checks = []
     if args.check:
         scan = sorted(
@@ -317,11 +284,22 @@ def _handle_triples(args, parser) -> Handled:
             if math.lcm(*combo) == args.lcm and E_closed(combo) != 0
         )
         checks.append(("exhaustive_scan", list(triples), scan))
-    return shapes, checks
+    return "e_value", payload, lines, rows, checks
 
 
 # ---------------------------------------------------------------------------
-# Parser assembly.
+# Parser assembly.  Each subcommand is declared once: its help text, its
+# handler, and its required integer options with their lower bounds.
+
+COMMANDS = {
+    "e": ("orbicyclic function E", _handle_e, {}),
+    "epi": ("epimorphism count", _handle_epi, {"genus": 0, "order": 1}),
+    "orbifolds": ("admissible orbifolds", _handle_orbifolds, {"gamma": 0}),
+    "census": ("orbifold census A(gamma)", _handle_census, {"gamma": 0}),
+    "theta": ("unrooted map count", _handle_theta, {"gamma": 0, "edges": 1}),
+    "freegroup": ("free-group subgroups", _handle_freegroup, {"rank": 1, "index": 1}),
+    "triples": ("nonvanishing triples", _handle_triples, {"lcm": 1}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -347,47 +325,30 @@ def build_parser() -> argparse.ArgumentParser:
         "free-group subgroups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    subparsers = {}
+    for name, (help_text, _, required) in COMMANDS.items():
+        p = subparsers[name] = sub.add_parser(name, parents=[common], help=help_text)
+        for option, low in required.items():
+            p.add_argument(f"--{option}", type=_int_at_least(low), required=True)
 
-    p = sub.add_parser("e", parents=[common], help="orbicyclic function E")
+    p = subparsers["e"]
     p.add_argument("periods", nargs="*", type=_int_at_least(1), metavar="m")
-    p.add_argument("--brute", action="store_true", help="cross-check by brute force")
+    # An alias of --check; SUPPRESS keeps it from overwriting a top-level --check.
+    p.add_argument(
+        "--brute",
+        action="store_true",
+        dest="check",
+        default=argparse.SUPPRESS,
+        help="cross-check by brute force",
+    )
     p.add_argument(
         "--congruence",
         type=_int_at_least(1),
         metavar="M",
         help="cross-check by counting congruence solutions modulo M",
     )
-    p.set_defaults(func=_handle_e)
-
-    p = sub.add_parser("epi", parents=[common], help="epimorphism count")
-    p.add_argument("--genus", type=_int_at_least(0), required=True)
-    p.add_argument("--order", type=_int_at_least(1), required=True)
-    p.add_argument("--periods", type=_period_list, default=())
-    p.set_defaults(func=_handle_epi)
-
-    p = sub.add_parser("orbifolds", parents=[common], help="admissible orbifolds")
-    p.add_argument("--gamma", type=_int_at_least(0), required=True)
-    p.add_argument("--order", type=_int_at_least(1))
-    p.set_defaults(func=_handle_orbifolds)
-
-    p = sub.add_parser("census", parents=[common], help="orbifold census A(gamma)")
-    p.add_argument("--gamma", type=_int_at_least(0), required=True)
-    p.set_defaults(func=_handle_census)
-
-    p = sub.add_parser("theta", parents=[common], help="unrooted map count")
-    p.add_argument("--gamma", type=_int_at_least(0), required=True)
-    p.add_argument("--edges", type=_int_at_least(1), required=True)
-    p.set_defaults(func=_handle_theta)
-
-    p = sub.add_parser("freegroup", parents=[common], help="free-group subgroups")
-    p.add_argument("--rank", type=_int_at_least(1), required=True)
-    p.add_argument("--index", type=_int_at_least(1), required=True)
-    p.set_defaults(func=_handle_freegroup)
-
-    p = sub.add_parser("triples", parents=[common], help="nonvanishing triples")
-    p.add_argument("--lcm", type=_int_at_least(1), required=True)
-    p.set_defaults(func=_handle_triples)
-
+    subparsers["epi"].add_argument("--periods", type=_period_list, default=())
+    subparsers["orbifolds"].add_argument("--order", type=_int_at_least(1))
     return parser
 
 
@@ -402,14 +363,22 @@ def main(argv=None) -> int:
     args.check = getattr(args, "check", False)
 
     try:
-        shapes, checks = args.func(args, parser)
+        kind, payload, lines, rows, checks = COMMANDS[args.command][1](args, parser)
+        if fmt == "json":
+            text = json.dumps({"kind": kind, "payload": payload}, sort_keys=True)
+        elif fmt == "csv":
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows(rows)
+            text = buf.getvalue().rstrip("\n")
+        else:
+            text = "\n".join(lines)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    print(shapes[fmt])
+    print(text)
     failed = False
     for oracle, expected, observed, *detail in checks:
         line = f"check[{oracle}]: ok"

@@ -208,6 +208,8 @@ def dart_pair_oracle(gamma: int, n: int) -> tuple[int, int]:
     """
     if n < 1:
         raise ValueError(f"edge count must be >= 1, got {n}")
+    if gamma < 0:
+        raise ValueError(f"genus must be >= 0, got {gamma}")
     if n > DART_PAIR_GUARD:
         raise ValueError(f"oracle guard: n = {n} exceeds {DART_PAIR_GUARD}")
     return _dart_pair_census(n).get(gamma, (0, 0))

@@ -36,13 +36,19 @@ class PeriodTuple(tuple):
     reduced() drops them, which leaves E unchanged.
     """
 
+    __slots__ = ()
+
     def __new__(cls, values: Iterable[int] = ()):
         self = super().__new__(cls, sorted(values, reverse=True))
         for v in self:
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ValueError(f"period values must be integers >= 1, got {v!r}")
-        self.m = math.lcm(*self)
         return self
+
+    @property
+    def m(self) -> int:
+        """lcm of the values (1 for the empty tuple)."""
+        return math.lcm(*self)
 
     def reduced(self) -> "PeriodTuple":
         """The same multiset with all 1s removed."""
@@ -77,8 +83,6 @@ def local_profile(t: Periods, p: int) -> LocalProfile:
     r_p = number of arguments divisible by p.
     """
     t = _coerce(t)
-    if t.m % p != 0:
-        raise ValueError(f"{p} does not divide lcm {t.m}")
     exps = []
     for mj in t:
         e = 0
@@ -87,6 +91,8 @@ def local_profile(t: Periods, p: int) -> LocalProfile:
             mj //= p
         if e:
             exps.append(e)
+    if not exps:  # for a prime p, the same as p not dividing the lcm
+        raise ValueError(f"{p} divides no value of {t!r}")
     a = max(exps)
     return LocalProfile(
         p=p,
@@ -134,9 +140,10 @@ def E_closed(t: Periods) -> int:
 def E_bruteforce(t: Periods) -> int:
     """E directly from the defining mean, summed over one period k = 1..lcm."""
     t = _coerce(t)
-    q, rem = divmod(_periodic_sum(_von_sterneck_table, t, t.m), t.m)
+    m = t.m
+    q, rem = divmod(_periodic_sum(_von_sterneck_table, t, m), m)
     if rem:  # the mean is always an integer; a remainder is an internal error
-        raise ArithmeticError(f"brute-force sum not divisible by {t.m}")
+        raise ArithmeticError(f"brute-force sum not divisible by {m}")
     return q
 
 

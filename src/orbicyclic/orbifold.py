@@ -44,6 +44,11 @@ class OrbifoldSignature(namedtuple("OrbifoldSignature", "g periods")):
                 raise ValueError(f"branch orders must be integers >= 2, got {mj!r}")
         return super().__new__(cls, g, periods)
 
+    @classmethod
+    def _make(cls, iterable) -> "OrbifoldSignature":
+        # namedtuple's _make, which _replace also uses, skips __new__.
+        return cls(*iterable)
+
     @property
     def m(self) -> int:
         """lcm of the periods (1 for an unbranched signature)."""

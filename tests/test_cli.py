@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import orbicyclic
+from orbicyclic import cli
 from orbicyclic.cli import main
 
 
@@ -392,6 +393,20 @@ class TestUsageErrors:
         assert "guard" in err
 
 
+@pytest.mark.parametrize("periods", [("4", "4", "3"), ("1000003", "999983")])
+def test_brute_is_an_alias_of_check(capsys, periods):
+    assert run(capsys, "e", *periods, "--brute") == run(capsys, "--check", "e", *periods)
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_print_limit_fails_in_every_format(capsys, fmt):
+    # E(999983 x 800) has about 4,800 digits, past the 4,300-digit print limit
+    code, out, err = run(capsys, "--format", fmt, "e", *["999983"] * 800)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_cli_imports_only_the_standard_library():
     # the package declares dependencies = []; importing the CLI must keep to it
     probe = (
@@ -442,6 +457,12 @@ def cli_argvs(draw):
     if draw(st.booleans()):
         argv.append("--check")
     return argv
+
+
+def test_fuzz_covers_every_command():
+    for command, (_, _, required) in cli.COMMANDS.items():
+        assert command in CLI_OPTIONS
+        assert {f"--{option}" for option in required} <= set(CLI_OPTIONS[command])
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)

@@ -179,6 +179,11 @@ class TestDartPairOracle:
         with pytest.raises(ValueError):
             dart_pair_oracle(0, 0)
 
+    def test_rejects_negative_genus(self):
+        # the same check and message as theta and rooted_map_count
+        with pytest.raises(ValueError, match="genus must be >= 0, got -1"):
+            dart_pair_oracle(-1, 2)
+
 
 def test_theta_integrality_and_rooted_sandwich():
     for gamma in range(0, 3):

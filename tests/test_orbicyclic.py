@@ -40,6 +40,12 @@ class TestPeriodTuple:
         assert list(t) == [4, 4, 3]
         assert PeriodTuple().m == 1
 
+    def test_lcm_is_read_only(self):
+        t = PeriodTuple((4, 6))
+        with pytest.raises(AttributeError):
+            t.m = 7
+        assert t.m == 12
+
     def test_reduced_drops_ones(self):
         assert PeriodTuple([1, 2, 1, 3]).reduced() == PeriodTuple([3, 2])
         assert PeriodTuple([1, 1]).reduced() == PeriodTuple()

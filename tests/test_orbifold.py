@@ -44,6 +44,12 @@ class TestSignature:
         for genus in (1.5, True):
             with pytest.raises(ValueError):
                 sig(genus, 2, 2)
+        # namedtuple's _make and _replace go through the same checks
+        with pytest.raises(ValueError):
+            sig(1, 2, 2)._replace(g=1.5)
+        with pytest.raises(ValueError):
+            OrbifoldSignature._make((True, (2,)))
+        assert OrbifoldSignature._make((1, (3, 2))).periods == (2, 3)
         # signatures are immutable values, hashed regardless of period order
         assert hash(sig(1, 3, 2, 6)) == hash(sig(1, 6, 2, 3))
         s = sig(1, 2, 2)
