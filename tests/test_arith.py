@@ -75,6 +75,30 @@ def test_factorize_large_semiprime():
     assert factorize(p * q) == [(p, 1), (q, 1)]
 
 
+def test_factorize_cofactors_split_more_than_once():
+    # every prime factor lies past the 10**4 trial limit and n > 10**8, so
+    # rho must split a prime power or split more than once
+    assert factorize(10007**2) == [(10007, 2)]
+    assert factorize(10007**3) == [(10007, 3)]
+    assert factorize(10007 * 10009 * 10037) == [(10007, 1), (10009, 1), (10037, 1)]
+    assert factorize(10007**2 * 10009) == [(10007, 2), (10009, 1)]
+
+
+def test_pollard_rho_splits_every_small_odd_composite():
+    # small n is where a batch's gcd most often comes out as n, so this
+    # reaches the one-gcd-per-step replay and the fresh-walk draw
+    limit = 10_000
+    composite = [False] * limit
+    for i in range(3, math.isqrt(limit) + 1, 2):
+        for j in range(i * i, limit, 2 * i):
+            composite[j] = True
+    odd_composites = [n for n in range(9, limit, 2) if composite[n]]
+    assert len(odd_composites) == 3771
+    for n in odd_composites:
+        d = _pollard_rho(n)
+        assert 1 < d < n and n % d == 0, (n, d)
+
+
 def test_factorize_ignores_global_random_state():
     p, q = 1_000_003, 1_000_033
     n = 7919**2 * p * q

@@ -7,12 +7,15 @@ from orbicyclic.arith import euler_phi, factorize, jordan_phi, mobius
 
 sympy = pytest.importorskip("sympy")
 
-# p * q below 2**64 with p, q prime: balanced, unbalanced and 2**31 - 1 based
+# p * q with p, q prime: balanced, unbalanced and 2**31 - 1 based below
+# 2**64, and two primes near 2**41 just below MR_BOUND, the hardest
+# cofactor factorize accepts
 SEMIPRIMES = [
     4294967279 * 4294967291,
     2147483647 * 4294967291,
     998244353 * 1000000007,
     65537 * 281470681808891,
+    1799999999977 * 1842802258109,
 ]
 
 up_to_1e12 = st.integers(1, 10**12)
