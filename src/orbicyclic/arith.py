@@ -136,8 +136,6 @@ def factorize(n: int) -> Factorization:
     stack = [n]
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             exponents[m] = exponents.get(m, 0) + 1
         else:

@@ -232,8 +232,9 @@ def _handle_theta(args, parser):
     rows = [["genus", "edges", "count"], [args.gamma, args.edges, value]]
     checks = []
     if args.check:
-        dual = theta(args.gamma, args.edges, enumerator=enumerate_orbifolds_via_harvey)
-        checks.append(("harvey_route", value, dual))
+        ells = divisors(2 * args.edges)
+        found = [(ell, s) for ell in ells for s in enumerate_orbifolds(args.gamma, ell)]
+        checks.append(_dual_route_check(args.gamma, ells, found))
         if args.edges <= DART_PAIR_GUARD:
             _, unrooted = dart_pair_oracle(args.gamma, args.edges)
             checks.append(("dart_pair_oracle", value, unrooted))

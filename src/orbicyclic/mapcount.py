@@ -94,7 +94,7 @@ def _multinomial(top: int, parts: list[int]) -> int:
     return value // factorial(rest)
 
 
-def theta(gamma: int, n: int, enumerator=enumerate_orbifolds) -> int:
+def theta(gamma: int, n: int) -> int:
     """Number of maps with n edges on the genus-gamma surface, unrooted.
 
     Burnside sum over cyclic symmetry orders ell | 2n and admissible
@@ -103,10 +103,8 @@ def theta(gamma: int, n: int, enumerator=enumerate_orbifolds) -> int:
     rooted count of quotient maps.  The grand total must come out
     divisible by 2n.
 
-    enumerator exists for cross-checking: any callable with the
-    enumerate_orbifolds contract may supply the orbifold lists.  Inputs
-    past gamma <= GAMMA_GUARD or 2n <= ELL_GUARD, the largest ell summed
-    over, are rejected before any work is done.
+    Inputs past gamma <= GAMMA_GUARD or 2n <= ELL_GUARD, the largest ell
+    summed over, are rejected before any work is done.
     """
     if n < 1:
         raise ValueError(f"edge count must be >= 1, got {n}")
@@ -120,7 +118,7 @@ def theta(gamma: int, n: int, enumerator=enumerate_orbifolds) -> int:
     total = 0
     for ell in divisors(2 * n):
         dart_orbits = 2 * n // ell
-        for sig in enumerator(gamma, ell):
+        for sig in enumerate_orbifolds(gamma, ell):
             mult = sig.branch_multiplicities()
             b2 = mult.pop(2, 0)
             higher = [mult[i] for i in sorted(mult)]

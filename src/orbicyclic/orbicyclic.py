@@ -39,11 +39,12 @@ class PeriodTuple(tuple):
     __slots__ = ()
 
     def __new__(cls, values: Iterable[int] = ()):
-        self = super().__new__(cls, sorted(values, reverse=True))
-        for v in self:
+        values = list(values)
+        for v in values:
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ValueError(f"period values must be integers >= 1, got {v!r}")
-        return self
+        values.sort(reverse=True)
+        return super().__new__(cls, values)
 
     @property
     def m(self) -> int:

@@ -38,11 +38,12 @@ class OrbifoldSignature(namedtuple("OrbifoldSignature", "g periods")):
     def __new__(cls, g: int, periods: Iterable[int] = ()):
         if not isinstance(g, int) or isinstance(g, bool) or g < 0:
             raise ValueError(f"quotient genus must be an integer >= 0, got {g!r}")
-        periods = tuple(sorted(periods))
+        periods = list(periods)
         for mj in periods:
             if not isinstance(mj, int) or mj < 2:
                 raise ValueError(f"branch orders must be integers >= 2, got {mj!r}")
-        return super().__new__(cls, g, periods)
+        periods.sort()
+        return super().__new__(cls, g, tuple(periods))
 
     @classmethod
     def _make(cls, iterable) -> "OrbifoldSignature":
@@ -52,7 +53,7 @@ class OrbifoldSignature(namedtuple("OrbifoldSignature", "g periods")):
     @property
     def m(self) -> int:
         """lcm of the periods (1 for an unbranched signature)."""
-        return math.lcm(*self.periods) if self.periods else 1
+        return math.lcm(*self.periods)
 
     @property
     def r(self) -> int:

@@ -147,7 +147,7 @@ def test_is_prime_agrees_with_sieve():
         if sieve[i]:
             for j in range(i * i, limit + 1, i):
                 sieve[j] = False
-    for n in range(2, limit + 1):
+    for n in range(limit + 1):
         assert is_prime(n) == sieve[n]
 
 
@@ -184,6 +184,8 @@ def test_jordan_phi():
     # k=0 is the indicator of n=1
     assert jordan_phi(0, 1) == 1
     assert jordan_phi(0, 5) == 0
+    with pytest.raises(ValueError, match="jordan_phi order must be >= 0, got -1"):
+        jordan_phi(-1, 5)
     # k=1 is the Euler totient
     for n in range(1, 100):
         assert jordan_phi(1, n) == euler_phi(n)
@@ -222,6 +224,8 @@ def test_von_sterneck_examples():
     assert von_sterneck(7, 1) == 1
     assert von_sterneck(3, 9) == -3
     assert von_sterneck(2, 6) == -1
+    with pytest.raises(ValueError, match="von_sterneck modulus must be >= 1, got 0"):
+        von_sterneck(3, 0)
 
 
 def test_von_sterneck_four_routes_agree():
@@ -254,6 +258,8 @@ def test_ramanujan_sum_argument_order():
     assert ramanujan_sum(1, 3) == 1
     assert ramanujan_sum(10, 0) == 4
     assert ramanujan_sum(6, 2) == -1
+    with pytest.raises(ValueError, match="ramanujan_sum modulus must be >= 1, got 0"):
+        ramanujan_sum(0, 3)
     for n in range(1, 40):
         for k in range(n):
             assert ramanujan_sum(n, k) == von_sterneck(k, n)

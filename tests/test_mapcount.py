@@ -4,6 +4,7 @@ from time import perf_counter
 
 import pytest
 
+from orbicyclic.arith import divisors
 from orbicyclic.mapcount import (
     _carrell_chapuy,
     _dart_pair_census,
@@ -13,7 +14,11 @@ from orbicyclic.mapcount import (
     rooted_map_count,
     theta,
 )
-from orbicyclic.orbifold import OrbifoldSignature, enumerate_orbifolds_via_harvey
+from orbicyclic.orbifold import (
+    OrbifoldSignature,
+    enumerate_orbifolds,
+    enumerate_orbifolds_via_harvey,
+)
 
 # N_g(n) for n = 1..12.
 PLANAR = [
@@ -110,7 +115,7 @@ class TestTheta:
 
     def test_sparse_high_genus(self):
         # genus 4 needs at least 8 edges; small n dies in the multinomial.
-        # test_enumerator_route_matches confirms both values by Harvey's route.
+        # test_enumerator_route_matches confirms both orbifold lists by Harvey's route.
         assert theta(4, 2) == 0
         assert theta(4, 8) == 14118
         assert theta(1, 13) == 106189359544
@@ -130,20 +135,24 @@ class TestTheta:
             theta(7, 1)
 
     def test_enumerator_route_matches(self):
+        # theta sums over enumerate_orbifolds at every ell | 2n; Harvey's
+        # route must list the same orbifolds there, so it gives the same sum.
         for gamma in range(0, 7):
             for n in (*range(1, 7), 8, 12, 13, 30, 60, 100):
-                assert theta(gamma, n) == theta(
-                    gamma, n, enumerator=enumerate_orbifolds_via_harvey
-                ), (gamma, n)
+                for ell in divisors(2 * n):
+                    assert enumerate_orbifolds(gamma, ell) == (
+                        enumerate_orbifolds_via_harvey(gamma, ell)
+                    ), (gamma, n, ell)
 
-    def test_trivial_group_term_only(self):
+    def test_trivial_group_term_only(self, monkeypatch):
         # restricting the sum to ell = 1 counts each rooted quotient map once
         def only_trivial(gamma, ell):
             if ell == 1:
                 return [OrbifoldSignature(gamma, ())]
             return []
 
-        assert theta(0, 3, enumerator=only_trivial) == planar_rooted_count(3) // 6
+        monkeypatch.setattr("orbicyclic.mapcount.enumerate_orbifolds", only_trivial)
+        assert theta(0, 3) == planar_rooted_count(3) // 6
 
 
 class TestDartPairOracle:

@@ -7,6 +7,7 @@ import pytest
 
 from orbicyclic import arith
 from orbicyclic.arith import divisors, euler_phi, periodic_average, von_sterneck
+from orbicyclic.congruence import count_congruence_solutions
 from orbicyclic.orbicyclic import (
     E_bruteforce,
     E_closed,
@@ -54,6 +55,13 @@ class TestPeriodTuple:
         for bad in ([0], [-2], [2.5], [True]):
             with pytest.raises(ValueError):
                 PeriodTuple(bad)
+        # values that cannot be compared are named, not left to sorted()
+        with pytest.raises(ValueError, match="got None"):
+            PeriodTuple([2, None])
+        with pytest.raises(ValueError, match="got 'x'"):
+            E_closed([3, "x"])
+        with pytest.raises(ValueError, match="got None"):
+            count_congruence_solutions(12, [3, None])
 
 
 class TestLocalProfile:

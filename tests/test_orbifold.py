@@ -41,6 +41,8 @@ class TestSignature:
             sig(0, 1)
         with pytest.raises(ValueError):
             sig(0, 0)
+        with pytest.raises(ValueError, match="got None"):
+            OrbifoldSignature(0, (2, None))
         for genus in (1.5, True):
             with pytest.raises(ValueError):
                 sig(genus, 2, 2)
@@ -75,6 +77,8 @@ class TestRiemannHurwitz:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             rh_gamma(sig(1), 0)
+        with pytest.raises(ValueError, match="group order must be >= 1, got 0"):
+            epi_nonvanishing(sig(0, 2, 2), 0)
 
 
 class TestHarvey:
@@ -107,6 +111,9 @@ class TestHarvey:
         ok, violated = harvey_admissible(sig(0, 2, 2, 2, 2, 2), 2, 1)
         assert not ok
         assert "H3a" in violated
+        # for gamma = 0, r = 2 replaces H3 and is reported as H3a
+        assert harvey_admissible(sig(0, 2, 2, 2), 4, 0) == (False, ["H2", "H3a", "H4"])
+        assert harvey_admissible(sig(0, 3, 3, 3), 3, 0) == (False, ["RH", "H3a"])
 
 
 class TestEpiNonvanishing:
