@@ -351,33 +351,31 @@ def test_exact_stdout(capsys, argv, expected):
 
 def test_route_mismatch_detail(capsys, monkeypatch):
     monkeypatch.setattr("orbicyclic.cli.enumerate_orbifolds_via_harvey", lambda gamma, ell: [])
-    code, out, err = run(capsys, "--check", "orbifolds", "--gamma", "2", "--order", "2")
-    assert code == 3
-    # the primary result is still reported
-    assert out == "ell=2   (0;2,2,2,2,2,2)\nell=2   (1;2,2)\ncount: 2\n"
-    found = "['2:(0;2,2,2,2,2,2)', '2:(1;2,2)']"
-    assert err == (
-        f"check[harvey_route]: MISMATCH expected={found} observed=[] "
-        f"(epi-only={found} harvey-only=[])\n"
-    )
-
-
-def test_theta_route_mismatch_lists_orbifolds(capsys, monkeypatch):
-    monkeypatch.setattr("orbicyclic.cli.enumerate_orbifolds_via_harvey", lambda gamma, ell: [])
-    code, out, err = run(capsys, "--check", "theta", "--gamma", "1", "--edges", "3")
-    assert code == 3
-    # the primary result is still reported
-    assert out == "maps with 3 edges on genus 1: 6\n"
-    # the check compares the orbifold lists at every ell | 2n, not the sums
-    found = (
-        "['1:(1;-)', '2:(0;2,2,2,2)', '2:(1;-)', '3:(0;3,3,3)', '3:(1;-)', "
-        "'6:(0;2,3,6)', '6:(1;-)']"
-    )
-    assert err == (
-        f"check[harvey_route]: MISMATCH expected={found} observed=[] "
-        f"(epi-only={found} harvey-only=[])\n"
-        "check[dart_pair_oracle]: ok\n"
-    )
+    cases = [
+        (
+            ("orbifolds", "--gamma", "2", "--order", "2"),
+            "ell=2   (0;2,2,2,2,2,2)\nell=2   (1;2,2)\ncount: 2\n",
+            "['2:(0;2,2,2,2,2,2)', '2:(1;2,2)']",
+            "",
+        ),
+        # theta's check compares the orbifold lists at every ell | 2n, not the sums
+        (
+            ("theta", "--gamma", "1", "--edges", "3"),
+            "maps with 3 edges on genus 1: 6\n",
+            "['1:(1;-)', '2:(0;2,2,2,2)', '2:(1;-)', '3:(0;3,3,3)', '3:(1;-)', "
+            "'6:(0;2,3,6)', '6:(1;-)']",
+            "check[dart_pair_oracle]: ok\n",
+        ),
+    ]
+    for argv, stdout, found, trailing in cases:
+        code, out, err = run(capsys, "--check", *argv)
+        assert code == 3
+        # the primary result is still reported
+        assert out == stdout
+        assert err == (
+            f"check[harvey_route]: MISMATCH expected={found} observed=[] "
+            f"(epi-only={found} harvey-only=[])\n" + trailing
+        )
 
 
 class TestUsageErrors:

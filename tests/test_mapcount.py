@@ -137,8 +137,10 @@ class TestTheta:
     def test_enumerator_route_matches(self):
         # theta sums over enumerate_orbifolds at every ell | 2n; Harvey's
         # route must list the same orbifolds there, so it gives the same sum.
+        # Calling theta runs its own divisibility check over the whole grid.
         for gamma in range(0, 7):
             for n in (*range(1, 7), 8, 12, 13, 30, 60, 100):
+                assert theta(gamma, n) >= 0, (gamma, n)
                 for ell in divisors(2 * n):
                     assert enumerate_orbifolds(gamma, ell) == (
                         enumerate_orbifolds_via_harvey(gamma, ell)
