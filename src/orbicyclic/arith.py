@@ -176,6 +176,8 @@ def jordan_phi(k: int, n: int) -> int:
     unit: phi_0(1) = 1 and phi_0(n) = 0 for n > 1, which the product
     form already delivers (each local factor becomes 1 - 1 = 0).
     """
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise ValueError(f"jordan_phi order must be an integer, got {k!r}")
     if k < 0:
         raise ValueError(f"jordan_phi order must be >= 0, got {k}")
     result = 1
@@ -197,6 +199,8 @@ def von_sterneck(k: int, n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"von_sterneck modulus must be >= 1, got {n}")
+    if not isinstance(k, int):  # a bool k is harmless: it reduces like 0 or 1
+        raise ValueError(f"von_sterneck argument must be an integer, got {k!r}")
     k %= n
     result = 1
     for p, a in factorize(n):

@@ -12,7 +12,8 @@ an independent route (brute force, Harvey's conditions, exhaustive scans)
 and reports to stderr; a mismatch flips the exit code to 3 without
 touching the primary output.
 
-Exit codes: 0 ok, 1 domain or guard error, 2 usage error, 3 failed check.
+Exit codes: 0 ok, 1 a value outside the command's domain or past a guard
+(the library's message), 2 an argv that does not parse, 3 failed check.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import json
 import math
 import sys
 from itertools import product
-from typing import Callable
 
 from .arith import divisors, jordan_phi
 from .congruence import count_congruence_solutions
@@ -53,29 +53,19 @@ from .subgroups import (
 PRINT_DIGITS = 4300
 
 
-def _int_at_least(low: int) -> Callable[[str], int]:
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        return value
-
-    return parse
-
-
 def _period_list(text: str) -> tuple[int, ...]:
-    if not text:
-        return ()
-    parse = _int_at_least(1)
-    return tuple(parse(token) for token in text.split(","))
+    periods = []
+    for token in text.split(",") if text else ():
+        try:
+            periods.append(int(token))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {token!r}")
+    return tuple(periods)
 
 
-def _drop_unit_periods(periods) -> tuple[int, ...]:
+def _drop_unit_periods(periods) -> PeriodTuple:
     """Remove periods equal to 1 (they never change a count), with a notice."""
-    kept = tuple(m for m in periods if m > 1)
+    kept = PeriodTuple(periods).reduced()
     dropped = len(periods) - len(kept)
     if dropped:
         print(
@@ -102,9 +92,8 @@ def _orbifold_forms(entries) -> tuple[list[dict], list[str], list[list]]:
 # so a count past the print limit fails before any oracle runs.
 
 
-def _handle_e(args, parser):
-    periods = _drop_unit_periods(args.periods)
-    t = PeriodTuple(periods)
+def _handle_e(args):
+    t = _drop_unit_periods(args.periods)
     value = E_closed(t)
     payload = {"periods": list(args.periods), "reduced": list(t), "value": str(value)}
     lines = [f"E({', '.join(str(m) for m in args.periods)}) = {value}"]
@@ -118,10 +107,10 @@ def _handle_e(args, parser):
     return "e_value", payload, lines, rows, checks
 
 
-def _handle_epi(args, parser):
+def _handle_epi(args):
     periods = _drop_unit_periods(args.periods)
     # The count is at most order^(2*genus) * prod(periods); genus stays an int.
-    room = PRINT_DIGITS - sum(map(math.log10, periods))
+    room = PRINT_DIGITS - sum(map(math.log10, args.periods))
     if args.order > 1 and args.genus >= room / (2 * math.log10(args.order)):
         raise ValueError(f"the count may exceed the {PRINT_DIGITS}-digit print limit")
     sig = OrbifoldSignature(args.genus, periods)
@@ -165,13 +154,8 @@ def _dual_route_check(gamma: int, ells, found) -> tuple:
     return "harvey_route", expected, observed, f"epi-only={only_e} harvey-only={only_h}"
 
 
-def _handle_orbifolds(args, parser):
+def _handle_orbifolds(args):
     if args.order is None:
-        if args.gamma < 2:
-            parser.error(
-                "--order is required for --gamma 0 or 1 "
-                "(the orbifold family is infinite in the order)"
-            )
         ells = _wiman_range(args.gamma)
         entries = census(args.gamma).orbifolds
     else:
@@ -191,7 +175,7 @@ def _handle_orbifolds(args, parser):
     return "orbifold_list", payload, lines, [["ell", "g", "periods"]] + rows, checks
 
 
-def _handle_census(args, parser):
+def _handle_census(args):
     result = census(args.gamma)
     gamma = result.gamma
     by_g = sorted(result.a_by_g.items())
@@ -218,7 +202,7 @@ def _handle_census(args, parser):
     return "census", payload, lines, rows, checks
 
 
-def _handle_theta(args, parser):
+def _handle_theta(args):
     value = theta(args.gamma, args.edges)
     payload = {
         "gamma": args.gamma,
@@ -241,7 +225,7 @@ def _handle_theta(args, parser):
     return "theta", payload, lines, rows, checks
 
 
-def _handle_freegroup(args, parser):
+def _handle_freegroup(args):
     subgroups = free_group_subgroups(args.rank, args.index)
     classes = free_group_conjugacy_classes(args.rank, args.index)
     payload = {
@@ -266,7 +250,7 @@ def _handle_freegroup(args, parser):
     return "subgroup_count", payload, lines, rows, checks
 
 
-def _handle_triples(args, parser):
+def _handle_triples(args):
     triples = enumerate_nonvanishing_triples(args.lcm)
     valued = [(t, E_closed(t)) for t in triples]
     payload = {
@@ -290,16 +274,16 @@ def _handle_triples(args, parser):
 
 # ---------------------------------------------------------------------------
 # Parser assembly.  Each subcommand is declared once: its help text, its
-# handler, and its required integer options with their lower bounds.
+# handler, and the names of its required integer options.
 
 COMMANDS = {
-    "e": ("orbicyclic function E", _handle_e, {}),
-    "epi": ("epimorphism count", _handle_epi, {"genus": 0, "order": 1}),
-    "orbifolds": ("admissible orbifolds", _handle_orbifolds, {"gamma": 0}),
-    "census": ("orbifold census A(gamma)", _handle_census, {"gamma": 0}),
-    "theta": ("unrooted map count", _handle_theta, {"gamma": 0, "edges": 1}),
-    "freegroup": ("free-group subgroups", _handle_freegroup, {"rank": 1, "index": 1}),
-    "triples": ("nonvanishing triples", _handle_triples, {"lcm": 1}),
+    "e": ("orbicyclic function E", _handle_e, ()),
+    "epi": ("epimorphism count", _handle_epi, ("genus", "order")),
+    "orbifolds": ("admissible orbifolds", _handle_orbifolds, ("gamma",)),
+    "census": ("orbifold census A(gamma)", _handle_census, ("gamma",)),
+    "theta": ("unrooted map count", _handle_theta, ("gamma", "edges")),
+    "freegroup": ("free-group subgroups", _handle_freegroup, ("rank", "index")),
+    "triples": ("nonvanishing triples", _handle_triples, ("lcm",)),
 }
 
 
@@ -329,11 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = {}
     for name, (help_text, _, required) in COMMANDS.items():
         p = subparsers[name] = sub.add_parser(name, parents=[common], help=help_text)
-        for option, low in required.items():
-            p.add_argument(f"--{option}", type=_int_at_least(low), required=True)
+        for option in required:
+            p.add_argument(f"--{option}", type=int, required=True)
 
     p = subparsers["e"]
-    p.add_argument("periods", nargs="*", type=_int_at_least(1), metavar="m")
+    p.add_argument("periods", nargs="*", type=int, metavar="m")
     # An alias of --check; SUPPRESS keeps it from overwriting a top-level --check.
     p.add_argument(
         "--brute",
@@ -344,12 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--congruence",
-        type=_int_at_least(1),
+        type=int,
         metavar="M",
         help="cross-check by counting congruence solutions modulo M",
     )
     subparsers["epi"].add_argument("--periods", type=_period_list, default=())
-    subparsers["orbifolds"].add_argument("--order", type=_int_at_least(1))
+    subparsers["orbifolds"].add_argument("--order", type=int)
     return parser
 
 
@@ -364,7 +348,7 @@ def main(argv=None) -> int:
     args.check = getattr(args, "check", False)
 
     try:
-        kind, payload, lines, rows, checks = COMMANDS[args.command][1](args, parser)
+        kind, payload, lines, rows, checks = COMMANDS[args.command][1](args)
         if fmt == "json":
             text = json.dumps({"kind": kind, "payload": payload}, sort_keys=True)
         elif fmt == "csv":
@@ -373,8 +357,6 @@ def main(argv=None) -> int:
             text = buf.getvalue().rstrip("\n")
         else:
             text = "\n".join(lines)
-    except SystemExit as exc:
-        return int(exc.code or 0)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -83,6 +83,8 @@ def local_profile(t: Periods, p: int) -> LocalProfile:
     v = sum over p-divisible arguments of (a_j - 1), minus a, plus 1,
     r_p = number of arguments divisible by p.
     """
+    if not isinstance(p, int) or p < 2:  # p < 2 also rejects both bools
+        raise ValueError(f"local_profile needs a prime p >= 2, got p = {p!r}")
     t = _coerce(t)
     exps = []
     for mj in t:

@@ -75,6 +75,8 @@ def rh_gamma(sig: OrbifoldSignature, ell: int) -> int | None:
     ell * (m*(2g - 2) + sum (m - m/m_j)), m = lcm(m_j), if that makes gamma
     a nonnegative integer; None otherwise.  The m_j need not divide ell.
     """
+    if not isinstance(ell, int) or isinstance(ell, bool):
+        raise ValueError(f"group order must be an integer, got {ell!r}")
     if ell < 1:
         raise ValueError(f"group order must be >= 1, got {ell}")
     m = sig.m

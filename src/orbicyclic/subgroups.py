@@ -29,6 +29,9 @@ BRUTE_FORCE_GUARD = 20_000
 
 
 def _check_args(rank: int, index: int) -> None:
+    for name, value in (("rank", rank), ("index", index)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
     if rank > RANK_GUARD:
@@ -39,7 +42,9 @@ def _check_args(rank: int, index: int) -> None:
         raise ValueError(f"index {index} exceeds guard {INDEX_GUARD}")
 
 
-@lru_cache(maxsize=None)
+# typed, so that free_group_subgroups(2.0, 3) cannot hit the entry cached
+# for (2, 3) and skip _check_args
+@lru_cache(maxsize=None, typed=True)
 def free_group_subgroups(rank: int, index: int) -> int:
     """Number of index-`index` subgroups of the free group of rank `rank`."""
     _check_args(rank, index)

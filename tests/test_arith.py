@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 from time import perf_counter
 
@@ -20,6 +21,8 @@ from orbicyclic.arith import (
     ramanujan_sum,
     von_sterneck,
 )
+from orbicyclic.orbifold import OrbifoldSignature, rh_gamma
+from orbicyclic.subgroups import free_group_subgroups
 
 
 def test_factorize_round_trip():
@@ -330,3 +333,33 @@ def test_periodic_average_rejects_bad_modulus():
 @given(st.integers(min_value=1, max_value=120), st.integers(min_value=-500, max_value=500))
 def test_von_sterneck_bounded_by_totient(n, k):
     assert abs(von_sterneck(k, n)) <= euler_phi(n)
+
+
+@pytest.mark.parametrize(
+    "fn, good, bad, message",
+    [
+        (jordan_phi, (2, 4), (2.5, 4), "jordan_phi order must be an integer, got 2.5"),
+        (
+            von_sterneck,
+            (1, 4),
+            (1.5, 4),
+            "von_sterneck argument must be an integer, got 1.5",
+        ),
+        (
+            rh_gamma,
+            (OrbifoldSignature(0, (2, 2)), 2),
+            (OrbifoldSignature(0, (2, 2)), 2.0),
+            "group order must be an integer, got 2.0",
+        ),
+        (free_group_subgroups, (2, 3), (2.0, 3), "rank must be an integer, got 2.0"),
+        (free_group_subgroups, (2, 3), (2, 3.0), "index must be an integer, got 3.0"),
+        (free_group_subgroups, (1, 3), (True, 3), "rank must be an integer, got True"),
+    ],
+)
+def test_integer_arguments_reject_non_integers(fn, good, bad, message):
+    # each bad call once returned a float or a wrong count (jordan_phi(2.5, 4)
+    # gave 26.34..., free_group_subgroups(2.0, 3) gave 13.0); the good call
+    # runs first, so a cached result cannot stand in for the check
+    assert isinstance(fn(*good), int)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fn(*bad)

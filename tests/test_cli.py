@@ -142,8 +142,11 @@ class TestOrbifolds:
         assert out == "ell=2   (0;2,2,2,2,2,2)\nell=2   (1;2,2)\ncount: 2\n"
 
     def test_sweep_needs_finite_census(self, capsys):
-        code, _, _ = run(capsys, "orbifolds", "--gamma", "1")
-        assert code == 2
+        # a domain error, not a usage error: the census names its rule
+        code, out, err = run(capsys, "orbifolds", "--gamma", "1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: census is infinite for gamma = 1\n"
         # the sweep is the census, so it names the census range
         code, out, err = run(capsys, "orbifolds", "--gamma", "7")
         assert code == 1
@@ -380,14 +383,17 @@ def test_route_mismatch_detail(capsys, monkeypatch):
 
 class TestUsageErrors:
     def test_bad_period(self, capsys):
-        assert run(capsys, "e", "0")[0] == 2
+        # a period below 1 parses, and PeriodTuple rejects it (never dropped as a 1)
+        error = "error: period values must be integers >= 1, got 0\n"
+        assert run(capsys, "e", "0") == (1, "", error)
+        argv = ["epi", "--genus", "0", "--order", "12", "--periods", "0"]
+        assert run(capsys, *argv) == (1, "", error)
 
     @pytest.mark.parametrize(
         "periods, message",
         [
             ("x", "not an integer: 'x'"),
             ("4,x", "not an integer: 'x'"),
-            ("0", "must be >= 1, got 0"),
         ],
     )
     def test_bad_period_list(self, capsys, periods, message):
@@ -407,6 +413,63 @@ class TestUsageErrors:
         code, _, err = run(capsys, "e", "1000003", "999983", "--brute")
         assert code == 1
         assert "guard" in err
+
+
+# A value in the domain of each required option, and for each subcommand's
+# required option a value just below its domain with the library's message.
+IN_DOMAIN = {
+    "genus": "0",
+    "order": "12",
+    "gamma": "2",
+    "edges": "3",
+    "rank": "2",
+    "index": "3",
+    "lcm": "12",
+}
+BELOW_DOMAIN = {
+    ("epi", "genus"): ("-1", "quotient genus must be an integer >= 0, got -1"),
+    ("epi", "order"): ("0", "group order must be >= 1, got 0"),
+    ("orbifolds", "gamma"): ("-1", "gamma must be in [2, 6], got -1"),
+    ("census", "gamma"): ("-1", "gamma must be in [2, 6], got -1"),
+    ("theta", "gamma"): ("-1", "genus must be >= 0, got -1"),
+    ("theta", "edges"): ("0", "edge count must be >= 1, got 0"),
+    ("freegroup", "rank"): ("0", "rank must be >= 1, got 0"),
+    ("freegroup", "index"): ("0", "index must be >= 1, got 0"),
+    ("triples", "lcm"): ("0", "lcm must be >= 1, got 0"),
+}
+
+
+def out_of_domain_cases():
+    """(argv, message) for every required option of every subcommand, then
+    for the integer inputs that are not required options."""
+    for command, (_, _, required) in cli.COMMANDS.items():
+        for option in required:
+            value, message = BELOW_DOMAIN.get((command, option), ("-1", "unlisted"))
+            argv = [command]
+            for other in required:
+                argv += [f"--{other}", value if other == option else IN_DOMAIN[other]]
+            yield argv, message
+    yield ["e", "0"], "period values must be integers >= 1, got 0"
+    yield ["e", "12", "--congruence", "0"], "modulus must be >= 1, got 0"
+    yield (
+        ["epi", "--genus", "0", "--order", "12", "--periods", "4,0"],
+        "period values must be integers >= 1, got 0",
+    )
+    yield (
+        ["orbifolds", "--gamma", "2", "--order", "0"],
+        "need gamma >= 0 and ell >= 1, got 2, 0",
+    )
+
+
+OUT_OF_DOMAIN = list(out_of_domain_cases())
+
+
+@pytest.mark.parametrize(
+    "argv, message", OUT_OF_DOMAIN, ids=[" ".join(argv) for argv, _ in OUT_OF_DOMAIN]
+)
+def test_out_of_domain_value_exits_1_with_the_library_bound(capsys, argv, message):
+    # only an argv that does not parse is a usage error (exit 2)
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("periods", [("4", "4", "3"), ("1000003", "999983")])
@@ -484,6 +547,14 @@ def test_fuzz_covers_every_command():
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(cli_argvs())
 def test_cli_never_raises_and_exits_with_a_documented_code(argv):
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2, 3), (argv, code)
+    lines = err.getvalue().splitlines()
+    if code == 1:
+        # a domain or guard error: the library's message, and no record
+        assert out.getvalue() == "", argv
+        assert any(line.startswith("error: ") for line in lines), (argv, lines)
+    elif code == 2:
+        assert any(line.startswith("usage: ") for line in lines), (argv, lines)

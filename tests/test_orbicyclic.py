@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 from itertools import combinations_with_replacement, product
 
@@ -74,6 +75,14 @@ class TestLocalProfile:
     def test_rejects_prime_not_dividing_lcm(self):
         with pytest.raises(ValueError):
             local_profile((4, 4, 3), 5)
+
+    # p = 1 or -1 looped forever dividing by p, p = 0 divided by zero, and
+    # p = 2.0 returned a profile with a float p
+    @pytest.mark.parametrize("p", [1, -1, 0, 2.0, True])
+    def test_rejects_p_below_two_or_not_an_int(self, p):
+        message = f"local_profile needs a prime p >= 2, got p = {p!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            local_profile((2,), p)
 
 
 class TestHPoly:
