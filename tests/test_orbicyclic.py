@@ -84,6 +84,14 @@ class TestLocalProfile:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             local_profile((2,), p)
 
+    # a composite p dividing the lcm once gave a profile of no prime, such
+    # as LocalProfile(p=4, a=1, s=1, v=0, r_p=1) for ((8,), 4)
+    @pytest.mark.parametrize("p", [4, 6, 9])
+    def test_rejects_composite_p(self, p):
+        message = f"local_profile needs a prime p >= 2, got p = {p}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            local_profile((36,), p)
+
 
 class TestHPoly:
     def test_small_indices(self):
