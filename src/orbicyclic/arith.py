@@ -35,8 +35,21 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
+def _require_int(value, message: str, least: int | None = None) -> None:
+    """Raise ValueError(f"{message}, got {value!r}") unless value is an int >= least.
+
+    A bool is an int subclass but never a valid argument here.
+    """
+    if type(value) is not int:  # a plain int, the hot-path case, skips isinstance
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{message}, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{message}, got {value!r}")
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test for n < MR_BOUND."""
+    _require_int(n, "is_prime expects an integer")
     if n >= MR_BOUND:
         raise ValueError(f"Miller-Rabin is proven only below {MR_BOUND}, got {n}")
     if n < 2:
@@ -116,8 +129,7 @@ def factorize(n: int) -> Factorization:
     cofactor must be below MR_BOUND (ValueError otherwise); no
     sub-exponential machinery.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"factorize expects a positive integer, got {n!r}")
+    _require_int(n, "factorize expects a positive integer", 1)
     exponents: dict[int, int] = {}
     for p in (2, 3, 5):
         while n % p == 0:
@@ -176,10 +188,8 @@ def jordan_phi(k: int, n: int) -> int:
     unit: phi_0(1) = 1 and phi_0(n) = 0 for n > 1, which the product
     form already delivers (each local factor becomes 1 - 1 = 0).
     """
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ValueError(f"jordan_phi order must be an integer, got {k!r}")
-    if k < 0:
-        raise ValueError(f"jordan_phi order must be >= 0, got {k}")
+    _require_int(k, "jordan_phi order must be an integer")
+    _require_int(k, "jordan_phi order must be >= 0", 0)
     result = 1
     for p, a in factorize(n):
         result *= p ** (a * k) - p ** ((a - 1) * k)
@@ -221,12 +231,9 @@ def ramanujan_sum(n: int, k: int) -> int:
     misprint, and the test suite pins this form against von_sterneck
     (Hoelder's identity C_n(k) = Phi(k, n)).  gcd(0, n) counts as n.
     """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"ramanujan_sum modulus must be an integer, got {n!r}")
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ValueError(f"ramanujan_sum argument must be an integer, got {k!r}")
-    if n < 1:
-        raise ValueError(f"ramanujan_sum modulus must be >= 1, got {n}")
+    _require_int(n, "ramanujan_sum modulus must be an integer")
+    _require_int(k, "ramanujan_sum argument must be an integer")
+    _require_int(n, "ramanujan_sum modulus must be >= 1", 1)
     g = math.gcd(k, n)
     return sum(d * mobius(n // d) for d in divisors(g))
 
@@ -280,9 +287,10 @@ def periodic_average(
     standard example).
     """
     ms = list(periods)
-    if modulus < 1:
-        raise ValueError(f"modulus must be >= 1, got {modulus}")
+    _require_int(modulus, "modulus must be an integer")
+    _require_int(modulus, "modulus must be >= 1", 1)
     for m in ms:
+        _require_int(m, "period values must be integers")
         if m < 1 or modulus % m != 0:
             raise ValueError(f"period {m} does not divide modulus {modulus}")
     total = _periodic_sum(lambda m: [f(k, m) for k in range(m)], ms, modulus)

@@ -14,15 +14,15 @@ exactly when ell = m and 0 otherwise.
 
 from __future__ import annotations
 
-from .arith import jordan_phi
+from .arith import _require_int, jordan_phi
 from .orbicyclic import E_closed
 from .orbifold import OrbifoldSignature
 
 
 def count_epi(sig: OrbifoldSignature, ell: int) -> int:
     """Number of order-preserving epimorphisms pi_1(orbifold) -> Z_ell."""
-    if ell < 1:
-        raise ValueError(f"group order must be >= 1, got {ell}")
+    _require_int(ell, "group order must be an integer")
+    _require_int(ell, "group order must be >= 1", 1)
     m = sig.m
     if ell % m != 0:
         return 0

@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import permutations, product
 from math import comb, factorial, prod
 
-from .arith import divisors
+from .arith import _require_int, divisors
 from .epi import count_epi
 from .orbifold import ELL_GUARD, GAMMA_GUARD, enumerate_orbifolds
 from .subgroups import _conjugacy_orbits, _transitive
@@ -30,6 +30,8 @@ DART_PAIR_GUARD = 3
 
 def planar_rooted_count(n: int) -> int:
     """Rooted planar maps with n edges: 2 * 3^n * (2n)! / (n! (n+2)!)."""
+    _require_int(n, "edge count must be an integer")
+    _require_int(n, "edge count must be >= 0", 0)
     return 2 * 3**n * factorial(2 * n) // (factorial(n) * factorial(n + 2))
 
 
@@ -69,12 +71,9 @@ def rooted_map_count(g: int, n: int) -> int:
     by g <= GAMMA_GUARD and n <= ELL_GUARD // 2, the most theta() asks
     for; within it every genus uses the Carrell-Chapuy recurrence.
     """
-    if not isinstance(g, int) or isinstance(g, bool):
-        raise ValueError(f"genus must be an integer, got {g!r}")
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"edge count must be an integer, got {n!r}")
-    if g < 0:
-        raise ValueError(f"genus must be >= 0, got {g}")
+    _require_int(g, "genus must be an integer")
+    _require_int(n, "edge count must be an integer")
+    _require_int(g, "genus must be >= 0", 0)
     if n < 0:
         return 0
     if n == 0:
@@ -110,14 +109,10 @@ def theta(gamma: int, n: int) -> int:
     Inputs past gamma <= GAMMA_GUARD or 2n <= ELL_GUARD, the largest ell
     summed over, are rejected before any work is done.
     """
-    if not isinstance(gamma, int) or isinstance(gamma, bool):
-        raise ValueError(f"genus must be an integer, got {gamma!r}")
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"edge count must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError(f"edge count must be >= 1, got {n}")
-    if gamma < 0:
-        raise ValueError(f"genus must be >= 0, got {gamma}")
+    _require_int(gamma, "genus must be an integer")
+    _require_int(n, "edge count must be an integer")
+    _require_int(n, "edge count must be >= 1", 1)
+    _require_int(gamma, "genus must be >= 0", 0)
     if gamma > GAMMA_GUARD or 2 * n > ELL_GUARD:
         raise ValueError(
             f"(gamma={gamma}, n={n}) exceeds the guard "
@@ -212,10 +207,10 @@ def dart_pair_oracle(gamma: int, n: int) -> tuple[int, int]:
     fixed-point-free involution; genus comes from Euler's relation,
     unrooted counts from orbits under the involution's centralizer.
     """
-    if n < 1:
-        raise ValueError(f"edge count must be >= 1, got {n}")
-    if gamma < 0:
-        raise ValueError(f"genus must be >= 0, got {gamma}")
+    _require_int(gamma, "genus must be an integer")
+    _require_int(n, "edge count must be an integer")
+    _require_int(n, "edge count must be >= 1", 1)
+    _require_int(gamma, "genus must be >= 0", 0)
     if n > DART_PAIR_GUARD:
         raise ValueError(f"oracle guard: n = {n} exceeds {DART_PAIR_GUARD}")
     return _dart_pair_census(n).get(gamma, (0, 0))

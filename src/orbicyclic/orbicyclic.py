@@ -23,7 +23,7 @@ import math
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple
 
-from .arith import _periodic_sum, _von_sterneck_table, factorize, is_prime
+from .arith import _periodic_sum, _require_int, _von_sterneck_table, factorize, is_prime
 
 TRIPLES_GUARD = 10**4
 
@@ -41,8 +41,7 @@ class PeriodTuple(tuple):
     def __new__(cls, values: Iterable[int] = ()):
         values = list(values)
         for v in values:
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise ValueError(f"period values must be integers >= 1, got {v!r}")
+            _require_int(v, "period values must be integers >= 1", 1)
         values.sort(reverse=True)
         return super().__new__(cls, values)
 
@@ -83,7 +82,8 @@ def local_profile(t: Periods, p: int) -> LocalProfile:
     v = sum over p-divisible arguments of (a_j - 1), minus a, plus 1,
     r_p = number of arguments divisible by p.
     """
-    if not isinstance(p, int) or not is_prime(p):  # is_prime rejects both bools
+    # p < 2 turns both bools away here, before is_prime rejects them in its own words
+    if not isinstance(p, int) or p < 2 or not is_prime(p):
         raise ValueError(f"local_profile needs a prime p >= 2, got p = {p!r}")
     return _local_profile(_coerce(t), p)
 
@@ -117,8 +117,9 @@ def h_poly(s: int, x: int) -> int:
     numerator is divisible by x for every nonzero integer x, since
     (x-1)^(s-1) = (-1)^(s-1) mod x.
     """
-    if s < 1:
-        raise ValueError(f"h_poly index must be >= 1, got {s}")
+    _require_int(s, "h_poly index must be an integer")
+    _require_int(x, "h_poly argument must be an integer")
+    _require_int(s, "h_poly index must be >= 1", 1)
     if x == 0:
         raise ValueError("h_poly is indeterminate at x = 0")
     q, rem = divmod((x - 1) ** (s - 1) + (-1) ** s, x)
@@ -181,14 +182,10 @@ def f_r(m: int, r: int) -> int:
 
     r = 0 is the empty tuple, so f_0(m) = 1 for every m.
     """
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise ValueError(f"f_r expects an integer m, got {m!r}")
-    if not isinstance(r, int) or isinstance(r, bool):
-        raise ValueError(f"f_r expects an integer r, got {r!r}")
-    if m < 1:
-        raise ValueError(f"f_r expects m >= 1, got {m}")
-    if r < 0:
-        raise ValueError(f"f_r expects r >= 0, got {r}")
+    _require_int(m, "f_r expects an integer m")
+    _require_int(r, "f_r expects an integer r")
+    _require_int(m, "f_r expects m >= 1", 1)
+    _require_int(r, "f_r expects r >= 0", 0)
     if r == 0:
         return 1
     result = 1

@@ -18,7 +18,7 @@ import math
 from collections import Counter, namedtuple
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .arith import divisors
+from .arith import _require_int, divisors
 from .orbicyclic import PeriodTuple, _vanishing_primes
 
 GAMMA_GUARD = 6
@@ -36,12 +36,10 @@ class OrbifoldSignature(namedtuple("OrbifoldSignature", "g periods")):
     __slots__ = ()
 
     def __new__(cls, g: int, periods: Iterable[int] = ()):
-        if not isinstance(g, int) or isinstance(g, bool) or g < 0:
-            raise ValueError(f"quotient genus must be an integer >= 0, got {g!r}")
+        _require_int(g, "quotient genus must be an integer >= 0", 0)
         periods = list(periods)
         for mj in periods:
-            if not isinstance(mj, int) or mj < 2:
-                raise ValueError(f"branch orders must be integers >= 2, got {mj!r}")
+            _require_int(mj, "branch orders must be integers >= 2", 2)
         periods.sort()
         return super().__new__(cls, g, tuple(periods))
 
@@ -75,10 +73,8 @@ def rh_gamma(sig: OrbifoldSignature, ell: int) -> int | None:
     ell * (m*(2g - 2) + sum (m - m/m_j)), m = lcm(m_j), if that makes gamma
     a nonnegative integer; None otherwise.  The m_j need not divide ell.
     """
-    if not isinstance(ell, int) or isinstance(ell, bool):
-        raise ValueError(f"group order must be an integer, got {ell!r}")
-    if ell < 1:
-        raise ValueError(f"group order must be >= 1, got {ell}")
+    _require_int(ell, "group order must be an integer")
+    _require_int(ell, "group order must be >= 1", 1)
     m = sig.m
     rhs = ell * (m * (2 * sig.g - 2) + sum(m - m // mj for mj in sig.periods))
     gamma, rem = divmod(rhs + 2 * m, 2 * m)
@@ -105,6 +101,7 @@ def harvey_admissible(
     (the test assumes ell >= 2; ell = 1 admits exactly the unbranched
     signature, which enumerate_orbifolds_via_harvey accepts untested).
     """
+    _require_int(gamma, "gamma must be an integer")
     violated: list[str] = []
     if rh_gamma(sig, ell) != gamma:
         violated.append("RH")
@@ -144,10 +141,8 @@ def epi_nonvanishing(sig: OrbifoldSignature, ell: int) -> tuple[bool, list[str]]
       E3  s(p) = 1 for some odd prime p | m;
       E4  m is even and s(2) is odd.
     """
-    if not isinstance(ell, int) or isinstance(ell, bool):
-        raise ValueError(f"group order must be an integer, got {ell!r}")
-    if ell < 1:
-        raise ValueError(f"group order must be >= 1, got {ell}")
+    _require_int(ell, "group order must be an integer")
+    _require_int(ell, "group order must be >= 1", 1)
     violated: list[str] = []
     m = sig.m
     if ell % m != 0:
@@ -169,6 +164,8 @@ def _candidate_signatures(gamma: int, ell: int) -> Iterator[OrbifoldSignature]:
     ell - ell/m_j sum to 2*gamma - 2 - ell*(2g - 2).  Periods are chosen
     non-increasing in contribution, so each multiset comes out once.
     """
+    _require_int(gamma, "gamma must be an integer")
+    _require_int(ell, "group order must be an integer")
     if gamma < 0 or ell < 1:
         raise ValueError(f"need gamma >= 0 and ell >= 1, got {gamma}, {ell}")
     if gamma > GAMMA_GUARD or ell > ELL_GUARD:
@@ -258,8 +255,7 @@ def census(gamma: int) -> CensusResult:
     The union over ell is exhausted by ell <= 4*gamma + 2 (Wiman); gamma 0
     and 1 are rejected, their orbifold families being infinite in ell.
     """
-    if not isinstance(gamma, int) or isinstance(gamma, bool):
-        raise ValueError(f"gamma must be an integer, got {gamma!r}")
+    _require_int(gamma, "gamma must be an integer")
     if gamma in (0, 1):
         raise ValueError(f"census is infinite for gamma = {gamma}")
     if gamma < 0 or gamma > GAMMA_GUARD:

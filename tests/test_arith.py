@@ -22,9 +22,23 @@ from orbicyclic.arith import (
     von_sterneck,
 )
 from orbicyclic.congruence import count_congruence_solutions
-from orbicyclic.mapcount import rooted_map_count, theta
-from orbicyclic.orbicyclic import f_r
-from orbicyclic.orbifold import OrbifoldSignature, census, epi_nonvanishing, rh_gamma
+from orbicyclic.epi import count_epi
+from orbicyclic.mapcount import (
+    dart_pair_oracle,
+    planar_rooted_count,
+    rooted_map_count,
+    theta,
+)
+from orbicyclic.orbicyclic import f_r, h_poly
+from orbicyclic.orbifold import (
+    OrbifoldSignature,
+    census,
+    enumerate_orbifolds,
+    enumerate_orbifolds_via_harvey,
+    epi_nonvanishing,
+    harvey_admissible,
+    rh_gamma,
+)
 from orbicyclic.subgroups import free_group_subgroups
 
 
@@ -409,6 +423,60 @@ def test_integer_arguments_reject_non_integers(fn, good, bad, message):
             (4, 2),
             (4, 2.0),
             "ramanujan_sum argument must be an integer, got 2.0",
+        ),
+        (enumerate_orbifolds, (2, 2), (True, 2), "gamma must be an integer, got True"),
+        (enumerate_orbifolds, (2, 12), (2.0, 12), "gamma must be an integer, got 2.0"),
+        (
+            enumerate_orbifolds_via_harvey,
+            (2, 12),
+            (2.0, 12),
+            "gamma must be an integer, got 2.0",
+        ),
+        (
+            count_epi,
+            (OrbifoldSignature(0, (2, 2)), 2),
+            (OrbifoldSignature(0, (2, 2)), True),
+            "group order must be an integer, got True",
+        ),
+        (
+            count_epi,
+            (OrbifoldSignature(0, (2, 2)), 2),
+            (OrbifoldSignature(0, (2, 2)), "2"),
+            "group order must be an integer, got '2'",
+        ),
+        (dart_pair_oracle, (1, 2), (1.0, 2), "genus must be an integer, got 1.0"),
+        (dart_pair_oracle, (1, 2), (True, 2), "genus must be an integer, got True"),
+        (
+            dart_pair_oracle,
+            (1, 2),
+            (1, True),
+            "edge count must be an integer, got True",
+        ),
+        (dart_pair_oracle, (1, 2), (1, 2.0), "edge count must be an integer, got 2.0"),
+        (
+            harvey_admissible,
+            (OrbifoldSignature(0, (2, 2)), 2, 0),
+            (OrbifoldSignature(0, (2, 2)), 2, 0.0),
+            "gamma must be an integer, got 0.0",
+        ),
+        (h_poly, (2, 3), (2.0, 3), "h_poly index must be an integer, got 2.0"),
+        (h_poly, (2, 3), (True, 3), "h_poly index must be an integer, got True"),
+        (h_poly, (2, 3), (2, 3.0), "h_poly argument must be an integer, got 3.0"),
+        (is_prime, (2,), (2.0,), "is_prime expects an integer, got 2.0"),
+        (planar_rooted_count, (1,), (True,), "edge count must be an integer, got True"),
+        # an integer below the domain once leaked math.factorial's message
+        (planar_rooted_count, (0,), (-1,), "edge count must be >= 0, got -1"),
+        (
+            periodic_average,
+            (von_sterneck, (2,), 2),
+            (von_sterneck, (True,), 2),
+            "period values must be integers, got True",
+        ),
+        (
+            periodic_average,
+            (von_sterneck, (2,), 2),
+            (von_sterneck, (2,), 2.0),
+            "modulus must be an integer, got 2.0",
         ),
     ],
 )

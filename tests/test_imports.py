@@ -34,3 +34,49 @@ def test_finds_an_import_left_behind():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def bool_checks(source: str) -> list[str | None]:
+    """The innermost function around each isinstance(..., bool) call, in order."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and any(
+                isinstance(n, ast.Name) and n.id == "bool"
+                for n in ast.walk(node.args[-1])
+            )
+        ):
+            found.append(func)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_finds_a_bool_check():
+    source = (
+        "isinstance(0, bool)\n"
+        "def f(x):\n"
+        "    def g(y):\n"
+        "        return isinstance(y, (int, bool))\n"
+        "    return isinstance(x, int)\n"
+    )
+    assert bool_checks(source) == [None, "g"]
+
+
+def test_integer_check_has_one_implementation():
+    # The congruence oracle keeps its own copy: it imports nothing from arith.
+    sites = [
+        (path.name, func) for path in MODULES for func in bool_checks(path.read_text())
+    ]
+    assert sites == [
+        ("arith.py", "_require_int"),
+        ("congruence.py", "count_congruence_solutions"),
+    ]
