@@ -207,8 +207,8 @@ def von_sterneck(k: int, n: int) -> int:
                     = -p^(a-1)        if p^(a-1) | k but p^a does not,
                     = 0               otherwise.
     """
-    if n < 1:
-        raise ValueError(f"von_sterneck modulus must be >= 1, got {n}")
+    _require_int(n, "von_sterneck modulus must be an integer")
+    _require_int(n, "von_sterneck modulus must be >= 1", 1)
     if not isinstance(k, int):  # a bool k is harmless: it reduces like 0 or 1
         raise ValueError(f"von_sterneck argument must be an integer, got {k!r}")
     k %= n

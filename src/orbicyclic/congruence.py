@@ -15,47 +15,47 @@ import math
 
 from .orbicyclic import Periods, _coerce
 
-MODULUS_GUARD = 10**4
-# Bounds the product of the enumerated class sizes.  At the edge, (101,) * 4
-# with 100**3 residue tuples, the count takes about 1.4 ms (2-core VM,
-# CPython 3.11.7).
-TUPLE_GUARD = 10**6
+# Bounds one count's steps, charged before any work: M to sort range(M) into
+# residue classes, then one term per fold.  Best of 5, 2-core VM, CPython 3.11.7:
+# M = 10**6, t = (1,), 10**6 steps, 0.26 s; (720720,) * 2, 858,960 steps, 0.27 s.
+STEP_GUARD = 10**6
 
 
 def count_congruence_solutions(M: int, t: Periods) -> int:
     """Number of solutions of the restricted congruence system above.
 
-    Residues are grouped by their gcd with M.  The coordinate with the
-    largest residue class is solved from the congruence; the others are
-    folded in one at a time, keeping for each residue s mod M the number
-    of partial tuples whose residues sum to s.  A solution is a partial
-    sum s whose complement -s lies in the last class.  Each fold touches
-    at most min(M, product of the earlier class sizes) x (class size)
-    pairs, so the cost never exceeds the product of the enumerated class
-    sizes.  gcd(0, M) counts as M.
+    One pass over range(M) sorts the residues by their gcd with M, where
+    gcd(0, M) = M.  The coordinate with the largest class is solved from the
+    congruence; the others are folded in one at a time, counting for each
+    s mod M the partial tuples that sum to s, and a solution is a sum s with
+    -s in the last class.  Class d holds multiples of d, so after classes
+    d_1, ..., d_i the sums lie in g * Z_M, g = gcd(d_1, ..., d_i), and a fold
+    costs at most min(P, M / g) x (class size), P the product of the earlier
+    class sizes; STEP_GUARD bounds M plus these terms.
     """
     t = _coerce(t)
     if not isinstance(M, int) or isinstance(M, bool):
         raise ValueError(f"modulus must be an integer, got {M!r}")
     if M < 1:
         raise ValueError(f"modulus must be >= 1, got {M}")
-    if M > MODULUS_GUARD:
-        raise ValueError(f"modulus {M} exceeds the enumeration guard {MODULUS_GUARD}")
+    if M > STEP_GUARD:
+        raise ValueError(f"modulus {M} exceeds the step guard {STEP_GUARD}")
     for mj in t:
         if M % mj != 0:
             raise ValueError(f"period {mj} does not divide modulus {M}")
     if len(t) == 0:
         return 1
-    gcd_of = [math.gcd(x, M) for x in range(M)]
-    distinct = {M // mj for mj in t}
-    classes = {d: [x for x in range(M) if gcd_of[x] == d] for d in distinct}
-    # Enumerate every coordinate except the one with the most residues;
-    # that one is determined by the congruence and merely checked.
+    classes: dict[int, list[int]] = {}
+    for x in range(M):
+        classes.setdefault(math.gcd(x, M), []).append(x)
     ds = sorted((M // mj for mj in t), key=lambda d: len(classes[d]))
     d_last = ds.pop()
-    tuples = math.prod(len(classes[d]) for d in ds)
-    if tuples > TUPLE_GUARD:
-        raise ValueError(f"{tuples} residue tuples exceed the guard {TUPLE_GUARD}")
+    steps, prefix, g = M, 1, M
+    for d in ds:
+        steps += min(prefix, M // g) * len(classes[d])
+        prefix, g = prefix * len(classes[d]), math.gcd(g, d)
+    if steps > STEP_GUARD:
+        raise ValueError(f"{steps} steps exceed the step guard {STEP_GUARD}")
     ways = {0: 1}
     for d in ds:
         step: dict[int, int] = {}
@@ -64,4 +64,4 @@ def count_congruence_solutions(M: int, t: Periods) -> int:
                 y = (s + x) % M
                 step[y] = step.get(y, 0) + n
         ways = step
-    return sum(n for s, n in ways.items() if gcd_of[-s % M] == d_last)
+    return sum(n for s, n in ways.items() if math.gcd(s, M) == d_last)

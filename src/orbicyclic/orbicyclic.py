@@ -205,8 +205,8 @@ def enumerate_nonvanishing_triples(m: int) -> list[tuple[int, int, int]]:
     excluded, since it forces s(2) = 3 and E = 0.  The total is
     therefore prod over odd p of (3a(p) + 1), times 3a(2) if m is even.
     """
-    if m < 1:
-        raise ValueError(f"lcm must be >= 1, got {m}")
+    _require_int(m, "lcm must be an integer")
+    _require_int(m, "lcm must be >= 1", 1)
     if m > TRIPLES_GUARD:
         raise ValueError(f"lcm {m} exceeds the enumeration guard {TRIPLES_GUARD}")
     per_prime: list[list[tuple[int, int, int]]] = []

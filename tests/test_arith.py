@@ -29,7 +29,7 @@ from orbicyclic.mapcount import (
     rooted_map_count,
     theta,
 )
-from orbicyclic.orbicyclic import f_r, h_poly
+from orbicyclic.orbicyclic import enumerate_nonvanishing_triples, f_r, h_poly
 from orbicyclic.orbifold import (
     OrbifoldSignature,
     census,
@@ -477,6 +477,43 @@ def test_integer_arguments_reject_non_integers(fn, good, bad, message):
             (von_sterneck, (2,), 2),
             (von_sterneck, (2,), 2.0),
             "modulus must be an integer, got 2.0",
+        ),
+        # these compared with 1 before any type check
+        (
+            von_sterneck,
+            (1, 3),
+            (1, "3"),
+            "von_sterneck modulus must be an integer, got '3'",
+        ),
+        (
+            von_sterneck,
+            (1, 3),
+            (1, None),
+            "von_sterneck modulus must be an integer, got None",
+        ),
+        (
+            von_sterneck,
+            (1, 2),
+            (1, 2.0),
+            "von_sterneck modulus must be an integer, got 2.0",
+        ),
+        (
+            enumerate_nonvanishing_triples,
+            (12,),
+            ("12",),
+            "lcm must be an integer, got '12'",
+        ),
+        (
+            enumerate_nonvanishing_triples,
+            (12,),
+            (None,),
+            "lcm must be an integer, got None",
+        ),
+        (
+            enumerate_nonvanishing_triples,
+            (12,),
+            (12.0,),
+            "lcm must be an integer, got 12.0",
         ),
     ],
 )

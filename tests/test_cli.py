@@ -73,7 +73,7 @@ class TestEValue:
         assert perf_counter() - start < 1
         assert code == 1
         assert out == ""
-        assert err == "error: 99440784 residue tuples exceed the guard 1000000\n"
+        assert err == "error: 99460729 steps exceed the step guard 1000000\n"
 
     def test_miller_rabin_bound(self, capsys):
         psi_13 = "3317044064679887385961981"

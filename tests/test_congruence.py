@@ -69,18 +69,52 @@ def test_errors():
     with pytest.raises(ValueError):
         count_congruence_solutions(0, ())
     with pytest.raises(ValueError):
-        count_congruence_solutions(10**5, (2,))
+        count_congruence_solutions(10**7, (2,))
 
 
 def test_tuple_guard_fails_fast():
-    # three coordinates of 9972 units each would need 9972**2 tuples
+    # three coordinates of 9972 units each: 9973 + 9972 + 9972**2 steps
     start = perf_counter()
-    limit = "99440784 residue tuples exceed the guard 1000000"
+    limit = "99460729 steps exceed the step guard 1000000"
     with pytest.raises(ValueError, match=limit):
         count_congruence_solutions(9973, (9973, 9973, 9973))
     assert perf_counter() - start < 1
-    # (101,) * 4 enumerates 100**3 tuples, exactly the guard
+    # (101,) * 4: 100**3 residue tuples, counted in about 2 * 10**4 steps
     assert count_congruence_solutions(101, (101,) * 4) == E_closed((101,) * 4)
+
+
+def test_step_guard_follows_the_work():
+    # 2**21 residue tuples, but the sums stay in {0, 3332, 6664}: about 10**4 steps
+    assert count_congruence_solutions(9996, (3,) * 22) == E_closed((3,) * 22)
+    # one fold of 138,240 units after the 720,720-step class pass
+    t = (720720, 720720)
+    assert count_congruence_solutions(720720, t) == E_closed(t)
+    start = perf_counter()
+    limit = "^modulus 1000001 exceeds the step guard 1000000$"
+    with pytest.raises(ValueError, match=limit):
+        count_congruence_solutions(10**6 + 1, (1,))
+    assert perf_counter() - start < 1
+
+
+def test_step_charge_bounds_the_fold_pairs(monkeypatch):
+    # replays the folds, counting the (partial sum, residue) pairs they
+    # visit; with the guard at M, the charge the message names is never less
+    rng = random.Random(17)
+    for _ in range(300):
+        M = rng.randint(1, 90)
+        divs = divisors_of(M)
+        # nonincreasing, as PeriodTuple stores it, so ties fold in the same order
+        t = sorted((rng.choice(divs) for _ in range(rng.randint(2, 5))), reverse=True)
+        classes = {d: [x for x in range(M) if math.gcd(x, M) == d] for d in divs}
+        ds = sorted((M // mj for mj in t), key=lambda d: len(classes[d]))[:-1]
+        pairs, sums = M, {0}
+        for d in ds:
+            pairs += len(sums) * len(classes[d])
+            sums = {(s + x) % M for s in sums for x in classes[d]}
+        monkeypatch.setattr(congruence, "STEP_GUARD", M)
+        with pytest.raises(ValueError, match=r"^\d+ steps exceed") as info:
+            count_congruence_solutions(M, t)
+        assert int(str(info.value).split()[0]) >= pairs, (M, t)
 
 
 def test_matches_naive_scan():

@@ -71,3 +71,14 @@ def test_rank_guard():
         with pytest.raises(ValueError, match="rank 1000000 exceeds guard 400"):
             count(10**6, 12)
     assert perf_counter() - start < 1
+
+
+def test_tuple_scan_guard_counts_steps():
+    # the guard bounds rank * index * (index!)**rank steps, not the
+    # (index!)**rank tuples: one permutation of 8 points fits (322,560 steps)
+    assert transitive_pair_counts(1, 8) == (1, 1)
+    # 2**15 tuples are fewer than 8!, but 15 * 2 * 2**15 = 983,040 steps
+    start = perf_counter()
+    with pytest.raises(ValueError, match="rank=15, index=2 exceeds guard 500000"):
+        transitive_pair_counts(15, 2)
+    assert perf_counter() - start < 1
