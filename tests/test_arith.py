@@ -29,7 +29,7 @@ from orbicyclic.mapcount import (
     rooted_map_count,
     theta,
 )
-from orbicyclic.orbicyclic import enumerate_nonvanishing_triples, f_r, h_poly
+from orbicyclic.orbicyclic import E_bruteforce, enumerate_nonvanishing_triples, f_r, h_poly
 from orbicyclic.orbifold import (
     OrbifoldSignature,
     census,
@@ -88,6 +88,58 @@ def test_factorize_rejects_bad_input():
     for bad in (0, -1, -12, 1.5, True):
         with pytest.raises(ValueError):
             factorize(bad)
+
+
+def test_factorize_result_is_a_fresh_list():
+    fac = factorize(720)
+    fac.append((7, 1))
+    fac[0] = (3, 9)
+    assert factorize(720) == [(2, 4), (3, 2), (5, 1)]
+    assert factorize(720) is not factorize(720)
+
+
+def test_factorize_checks_its_argument_before_the_memo():
+    # True == 1.0 == 1 and all three hash alike, so a memo keyed on the
+    # value and consulted before the check could answer them from factorize(1)
+    assert factorize(1) == []
+    for bad in (True, 1.0, 0):
+        with pytest.raises(ValueError, match="factorize expects a positive integer"):
+            factorize(bad)
+
+
+def test_factorize_runs_rho_once_per_modulus(monkeypatch):
+    calls = []
+    real = arith._pollard_rho
+    monkeypatch.setattr(arith, "_pollard_rho", lambda n: calls.append(n) or real(n))
+    p, q = 1_000_003, 1_000_033
+    assert factorize(p * q) == [(p, 1), (q, 1)]
+    assert calls == [p * q]
+    assert factorize(p * q) == [(p, 1), (q, 1)]
+    assert mobius(p * q) == 1
+    assert euler_phi(p * q) == (p - 1) * (q - 1)
+    assert calls == [p * q]
+
+
+def test_bruteforce_rows_are_built_once_per_modulus(monkeypatch):
+    calls = []
+
+    def counted(k, n):
+        calls.append((k, n))
+        return von_sterneck(k, n)
+
+    monkeypatch.setattr(arith, "von_sterneck", counted)
+    t = (360, 360, 120, 8)
+    first = E_bruteforce(t)
+    assert len(calls) == sum(len(divisors(m)) for m in set(t))
+    assert E_bruteforce(t) == first
+    assert E_bruteforce((120, 8)) == E_bruteforce((8, 120))
+    assert len(calls) == sum(len(divisors(m)) for m in set(t))
+
+
+def test_per_modulus_caches_are_bounded():
+    for cache in (arith._factorize, arith._von_sterneck_by_divisor):
+        maxsize = cache.cache_info().maxsize
+        assert isinstance(maxsize, int) and maxsize > 0
 
 
 def test_factorize_large_semiprime():
