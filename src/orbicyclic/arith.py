@@ -190,10 +190,7 @@ def mobius(n: int) -> int:
 
 def euler_phi(n: int) -> int:
     """phi(n), the number of 1 <= k <= n coprime to n."""
-    result = 1
-    for p, a in factorize(n):
-        result *= (p - 1) * p ** (a - 1)
-    return result
+    return jordan_phi(1, n)
 
 
 def jordan_phi(k: int, n: int) -> int:

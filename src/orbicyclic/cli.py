@@ -22,18 +22,17 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
-from itertools import product
 
-from .arith import divisors, jordan_phi
+from .arith import divisors
 from .congruence import count_congruence_solutions
-from .epi import count_epi
+from .epi import _count_epi_by_brute_force, count_epi
 from .mapcount import DART_PAIR_GUARD, dart_pair_oracle, theta
 from .orbicyclic import (
     E_bruteforce,
     E_closed,
     PeriodTuple,
+    _nonvanishing_triples_by_scan,
     enumerate_nonvanishing_triples,
 )
 from .orbifold import (
@@ -48,9 +47,6 @@ from .subgroups import (
     free_group_subgroups,
     transitive_pair_counts,
 )
-
-# Python's default int-to-str limit, which bounds every count the CLI prints.
-PRINT_DIGITS = 4300
 
 
 def _period_list(text: str) -> tuple[int, ...]:
@@ -108,12 +104,7 @@ def _handle_e(args):
 
 
 def _handle_epi(args):
-    periods = _drop_unit_periods(args.periods)
-    # The count is at most order^(2*genus) * prod(periods); genus stays an int.
-    room = PRINT_DIGITS - sum(map(math.log10, args.periods))
-    if args.order > 1 and args.genus >= room / (2 * math.log10(args.order)):
-        raise ValueError(f"the count may exceed the {PRINT_DIGITS}-digit print limit")
-    sig = OrbifoldSignature(args.genus, periods)
+    sig = OrbifoldSignature(args.genus, _drop_unit_periods(args.periods))
     value = count_epi(sig, args.order)
     payload = {
         "genus": args.genus,
@@ -128,15 +119,7 @@ def _handle_epi(args):
     ]
     checks = []
     if args.check:
-        m = sig.m
-        if args.order % m == 0:
-            observed = (
-                m ** (2 * sig.g)
-                * jordan_phi(2 * sig.g, args.order // m)
-                * E_bruteforce(PeriodTuple(sig.periods))
-            )
-        else:
-            observed = 0
+        observed = _count_epi_by_brute_force(sig, args.order)
         checks.append(("brute_force", value, observed))
     return "epi_count", payload, lines, rows, checks
 
@@ -263,11 +246,7 @@ def _handle_triples(args):
     rows = [["m1", "m2", "m3", "value"]] + [[*t, v] for t, v in valued]
     checks = []
     if args.check:
-        scan = sorted(
-            combo
-            for combo in product(divisors(args.lcm), repeat=3)
-            if math.lcm(*combo) == args.lcm and E_closed(combo) != 0
-        )
+        scan = _nonvanishing_triples_by_scan(args.lcm)
         checks.append(("exhaustive_scan", list(triples), scan))
     return "e_value", payload, lines, rows, checks
 

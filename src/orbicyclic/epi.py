@@ -14,16 +14,33 @@ exactly when ell = m and 0 otherwise.
 
 from __future__ import annotations
 
+import math
+
 from .arith import _require_int, jordan_phi
-from .orbicyclic import E_closed
+from .orbicyclic import E_bruteforce, E_closed
 from .orbifold import OrbifoldSignature
+
+# Python's default int-to-str limit; count_epi refuses counts that may exceed it.
+PRINT_DIGITS = 4300
 
 
 def count_epi(sig: OrbifoldSignature, ell: int) -> int:
     """Number of order-preserving epimorphisms pi_1(orbifold) -> Z_ell."""
     _require_int(ell, "group order must be an integer")
     _require_int(ell, "group order must be >= 1", 1)
+    room = PRINT_DIGITS - sum(map(math.log10, sig.periods))
+    if ell > 1 and sig.g >= room / (2 * math.log10(ell)):
+        raise ValueError(f"the count may exceed the {PRINT_DIGITS}-digit print limit")
     m = sig.m
     if ell % m != 0:
         return 0
     return m ** (2 * sig.g) * jordan_phi(2 * sig.g, ell // m) * E_closed(sig.periods)
+
+
+def _count_epi_by_brute_force(sig: OrbifoldSignature, ell: int) -> int:
+    """count_epi's formula with E taken from its defining mean, for cross-checking."""
+    m = sig.m
+    if ell % m != 0:
+        return 0
+    mean = E_bruteforce(sig.periods)
+    return m ** (2 * sig.g) * jordan_phi(2 * sig.g, ell // m) * mean

@@ -23,7 +23,8 @@ import math
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple
 
-from .arith import _periodic_sum, _require_int, _von_sterneck_table, factorize, is_prime
+from .arith import _periodic_sum, _require_int, _von_sterneck_table
+from .arith import divisors, factorize, is_prime
 
 TRIPLES_GUARD = 10**4
 
@@ -221,6 +222,12 @@ def enumerate_nonvanishing_triples(m: int) -> list[tuple[int, int, int]]:
         triple = tuple(math.prod(parts) for parts in zip(*combo)) if combo else (1, 1, 1)
         triples.append(triple)
     return sorted(triples)
+
+
+def _nonvanishing_triples_by_scan(m: int) -> list[tuple[int, int, int]]:
+    """enumerate_nonvanishing_triples by scanning every triple of divisors of m."""
+    triples = product(divisors(m), repeat=3)
+    return sorted(t for t in triples if math.lcm(*t) == m and E_closed(t) != 0)
 
 
 def equals_phi_classification(t: Periods) -> bool:

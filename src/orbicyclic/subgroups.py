@@ -16,7 +16,6 @@ failure there would be an implementation bug, not bad input.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import permutations, product
 from math import factorial
 
@@ -43,26 +42,27 @@ def _check_args(rank: int, index: int) -> None:
         raise ValueError(f"index {index} exceeds guard {INDEX_GUARD}")
 
 
-# typed, so that free_group_subgroups(2.0, 3) cannot hit the entry cached
-# for (2, 3) and skip _check_args
-@lru_cache(maxsize=None, typed=True)
+def _hall(r: int, n: int) -> list[int]:
+    """[M(0), M(1), ..., M(n)] for F_r by Hall's recursion, with M(0) = 0 unused."""
+    w = [factorial(i) ** (r - 1) for i in range(n + 1)]
+    counts = [0]
+    for k in range(1, n + 1):
+        counts.append(k * w[k] - sum(w[k - i] * counts[i] for i in range(1, k)))
+    return counts
+
+
 def free_group_subgroups(rank: int, index: int) -> int:
     """Number of index-`index` subgroups of the free group of rank `rank`."""
     _check_args(rank, index)
-    n, r = index, rank
-    total = n * factorial(n) ** (r - 1)
-    for i in range(1, n):
-        total -= factorial(n - i) ** (r - 1) * free_group_subgroups(r, i)
-    return total
+    return _hall(rank, index)[index]
 
 
 def free_group_conjugacy_classes(rank: int, index: int) -> int:
     """Number of conjugacy classes of index-`index` subgroups of F_rank."""
     _check_args(rank, index)
     n, r = index, rank
-    total = 0
-    for d in divisors(n):
-        total += jordan_phi((r - 1) * d + 1, n // d) * free_group_subgroups(r, d)
+    counts = _hall(r, n)
+    total = sum(jordan_phi((r - 1) * d + 1, n // d) * counts[d] for d in divisors(n))
     count, rem = divmod(total, n)
     if rem:
         raise ArithmeticError(

@@ -1,7 +1,9 @@
+from time import perf_counter
+
 import pytest
 
 from orbicyclic.arith import euler_phi, jordan_phi
-from orbicyclic.epi import count_epi
+from orbicyclic.epi import _count_epi_by_brute_force, count_epi
 from orbicyclic.orbicyclic import equals_phi_classification
 from orbicyclic.orbifold import OrbifoldSignature, enumerate_orbifolds, epi_nonvanishing
 
@@ -34,6 +36,18 @@ def test_sphere_quotient_needs_exact_order():
     assert count_epi(sig(0, 5, 5), 15) == 0
 
 
+def test_print_bound_is_checked_before_the_count():
+    # ell^(2g) * prod(m_j) bounds the count; a genus past that bound is
+    # refused in constant time, however large, and ell = 1 has no bound
+    for g in (10**5, 10**400):
+        start = perf_counter()
+        with pytest.raises(ValueError, match="exceed the 4300-digit print limit"):
+            count_epi(sig(g), 3)
+        assert perf_counter() - start < 0.01
+    assert count_epi(sig(4500), 3) == 3**9000 - 1
+    assert count_epi(sig(10**400), 1) == 1
+
+
 def test_rejects_bad_order():
     with pytest.raises(ValueError):
         count_epi(sig(1), 0)
@@ -60,6 +74,7 @@ def test_divisible_by_totient_when_nonzero():
                 n = count_epi(s, ell)
                 assert n > 0
                 assert n % euler_phi(ell) == 0
+                assert _count_epi_by_brute_force(s, ell) == n
 
 
 def test_equals_totient_criterion():

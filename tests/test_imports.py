@@ -80,3 +80,28 @@ def test_integer_check_has_one_implementation():
         ("arith.py", "_require_int"),
         ("congruence.py", "count_congruence_solutions"),
     ]
+
+
+def test_cli_binds_no_library_knowledge():
+    # Bounds, formulas and oracles live beside the code they bound or check;
+    # the CLI only parses and renders, so its one module constant is COMMANDS.
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    statements = [
+        node
+        for node in tree.body
+        if not isinstance(node, (ast.FunctionDef, ast.Import, ast.ImportFrom))
+    ]
+    assigned = [
+        name.id
+        for node in statements
+        for name in ast.walk(node)
+        if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+    ]
+    assert assigned == ["COMMANDS"]
+    imported = {
+        alias.name.split(".")[0]
+        for node in tree.body
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    } | {node.module for node in tree.body if isinstance(node, ast.ImportFrom)}
+    assert not imported & {"math", "itertools"}

@@ -2,7 +2,7 @@ import math
 import random
 import re
 import time
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -15,6 +15,7 @@ from orbicyclic.orbicyclic import (
     E_local,
     LocalProfile,
     PeriodTuple,
+    _nonvanishing_triples_by_scan,
     enumerate_nonvanishing_triples,
     equals_phi_classification,
     f_r,
@@ -319,13 +320,7 @@ class TestTriples:
 
     def test_matches_direct_scan(self):
         for m in (1, 2, 3, 4, 6, 12, 30, 36):
-            divs = [d for d in range(1, m + 1) if m % d == 0]
-            scan = sorted(
-                t
-                for t in product(divs, repeat=3)
-                if math.lcm(*t) == m and E_closed(t) != 0
-            )
-            assert enumerate_nonvanishing_triples(m) == scan
+            assert enumerate_nonvanishing_triples(m) == _nonvanishing_triples_by_scan(m)
 
     def test_counts(self):
         # prod over odd p of (3a+1), times 3a(2) when m is even
