@@ -14,9 +14,11 @@ import math
 import operator
 import random
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # A Factorization is an ordered list of (prime, exponent) pairs with the
 # primes strictly increasing; [] represents 1.
@@ -32,6 +34,9 @@ _TRIAL_LIMIT = 10_000
 # E_bruteforce((720720, 720720)) 0.09 s, the 16 largest divisors of 720720
 # 0.7-0.8 s, all 240 of them 9.2-9.3 s.
 BRUTE_FORCE_GUARD = 10**6
+
+# Python's default int-to-str limit; _require_printable refuses values past it.
+PRINT_DIGITS = 4300
 
 # The first 13 primes make Miller-Rabin deterministic below psi_13, the
 # least strong pseudoprime to all of them (Sorenson and Webster 2015).
@@ -49,6 +54,12 @@ def _require_int(value, message: str, least: int | None = None) -> None:
             raise ValueError(f"{message}, got {value!r}")
     if least is not None and value < least:
         raise ValueError(f"{message}, got {value!r}")
+
+
+def _require_printable(exponent: int, base: int, name: str) -> None:
+    """Refuse a value up to base**exponent that may pass PRINT_DIGITS digits."""
+    if base > 1 and exponent >= PRINT_DIGITS / math.log10(base):
+        raise ValueError(f"{name} may exceed the {PRINT_DIGITS}-digit print limit")
 
 
 def is_prime(n: int) -> bool:
@@ -198,14 +209,14 @@ def jordan_phi(k: int, n: int) -> int:
 
     Equals sum_{d|n} d^k mu(n/d).  The k = 0 case degenerates to the
     unit: phi_0(1) = 1 and phi_0(n) = 0 for n > 1, which the product
-    form already delivers (each local factor becomes 1 - 1 = 0).
+    form already delivers (each local factor becomes 1 - 1 = 0).  It is at
+    most n^k, which must stay within PRINT_DIGITS digits.
     """
     _require_int(k, "jordan_phi order must be an integer")
     _require_int(k, "jordan_phi order must be >= 0", 0)
-    result = 1
-    for p, a in factorize(n):
-        result *= p ** (a * k) - p ** ((a - 1) * k)
-    return result
+    fac = factorize(n)
+    _require_printable(k, n, "jordan_phi")
+    return math.prod(p ** (a * k) - p ** ((a - 1) * k) for p, a in fac)
 
 
 def von_sterneck(k: int, n: int) -> int:
@@ -316,5 +327,6 @@ def periodic_average(
         _require_int(m, "period values must be integers")
         if m < 1 or modulus % m != 0:
             raise ValueError(f"period {m} does not divide modulus {modulus}")
+    from fractions import Fraction  # its one user in the package: load it here
     total = _periodic_sum(lambda m: [f(k, m) for k in range(m)], ms, modulus)
     return Fraction(total, modulus)

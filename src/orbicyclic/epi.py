@@ -16,12 +16,9 @@ from __future__ import annotations
 
 import math
 
-from .arith import _require_int, jordan_phi
+from .arith import PRINT_DIGITS, _require_int, jordan_phi
 from .orbicyclic import E_bruteforce, E_closed
 from .orbifold import OrbifoldSignature
-
-# Python's default int-to-str limit; count_epi refuses counts that may exceed it.
-PRINT_DIGITS = 4300
 
 
 def count_epi(sig: OrbifoldSignature, ell: int) -> int:

@@ -8,24 +8,24 @@ combines rooted counts with the cyclic-orbifold and epimorphism
 machinery, Burnside-style, to count maps up to all orientation-preserving
 isomorphisms rather than up to rooted ones.
 
-A small exhaustive oracle over dart pairs (sigma, alpha) is included for
-cross-checking both counts at tiny sizes.
+An exhaustive oracle over dart pairs (sigma, alpha), which visits each rooted
+map once (Walsh and Lehman 1972), cross-checks both counts at small sizes.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product
-from math import comb, factorial, prod
+from math import comb, factorial
 
 from .arith import _require_int, divisors
 from .epi import count_epi
 from .orbifold import ELL_GUARD, GAMMA_GUARD, enumerate_orbifolds
-from .subgroups import _conjugacy_orbits, _transitive
+from .subgroups import _canonical_actions
 
-# The dart-pair scan visits all (2n)! permutations.  Measured on a 2-core VM
-# under CPython 3.11.7: about 8 ms for n <= 3 together, 0.45 s for n = 4.
-DART_PAIR_GUARD = 3
+# The census visits each of the at most 2n * (2n-1)!! rooted maps and its 2n - 1
+# re-rootings.  Seconds, best of 5 (2-core VM, CPython 3.11.7): n = 3 0.0006,
+# 4 0.007, 5 0.09; refused: 6 1.23.
+DART_PAIR_GUARD = 5
 
 
 def planar_rooted_count(n: int) -> int:
@@ -149,63 +149,33 @@ def theta(gamma: int, n: int) -> int:
 
 def _cycle_count(perm) -> int:
     """Number of cycles of a permutation of range(len(perm))."""
-    seen = [False] * len(perm)
-    count = 0
-    for start in range(len(perm)):
-        if not seen[start]:
-            count += 1
-            i = start
-            while not seen[i]:
-                seen[i] = True
-                i = perm[i]
+    count, seen = 0, set()
+    for i in range(len(perm)):
+        count += i not in seen
+        while i not in seen:
+            seen.add(i)
+            i = perm[i]
     return count
 
 
-def _pair_centralizer(n: int) -> list[tuple[int, ...]]:
-    """The 2^n * n! permutations of 2n darts commuting with alpha_0 = (0 1)(2 3)...
-
-    Listed as the wreath product: tau(2i + b) = 2*pi(i) + (b xor f_i) for
-    pi in S_n and f in {0, 1}^n.
-    """
-    return [
-        tuple(2 * pi[i >> 1] + ((i & 1) ^ flips[i >> 1]) for i in range(2 * n))
-        for pi in permutations(range(n))
-        for flips in product((0, 1), repeat=n)
-    ]
-
-
 @lru_cache(maxsize=None)
-def _dart_pair_census(n: int) -> dict[int, tuple[int, int]]:
-    """Exhaustive (sigma, alpha_0) scan: genus -> (rooted, unrooted)."""
-    darts = 2 * n
-    alpha = tuple(i ^ 1 for i in range(darts))
-    by_genus: dict[int, list[tuple[tuple[int, ...]]]] = {}
-    for sigma in permutations(range(darts)):
-        if not _transitive((sigma, alpha), darts):
-            continue
-        euler = _cycle_count(sigma) - n + _cycle_count([sigma[a] for a in alpha])
-        by_genus.setdefault((2 - euler) // 2, []).append((sigma,))
-
-    # Conjugating alpha_0 across all fixed-point-free involutions scales
-    # the pair count by (2n-1)!!; rooting divides by (2n-1)!.  The
-    # centralizer fixes alpha_0, so its orbits need only conjugate sigma.
-    double_fact = prod(range(1, darts, 2))
-    centralizer = _pair_centralizer(n)
-    result: dict[int, tuple[int, int]] = {}
-    for genus, sigmas in by_genus.items():
-        rooted, rem = divmod(len(sigmas) * double_fact, factorial(darts - 1))
-        if rem:
-            raise ArithmeticError(f"rooted count not integral at genus {genus}")
-        result[genus] = (rooted, _conjugacy_orbits(sigmas, centralizer))
-    return result
+def _map_census(n: int) -> dict[int, tuple[int, int]]:
+    """Canonical dart-pair census with n edges: genus -> (rooted, unrooted)."""
+    tally: dict[int, list[int]] = {}
+    for (sigma,), least in _canonical_actions(2 * n, 1, paired=True):
+        faces = _cycle_count([sigma[a ^ 1] for a in range(2 * n)])
+        counts = tally.setdefault((n + 2 - _cycle_count(sigma) - faces) // 2, [0, 0])
+        counts[0] += 1
+        counts[1] += least
+    return {genus: tuple(counts) for genus, counts in tally.items()}
 
 
 def dart_pair_oracle(gamma: int, n: int) -> tuple[int, int]:
     """(rooted, unrooted) map counts at genus gamma with n edges, by brute force.
 
-    Models a map as a permutation pair on 2n darts with a fixed
-    fixed-point-free involution; genus comes from Euler's relation,
-    unrooted counts from orbits under the involution's centralizer.
+    Models a map as a permutation pair on 2n darts with a fixed fixed-point-free
+    involution; genus comes from Euler's relation.  Each canonical pair is one
+    rooted map, and one unrooted map when its code is least over all root darts.
     """
     _require_int(gamma, "genus must be an integer")
     _require_int(n, "edge count must be an integer")
@@ -213,4 +183,4 @@ def dart_pair_oracle(gamma: int, n: int) -> tuple[int, int]:
     _require_int(gamma, "genus must be >= 0", 0)
     if n > DART_PAIR_GUARD:
         raise ValueError(f"oracle guard: n = {n} exceeds {DART_PAIR_GUARD}")
-    return _dart_pair_census(n).get(gamma, (0, 0))
+    return _map_census(n).get(gamma, (0, 0))

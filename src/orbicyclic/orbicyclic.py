@@ -23,7 +23,7 @@ import math
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple
 
-from .arith import _periodic_sum, _require_int, _von_sterneck_table
+from .arith import _periodic_sum, _require_int, _require_printable, _von_sterneck_table
 from .arith import divisors, factorize, is_prime
 
 TRIPLES_GUARD = 10**4
@@ -116,13 +116,20 @@ def h_poly(s: int, x: int) -> int:
 
     h_1 = 0, h_2 = 1, h_3(x) = x - 2, h_4(x) = x^2 - 3x + 3.  The
     numerator is divisible by x for every nonzero integer x, since
-    (x-1)^(s-1) = (-1)^(s-1) mod x.
+    (x-1)^(s-1) = (-1)^(s-1) mod x.  |h_s(x)| <= max(1, |x-1|^(s-1)), which
+    must stay within PRINT_DIGITS digits.
     """
     _require_int(s, "h_poly index must be an integer")
     _require_int(x, "h_poly argument must be an integer")
     _require_int(s, "h_poly index must be >= 1", 1)
     if x == 0:
         raise ValueError("h_poly is indeterminate at x = 0")
+    _require_printable(s - 1, abs(x - 1), "h_poly")
+    return _h_poly(s, x)
+
+
+def _h_poly(s: int, x: int) -> int:
+    """h_poly without its checks, for the primes and counts of a factored lcm."""
     q, rem = divmod((x - 1) ** (s - 1) + (-1) ** s, x)
     if rem:
         raise ArithmeticError(f"h_{s}({x}) is not an integer")
@@ -130,9 +137,9 @@ def h_poly(s: int, x: int) -> int:
 
 
 def E_local(profile: LocalProfile) -> int:
-    """Local factor (p-1)^(r_p-s+1) * p^v * h_s(p) at one prime."""
-    p = profile.p
-    return (p - 1) ** (profile.r_p - profile.s + 1) * p**profile.v * h_poly(profile.s, p)
+    """Local factor (p-1)^(r_p-s+1) * p^v * h_s(p) at one prime of a local_profile."""
+    p, s = profile.p, profile.s
+    return (p - 1) ** (profile.r_p - s + 1) * p**profile.v * _h_poly(s, p)
 
 
 def E_closed(t: Periods) -> int:
@@ -181,7 +188,7 @@ def vanishes(t: Periods) -> tuple[bool, str | None]:
 def f_r(m: int, r: int) -> int:
     """E(m, ..., m) with r repetitions, via f_r(p^a) = (p-1) p^((r-1)(a-1)) h_r(p).
 
-    r = 0 is the empty tuple, so f_0(m) = 1 for every m.
+    r = 0 is the empty tuple, so f_0(m) = 1; f_r(m) <= m^(r-1) must fit PRINT_DIGITS.
     """
     _require_int(m, "f_r expects an integer m")
     _require_int(r, "f_r expects an integer r")
@@ -189,9 +196,10 @@ def f_r(m: int, r: int) -> int:
     _require_int(r, "f_r expects r >= 0", 0)
     if r == 0:
         return 1
+    _require_printable(r - 1, m, "f_r")
     result = 1
     for p, a in factorize(m):
-        result *= (p - 1) * p ** ((r - 1) * (a - 1)) * h_poly(r, p)
+        result *= (p - 1) * p ** ((r - 1) * (a - 1)) * _h_poly(r, p)
         if result == 0:
             return 0
     return result

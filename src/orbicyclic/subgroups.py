@@ -11,12 +11,13 @@ a divisor sum over M with Jordan-totient weights:
     N(n) = (1/n) * sum_{d | n} phi_{(r-1)d+1}(n/d) * M(d).
 
 Everything is exact; the divisor sum's integrality is asserted because a
-failure there would be an implementation bug, not bad input.
+failure there would be an implementation bug, not bad input.  The
+brute-force check, like mapcount's, visits each rooted action once (Sims,
+Computation with Finitely Presented Groups, 1994, ch. 5).
 """
 
 from __future__ import annotations
 
-from itertools import permutations, product
 from math import factorial
 
 from .arith import _require_int, divisors, jordan_phi
@@ -24,10 +25,11 @@ from .arith import _require_int, divisors, jordan_phi
 INDEX_GUARD = 12
 # Keeps M(12), about 8.7 * (rank - 1) digits, within Python's 4,300-digit str limit.
 RANK_GUARD = 400
-# transitive_pair_counts touches the r permutations of each of the (n!)^r tuples
-# point by point: r * n * (n!)^r steps.  Measured (rank, index: steps, seconds;
-# best of 5, 2-core VM, CPython 3.11.7): 14, 2: 458,752, 0.39; 1, 8: 322,560,
-# 0.16; 3, 4: 165,888, 0.06; 2, 5: 144,000, 0.04; 5, 3: 116,640, 0.05.
+# transitive_pair_counts visits at most n * (n!)^(r-1) leaves (Hall's first term)
+# at about n * r steps each, and charges that before any work.  Measured (rank,
+# index: steps, seconds; best of 5, 2-core VM, CPython 3.11.7): 2, 7: 493,920,
+# 0.20; 14, 2: 458,752, 0.23; 5, 3: 58,320, 0.03; 3, 4: 27,648, 0.01.
+# Refused: 4, 4: 884,736, 0.38; 3, 5: 1,080,000, 0.47; 15, 2: 983,040, 0.47.
 TUPLE_SCAN_GUARD = 500_000
 
 
@@ -71,54 +73,64 @@ def free_group_conjugacy_classes(rank: int, index: int) -> int:
     return count
 
 
-def _transitive(perms, n: int) -> bool:
-    """Whether the permutations of range(n) together reach every point from 0."""
-    seen = {0}
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for p in perms:
-            if p[x] not in seen:
-                seen.add(p[x])
-                stack.append(p[x])
-    return len(seen) == n
+def _canonical_actions(points: int, rank: int, paired: bool = False):
+    """Yield (perms, least) once per transitive action of `rank` permutations
+    of range(points), rooted at 0.
 
-
-def _conjugacy_orbits(tuples, group) -> int:
-    """Number of orbits of permutation tuples under simultaneous conjugation.
-
-    group must list a whole permutation group, so that one pass over it
-    from any tuple sweeps out that tuple's orbit.
+    perms is canonically labelled: taking points in label order and the
+    permutations in turn, each image is a labelled point not yet hit or the
+    next new label; a branch whose labelled points close early stops.  With
+    `paired`, x <-> x ^ 1 acts too and a new label opens a pair.  `least`
+    marks a code (images in label order) least over all roots: one leaf per
+    action up to relabelling.  The lists are reused.
     """
-    # (tau p tau^-1)[i] = tau[p[inv[i]]], with inv the inverse of tau
-    pairs = [(tau, sorted(range(len(tau)), key=tau.__getitem__)) for tau in group]
-    pending = set(tuples)
-    orbits = 0
-    while pending:
-        seed = pending.pop()
-        orbits += 1
-        for tau, inv in pairs:
-            pending.discard(tuple(tuple([tau[p[j]] for j in inv]) for p in seed))
-    return orbits
+    perms = [[-1] * points for _ in range(rank)]
+    hit = [[False] * points for _ in range(rank)]
+    step = 2 if paired else 1
+
+    def rerooted_sign(root: int) -> int:  # code from root minus code from 0
+        order, label = [root, root ^ 1][:step], [-1] * points
+        for i, point in enumerate(order):
+            label[point] = i
+        for x, point in enumerate(order):  # order grows while it is walked
+            for perm in perms:
+                y = perm[point]
+                if label[y] < 0:
+                    for z in (y, y ^ 1)[:step]:
+                        label[z] = len(order)
+                        order.append(z)
+                if label[y] != perm[x]:
+                    return label[y] - perm[x]
+        return 0
+
+    def extend(k: int, labelled: int):
+        if k == points * rank:
+            yield perms, all(rerooted_sign(v) >= 0 for v in range(1, points))
+            return
+        x, j = divmod(k, rank)
+        if x == labelled:  # the labelled points are closed: not transitive
+            return
+        perm, used = perms[j], hit[j]
+        for y in range(min(labelled + 1, points)):  # y == labelled: a new label
+            if not used[y]:
+                perm[x], used[y] = y, True
+                yield from extend(k + 1, labelled + step * (y == labelled))
+                used[y] = False
+
+    yield from extend(0, step)
 
 
 def transitive_pair_counts(rank: int, index: int) -> tuple[int, int]:
     """(subgroups, conjugacy classes) by brute force, for cross-checking.
 
-    Index-n subgroups of F_r correspond to transitive r-tuples of
-    permutations of n points with a marked basepoint: divide the tuple
-    count by (n-1)!.  Conjugacy classes of subgroups correspond to
-    orbits of the tuples under simultaneous relabeling of all points.
+    Index-n subgroups of F_r are the transitive r-tuples of permutations of n
+    points up to relabellings fixing a basepoint, and conjugacy classes are
+    those tuples up to all relabellings.
     """
     _check_args(rank, index)
-    n, r = index, rank
-    if r * n * factorial(n) ** r > TUPLE_SCAN_GUARD:
+    if index**2 * rank * factorial(index) ** (rank - 1) > TUPLE_SCAN_GUARD:
         raise ValueError(
-            f"brute force at rank={r}, index={n} exceeds guard {TUPLE_SCAN_GUARD}"
+            f"brute force at rank={rank}, index={index} exceeds guard {TUPLE_SCAN_GUARD}"
         )
-    perms = list(permutations(range(n)))
-    tuples = [t for t in product(perms, repeat=r) if _transitive(t, n)]
-    subgroups, rem = divmod(len(tuples), factorial(n - 1))
-    if rem:
-        raise ArithmeticError("transitive tuple count not divisible by (n-1)!")
-    return subgroups, _conjugacy_orbits(tuples, perms)
+    leaves = [least for _, least in _canonical_actions(index, rank)]
+    return len(leaves), sum(leaves)

@@ -274,6 +274,25 @@ def test_jordan_phi():
         assert jordan_phi(2, n) == brute
 
 
+def test_jordan_phi_print_bound():
+    # phi_k(n) <= n^k: 3^9012 has 4,300 digits, 3^9013 has more, so order
+    # 9013 and up is refused before any power; n = 1 bounds nothing
+    assert len(str(jordan_phi(9012, 3))) == 4300
+    start = perf_counter()
+    for k in (9013, 10**6, 10**400):
+        with pytest.raises(ValueError, match="^jordan_phi may exceed the 4300-digit print limit$"):
+            jordan_phi(k, 3)
+    assert perf_counter() - start < 1
+    assert jordan_phi(10**400, 1) == 1
+
+
+def test_print_limit_is_one_constant():
+    # epi's count bound and arith's power bounds share one object, not two 4300s
+    from orbicyclic import epi
+
+    assert epi.PRINT_DIGITS is arith.PRINT_DIGITS == 4300
+
+
 def test_jordan_phi_divisible_by_euler_phi():
     for k in range(1, 4):
         for n in range(1, 501):

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -105,3 +108,14 @@ def test_cli_binds_no_library_knowledge():
         for alias in node.names
     } | {node.module for node in tree.body if isinstance(node, ast.ImportFrom)}
     assert not imported & {"math", "itertools"}
+
+
+def test_import_leaves_fractions_unloaded():
+    # Fraction is imported inside periodic_average, its one user; -S keeps
+    # site's own imports out of the probe
+    probe = "import sys, orbicyclic; print(*sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "\n"

@@ -1,4 +1,3 @@
-from itertools import permutations
 from math import factorial
 from time import perf_counter
 
@@ -6,9 +5,9 @@ import pytest
 
 from orbicyclic.arith import divisors
 from orbicyclic.mapcount import (
+    DART_PAIR_GUARD,
     _carrell_chapuy,
-    _dart_pair_census,
-    _pair_centralizer,
+    _map_census,
     dart_pair_oracle,
     planar_rooted_count,
     rooted_map_count,
@@ -19,6 +18,7 @@ from orbicyclic.orbifold import (
     enumerate_orbifolds,
     enumerate_orbifolds_via_harvey,
 )
+from orbicyclic.subgroups import free_group_subgroups, transitive_pair_counts
 
 # N_g(n) for n = 1..12.
 PLANAR = [
@@ -93,14 +93,11 @@ class TestCarrellChapuy:
             assert _carrell_chapuy(0, n) == planar_rooted_count(n), n
 
     def test_matches_dart_pair_scan(self):
-        # n edges allow genus at most n // 2; the scan reports every genus it finds
-        for n in range(1, 5):
-            scan = {g: rooted for g, (rooted, _) in _dart_pair_census(n).items()}
-            assert scan == {g: _carrell_chapuy(g, n) for g in range(n // 2 + 1)}, n
+        # n edges allow genus at most n // 2; the census reports every genus it finds
+        for n in range(1, DART_PAIR_GUARD + 1):
+            census = {g: rooted for g, (rooted, _) in _map_census(n).items()}
+            assert census == {g: _carrell_chapuy(g, n) for g in range(n // 2 + 1)}, n
             assert _carrell_chapuy(n // 2 + 1, n) == 0
-        # the orbit counts at n = 4, past the public oracle's guard
-        unrooted = {g: orbits for g, (_, orbits) in _dart_pair_census(4).items()}
-        assert unrooted == {g: theta(g, 4) for g in range(3)} == {0: 57, 1: 46, 2: 4}
 
     def test_minimal_genus_three(self):
         # a genus-3 map with 6 edges has one vertex and one face
@@ -167,26 +164,26 @@ class TestDartPairOracle:
         assert dart_pair_oracle(1, 2)[0] == 1
         assert dart_pair_oracle(0, 3)[0] == 54
         assert dart_pair_oracle(1, 3)[0] == 20
+        # every genus, one past the largest a map with n edges can have
+        for n in range(1, DART_PAIR_GUARD + 1):
+            for gamma in range(n // 2 + 2):
+                assert dart_pair_oracle(gamma, n)[0] == rooted_map_count(gamma, n)
 
     def test_unrooted_matches_theta(self):
-        for gamma in range(0, 3):
-            for n in range(1, 4):
-                assert dart_pair_oracle(gamma, n)[1] == theta(gamma, n)
-
-    def test_centralizer_is_the_wreath_product(self):
-        for n, size in [(1, 2), (2, 8), (3, 48), (4, 384)]:
-            alpha = [i ^ 1 for i in range(2 * n)]
-            commuting = {
-                tau for tau in permutations(range(2 * n))
-                if all(tau[alpha[i]] == alpha[tau[i]] for i in range(2 * n))
-            }
-            listed = _pair_centralizer(n)
-            assert len(listed) == len(set(listed)) == size
-            assert set(listed) == commuting
+        for n in range(1, DART_PAIR_GUARD + 1):
+            for gamma in range(n // 2 + 2):
+                assert dart_pair_oracle(gamma, n)[1] == theta(gamma, n), (gamma, n)
+        unrooted = {g: dart_pair_oracle(g, 4)[1] for g in range(3)}
+        assert unrooted == {0: 57, 1: 46, 2: 4}
 
     def test_guard(self):
-        with pytest.raises(ValueError, match="n = 4 exceeds 3"):
-            dart_pair_oracle(0, 4)
+        # the edge case agrees with both primaries; the next n is refused at once
+        assert DART_PAIR_GUARD == 5
+        assert dart_pair_oracle(2, 5) == (966, 106)
+        start = perf_counter()
+        with pytest.raises(ValueError, match="n = 6 exceeds 5"):
+            dart_pair_oracle(0, 6)
+        assert perf_counter() - start < 1
         with pytest.raises(ValueError):
             dart_pair_oracle(0, 0)
 
@@ -194,6 +191,30 @@ class TestDartPairOracle:
         # the same check and message as theta and rooted_map_count
         with pytest.raises(ValueError, match="genus must be >= 0, got -1"):
             dart_pair_oracle(-1, 2)
+
+
+def test_oracles_call_no_primary(monkeypatch):
+    # the canonical generator is independent of what the two oracles check
+    def refuse(*args):
+        raise AssertionError("an oracle called a primary")
+
+    for name in (
+        "orbicyclic.subgroups._hall",
+        "orbicyclic.subgroups.jordan_phi",
+        "orbicyclic.mapcount._carrell_chapuy",
+        "orbicyclic.mapcount.count_epi",
+        "orbicyclic.mapcount.enumerate_orbifolds",
+    ):
+        monkeypatch.setattr(name, refuse)
+    _map_census.cache_clear()
+    assert [dart_pair_oracle(g, 3) for g in range(3)] == [(54, 14), (20, 6), (0, 0)]
+    assert dart_pair_oracle(1, 4) == (307, 46)
+    assert transitive_pair_counts(2, 4) == (71, 26)
+    assert transitive_pair_counts(3, 3) == (97, 41)
+    # the patches bite: both primaries now fail
+    for primary, args in ((theta, (0, 3)), (free_group_subgroups, (2, 4))):
+        with pytest.raises(AssertionError, match="called a primary"):
+            primary(*args)
 
 
 def test_theta_integrality_and_rooted_sandwich():

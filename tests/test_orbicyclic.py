@@ -129,6 +129,18 @@ class TestHPoly:
         with pytest.raises(ValueError):
             h_poly(3, 0)
 
+    def test_print_bound(self):
+        # |h_s(x)| <= max(1, |x-1|^(s-1)): 6^5525 < 10^4300 <= 6^5526, so
+        # s = 5527 and up is refused before any power
+        assert len(str(h_poly(5526, 7))) == 4299
+        start = time.perf_counter()
+        for s in (5527, 10**6, 10**400):
+            with pytest.raises(ValueError, match="^h_poly may exceed the 4300-digit print limit$"):
+                h_poly(s, 7)
+        assert time.perf_counter() - start < 1
+        # |x - 1| <= 1 bounds nothing: the value is 0 or +-1 at any s
+        assert (h_poly(10**400, 2), h_poly(10**400 + 1, 1)) == (1, -1)
+
 
 class TestEValues:
     def test_examples(self):
@@ -261,6 +273,16 @@ class TestRepeatedTuples:
             f_r(0, 2)
         with pytest.raises(ValueError):
             f_r(6, -1)
+
+    def test_print_bound(self):
+        # f_r(m) <= m^(r-1): 9^4506 < 10^4300 <= 9^4507, so r = 4508 and up is refused
+        assert len(str(f_r(9, 4507))) == 3507
+        start = time.perf_counter()
+        for r in (4508, 10**6, 10**400):
+            with pytest.raises(ValueError, match="^f_r may exceed the 4300-digit print limit$"):
+                f_r(9, r)
+        assert time.perf_counter() - start < 1
+        assert f_r(1, 10**400) == 1
 
     def test_prime_power_divisibility(self):
         # p divides f_r(p^a) except exactly when a = 1, r > 1 and

@@ -3,6 +3,7 @@ from time import perf_counter
 import pytest
 
 from orbicyclic.subgroups import (
+    TUPLE_SCAN_GUARD,
     free_group_conjugacy_classes,
     free_group_subgroups,
     transitive_pair_counts,
@@ -58,8 +59,16 @@ def test_guards():
         free_group_subgroups(2, 0)
     with pytest.raises(ValueError):
         free_group_subgroups(2, 13)
-    with pytest.raises(ValueError):
+    # the edge of rank 4 agrees with Hall; rank 3 at index 5 charges
+    # 5 * 120**2 * 5 * 3 = 1,080,000 steps and is refused before any work
+    assert transitive_pair_counts(4, 3) == (
+        free_group_subgroups(4, 3),
+        free_group_conjugacy_classes(4, 3),
+    )
+    start = perf_counter()
+    with pytest.raises(ValueError, match="rank=3, index=5 exceeds guard 500000"):
         transitive_pair_counts(3, 5)
+    assert perf_counter() - start < 1
 
 
 def test_rank_guard():
@@ -74,11 +83,25 @@ def test_rank_guard():
 
 
 def test_tuple_scan_guard_counts_steps():
-    # the guard bounds rank * index * (index!)**rank steps, not the
-    # (index!)**rank tuples: one permutation of 8 points fits (322,560 steps)
-    assert transitive_pair_counts(1, 8) == (1, 1)
-    # 2**15 tuples are fewer than 8!, but 15 * 2 * 2**15 = 983,040 steps
+    # the guard charges index * (index!)**(rank-1) leaves, Hall's first term,
+    # at index * rank steps each, not the (index!)**rank tuples: one
+    # permutation of 12 points is 144 steps, though 12! tuples exist
+    assert transitive_pair_counts(1, 12) == (1, 1)
+    # 2 * 2**14 leaves at 30 steps each are 983,040 steps
     start = perf_counter()
     with pytest.raises(ValueError, match="rank=15, index=2 exceeds guard 500000"):
         transitive_pair_counts(15, 2)
     assert perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("rank, largest", [(1, 12), (2, 7), (3, 4), (4, 3), (5, 3)])
+def test_tuple_scan_reach(rank, largest):
+    # the oracle equals Hall's recursion and the Jordan sum at the largest
+    # index the guard accepts, and the next index is refused
+    assert transitive_pair_counts(rank, largest) == (
+        free_group_subgroups(rank, largest),
+        free_group_conjugacy_classes(rank, largest),
+    )
+    if largest < 12:
+        with pytest.raises(ValueError, match=f"exceeds guard {TUPLE_SCAN_GUARD}"):
+            transitive_pair_counts(rank, largest + 1)
