@@ -23,8 +23,8 @@ import math
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple
 
-from .arith import _periodic_sum, _require_int, _require_printable, _von_sterneck_table
-from .arith import divisors, factorize, is_prime
+from .arith import PRINT_DIGITS, _periodic_sum, _require_int, _require_printable
+from .arith import _von_sterneck_table, divisors, factorize, is_prime
 
 TRIPLES_GUARD = 10**4
 
@@ -143,8 +143,14 @@ def E_local(profile: LocalProfile) -> int:
 
 
 def E_closed(t: Periods) -> int:
-    """E via the closed multiplicative formula (product of local factors)."""
+    """E via the closed multiplicative formula (product of local factors).
+
+    A nonzero E must stay within PRINT_DIGITS digits; since E <= prod m_j,
+    only a tuple whose product passes that limit is looked at more closely.
+    """
     t = _coerce(t)
+    if sum(map(math.log10, t)) >= PRINT_DIGITS and _may_pass_print_limit(t):
+        raise ValueError(f"E may exceed the {PRINT_DIGITS}-digit print limit")
     result = 1
     for p, _ in factorize(t.m):
         result *= E_local(_local_profile(t, p))
@@ -161,6 +167,21 @@ def E_bruteforce(t: Periods) -> int:
     if rem:  # the mean is always an integer; a remainder is an internal error
         raise ArithmeticError(f"brute-force sum not divisible by {m}")
     return q
+
+
+def _may_pass_print_limit(t: PeriodTuple) -> bool:
+    """Whether E(t) may be nonzero and longer than PRINT_DIGITS digits.
+
+    |h_s(p)| <= (p-1)^(s-1), so each local factor is at most (p-1)^r_p * p^v.
+    Only profiles are computed, never a power.
+    """
+    if next(_vanishing_primes(t), None) is not None:
+        return False
+    digits = 0.0
+    for p, _ in factorize(t.m):
+        prof = _local_profile(t, p)
+        digits += prof.r_p * math.log10(p - 1) + prof.v * math.log10(p)
+    return digits >= PRINT_DIGITS
 
 
 def _vanishing_primes(t: PeriodTuple) -> Iterator[tuple[int, int]]:

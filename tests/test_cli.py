@@ -504,6 +504,16 @@ def test_print_limit_fails_in_every_format(capsys, fmt):
     assert err.startswith("error:")
 
 
+def test_print_limit_is_the_library_message(capsys):
+    # E_closed refuses the tuple itself, so every caller sees one message
+    limit = "error: E may exceed the 4300-digit print limit\n"
+    assert run(capsys, "e", *["999983"] * 800) == (1, "", limit)
+    # a tuple whose E vanishes has no digits to bound
+    code, out, _ = run(capsys, "--format", "json", "e", *["999983"] * 800, "999979")
+    assert code == 0
+    assert json.loads(out)["payload"]["value"] == "0"
+
+
 def test_cli_imports_only_the_standard_library():
     # the package declares dependencies = []; importing the CLI must keep to it
     probe = (

@@ -119,3 +119,19 @@ def test_import_leaves_fractions_unloaded():
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out == "\n"
+
+
+def test_import_fills_no_cache():
+    # a cache filled at import would be paid again by every process start
+    probe = (
+        "import sys, orbicyclic\n"
+        "caches = {f'{m.__name__}.{k}': v.cache_info().currsize\n"
+        "          for name, m in list(sys.modules.items()) if name.startswith('orbicyclic')\n"
+        "          for k, v in vars(m).items() if hasattr(v, 'cache_info')}\n"
+        "print(len(caches), *sorted(k for k, n in caches.items() if n))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert int(out[0]) > 0 and out[1:] == []

@@ -153,6 +153,21 @@ class TestEValues:
         for m in range(2, 21):
             assert E_closed((m,)) == 0
 
+    def test_print_bound(self):
+        # E(p x r) = (p-1) h_r(p) has about 6r digits at p = 999983, so r = 800
+        # passes the limit; the tuple is refused before any power is taken
+        start = time.perf_counter()
+        for r in (800, 3000, 20000):
+            with pytest.raises(ValueError, match="^E may exceed the 4300-digit print limit$"):
+                E_closed((999983,) * r)
+        assert time.perf_counter() - start < 1
+        # a lone 999979 gives s = 1 there, so E = 0 however long the tuple
+        assert E_closed((999983,) * 800 + (999979,)) == 0
+        # prod m_j only bounds E: E(2 x 20000) = h_20000(2) = 1, and
+        # E(9 x 4507) has 3,507 digits although 9^4507 has 4,301
+        assert E_closed((2,) * 20000) == 1
+        assert E_closed((9,) * 4507) == f_r(9, 4507)
+
     def test_ones_are_removable(self):
         for t in [(12, 12), (10, 5, 2), (4, 4, 3), ()]:
             assert E_closed(t + (1, 1)) == E_closed(t)

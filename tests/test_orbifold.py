@@ -3,8 +3,11 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from orbicyclic import orbifold
 from orbicyclic.arith import divisors, euler_phi
 from orbicyclic.orbifold import (
+    ELL_GUARD,
+    GAMMA_GUARD,
     CensusResult,
     OrbifoldSignature,
     _candidate_signatures,
@@ -19,6 +22,18 @@ from orbicyclic.orbifold import (
 
 def sig(g, *periods):
     return OrbifoldSignature(g, periods)
+
+
+def naive_candidates(gamma, ell):
+    """Every multiset of divisors >= 2 of ell, at every g <= gamma, that solves RH."""
+    orders = [d for d in divisors(ell) if d >= 2]
+    return {
+        s
+        for g in range(gamma + 1)
+        for r in range(2 * gamma + 3)
+        for ps in combinations_with_replacement(orders, r)
+        if rh_gamma(s := OrbifoldSignature(g, ps), ell) == gamma
+    }
 
 
 class TestSignature:
@@ -171,19 +186,31 @@ class TestEnumeration:
         total = 0
         for gamma in range(4):
             for ell in sorted(set(range(1, 4 * gamma + 3)) | {24, 30}):
-                orders = [d for d in divisors(ell) if d >= 2]
-                naive = {
-                    s
-                    for g in range(gamma + 1)
-                    for r in range(2 * gamma + 3)
-                    for ps in combinations_with_replacement(orders, r)
-                    if rh_gamma(s := OrbifoldSignature(g, ps), ell) == gamma
-                }
                 found = list(_candidate_signatures(gamma, ell))
                 assert len(found) == len(set(found)), (gamma, ell)
-                assert set(found) == naive, (gamma, ell)
+                assert set(found) == naive_candidates(gamma, ell), (gamma, ell)
                 total += len(found)
         assert total == 86
+
+    def test_pruned_candidates_match_a_naive_search_at_large_orders(self):
+        # the generator skips a branch whose remaining sum no later divisor
+        # can make up, and most branches die that way at large ell
+        for gamma in (0, 1):
+            for ell in (60, 120, 180, 200):
+                found = list(_candidate_signatures(gamma, ell))
+                assert len(found) == len(set(found)), (gamma, ell)
+                assert set(found) == naive_candidates(gamma, ell), (gamma, ell)
+
+    def test_whole_guarded_grid(self):
+        total = 0
+        for gamma in range(GAMMA_GUARD + 1):
+            for ell in range(1, ELL_GUARD + 1):
+                found = orbifold._candidates(gamma, ell)
+                assert len(found) == len(set(found)), (gamma, ell)
+                assert list(found) == sorted(found, key=lambda s: (s.g, s.r, s.periods))
+                assert all(rh_gamma(s, ell) == gamma for s in found), (gamma, ell)
+                total += len(found)
+        assert total == 1049
 
     def test_guards(self):
         with pytest.raises(ValueError):
@@ -192,6 +219,51 @@ class TestEnumeration:
             enumerate_orbifolds(2, 201)
         with pytest.raises(ValueError):
             enumerate_orbifolds(-1, 2)
+
+
+class TestCaches:
+    def test_bounded_by_the_guarded_domain(self):
+        for cache in (orbifold._candidates, orbifold._epi_route):
+            assert cache.cache_info().maxsize == (GAMMA_GUARD + 1) * ELL_GUARD
+        for gamma in range(GAMMA_GUARD + 1):
+            for ell in range(1, ELL_GUARD + 1):
+                enumerate_orbifolds(gamma, ell)
+                enumerate_orbifolds(gamma, ell)
+        for cache in (orbifold._candidates, orbifold._epi_route):
+            info = cache.cache_info()
+            assert info.currsize == info.misses == (GAMMA_GUARD + 1) * ELL_GUARD
+
+    def test_each_route_draws_the_candidates_once(self, monkeypatch):
+        # the cached list is built through the module's generator binding, so
+        # a wrapper there (as a tracer installs) sees every draw
+        draws = []
+        real = orbifold._candidate_signatures
+
+        def counted(gamma, ell):
+            draws.append((gamma, ell))
+            return real(gamma, ell)
+
+        monkeypatch.setattr(orbifold, "_candidate_signatures", counted)
+        for _ in range(3):
+            assert enumerate_orbifolds(2, 2) == enumerate_orbifolds_via_harvey(2, 2)
+        assert draws == [(2, 2)]
+
+    def test_returned_lists_are_fresh(self):
+        expected = [sig(0, 2, 2, 2, 2, 2, 2), sig(1, 2, 2)]
+        for fn in (enumerate_orbifolds, enumerate_orbifolds_via_harvey):
+            found = fn(2, 2)
+            found.append(sig(2))
+            found[0] = sig(5)
+            assert fn(2, 2) == expected
+
+    def test_non_integers_are_refused_after_a_cached_call(self):
+        # lru_cache takes True for 1 and 2.0 for 2, so the checks come first
+        for fn in (enumerate_orbifolds, enumerate_orbifolds_via_harvey):
+            assert fn(1, 2) == [sig(0, 2, 2, 2, 2), sig(1)]
+            with pytest.raises(ValueError, match="^gamma must be an integer, got True$"):
+                fn(True, 2)
+            with pytest.raises(ValueError, match="^group order must be an integer, got 2.0$"):
+                fn(1, 2.0)
 
 
 class TestCensus:
