@@ -56,10 +56,26 @@ def _require_int(value, message: str, least: int | None = None) -> None:
         raise ValueError(f"{message}, got {value!r}")
 
 
-def _require_printable(exponent: int, base: int, name: str) -> None:
-    """Refuse a value up to base**exponent that may pass PRINT_DIGITS digits."""
-    if base > 1 and exponent >= PRINT_DIGITS / math.log10(base):
+def _require_printable(
+    name: str, exponent: int = 0, base: int = 1, digits: float = 0.0
+) -> None:
+    """Refuse a value that may pass PRINT_DIGITS digits.
+
+    The value is at most base**exponent * 10**digits.  The exponent is
+    compared, never raised to, so any size takes constant time; a base
+    <= 1 bounds nothing.
+    """
+    room = PRINT_DIGITS - digits
+    if room <= 0 or (base > 1 and exponent >= room / math.log10(base)):
         raise ValueError(f"{name} may exceed the {PRINT_DIGITS}-digit print limit")
+
+
+def _exact_quotient(numerator: int, denominator: int, what: str) -> int:
+    """numerator / denominator, exact by proof: a remainder is an internal error."""
+    q, rem = divmod(numerator, denominator)
+    if rem:
+        raise ArithmeticError(f"{what}: {numerator} is not divisible by {denominator}")
+    return q
 
 
 def is_prime(n: int) -> bool:
@@ -215,7 +231,7 @@ def jordan_phi(k: int, n: int) -> int:
     _require_int(k, "jordan_phi order must be an integer")
     _require_int(k, "jordan_phi order must be >= 0", 0)
     fac = factorize(n)
-    _require_printable(k, n, "jordan_phi")
+    _require_printable("jordan_phi", k, n)
     return math.prod(p ** (a * k) - p ** ((a - 1) * k) for p, a in fac)
 
 

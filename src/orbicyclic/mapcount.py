@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, factorial
 
-from .arith import _require_int, divisors
+from .arith import _exact_quotient, _require_int, divisors
 from .epi import count_epi
 from .orbifold import ELL_GUARD, GAMMA_GUARD, enumerate_orbifolds
 from .subgroups import _canonical_actions
@@ -58,10 +58,8 @@ def _carrell_chapuy(g: int, n: int) -> int:
             _carrell_chapuy(g1, k - 1) * _carrell_chapuy(g - g1, l - 1)
             for g1 in range(g + 1)
         )
-    count, rem = divmod(total + 3 * pairs, n + 1)
-    if rem:
-        raise ArithmeticError(f"Carrell-Chapuy step not integral at g={g}, n={n}")
-    return count
+    what = f"Carrell-Chapuy step at g={g}, n={n}"
+    return _exact_quotient(total + 3 * pairs, n + 1, what)
 
 
 def rooted_map_count(g: int, n: int) -> int:
@@ -97,6 +95,13 @@ def _multinomial(top: int, parts: list[int]) -> int:
     return value // factorial(rest)
 
 
+def _check_args(gamma: int, n: int) -> None:
+    _require_int(gamma, "genus must be an integer")
+    _require_int(n, "edge count must be an integer")
+    _require_int(n, "edge count must be >= 1", 1)
+    _require_int(gamma, "genus must be >= 0", 0)
+
+
 def theta(gamma: int, n: int) -> int:
     """Number of maps with n edges on the genus-gamma surface, unrooted.
 
@@ -109,10 +114,7 @@ def theta(gamma: int, n: int) -> int:
     Inputs past gamma <= GAMMA_GUARD or 2n <= ELL_GUARD, the largest ell
     summed over, are rejected before any work is done.
     """
-    _require_int(gamma, "genus must be an integer")
-    _require_int(n, "edge count must be an integer")
-    _require_int(n, "edge count must be >= 1", 1)
-    _require_int(gamma, "genus must be >= 0", 0)
+    _check_args(gamma, n)
     if gamma > GAMMA_GUARD or 2 * n > ELL_GUARD:
         raise ValueError(
             f"(gamma={gamma}, n={n}) exceeds the guard "
@@ -139,12 +141,7 @@ def theta(gamma: int, n: int) -> int:
                 ways = comb(dart_orbits, s2)
                 sig_sum += ways * placements * rooted_map_count(sig.g, quotient_edges)
             total += epi * sig_sum
-    count, rem = divmod(total, 2 * n)
-    if rem:
-        raise ArithmeticError(
-            f"Burnside sum {total} not divisible by {2 * n} at gamma={gamma}, n={n}"
-        )
-    return count
+    return _exact_quotient(total, 2 * n, f"Burnside sum at gamma={gamma}, n={n}")
 
 
 def _cycle_count(perm) -> int:
@@ -177,10 +174,7 @@ def dart_pair_oracle(gamma: int, n: int) -> tuple[int, int]:
     involution; genus comes from Euler's relation.  Each canonical pair is one
     rooted map, and one unrooted map when its code is least over all root darts.
     """
-    _require_int(gamma, "genus must be an integer")
-    _require_int(n, "edge count must be an integer")
-    _require_int(n, "edge count must be >= 1", 1)
-    _require_int(gamma, "genus must be >= 0", 0)
+    _check_args(gamma, n)
     if n > DART_PAIR_GUARD:
         raise ValueError(f"oracle guard: n = {n} exceeds {DART_PAIR_GUARD}")
     return _map_census(n).get(gamma, (0, 0))

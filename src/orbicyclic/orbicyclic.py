@@ -23,8 +23,9 @@ import math
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple
 
-from .arith import PRINT_DIGITS, _periodic_sum, _require_int, _require_printable
-from .arith import _von_sterneck_table, divisors, factorize, is_prime
+from .arith import PRINT_DIGITS, _exact_quotient, _periodic_sum, _require_int
+from .arith import _require_printable, _von_sterneck_table, divisors, factorize
+from .arith import is_prime
 
 TRIPLES_GUARD = 10**4
 
@@ -124,16 +125,13 @@ def h_poly(s: int, x: int) -> int:
     _require_int(s, "h_poly index must be >= 1", 1)
     if x == 0:
         raise ValueError("h_poly is indeterminate at x = 0")
-    _require_printable(s - 1, abs(x - 1), "h_poly")
+    _require_printable("h_poly", s - 1, abs(x - 1))
     return _h_poly(s, x)
 
 
 def _h_poly(s: int, x: int) -> int:
     """h_poly without its checks, for the primes and counts of a factored lcm."""
-    q, rem = divmod((x - 1) ** (s - 1) + (-1) ** s, x)
-    if rem:
-        raise ArithmeticError(f"h_{s}({x}) is not an integer")
-    return q
+    return _exact_quotient((x - 1) ** (s - 1) + (-1) ** s, x, "h_s(x)")
 
 
 def E_local(profile: LocalProfile) -> int:
@@ -147,10 +145,14 @@ def E_closed(t: Periods) -> int:
 
     A nonzero E must stay within PRINT_DIGITS digits; since E <= prod m_j,
     only a tuple whose product passes that limit is looked at more closely.
+    There, unless E vanishes, |h_s(p)| <= (p-1)^(s-1) bounds each local
+    factor by (p-1)^r_p * p^v, from profiles alone, before any power.
     """
     t = _coerce(t)
-    if sum(map(math.log10, t)) >= PRINT_DIGITS and _may_pass_print_limit(t):
-        raise ValueError(f"E may exceed the {PRINT_DIGITS}-digit print limit")
+    if sum(map(math.log10, t)) >= PRINT_DIGITS and not vanishes(t)[0]:
+        profiles = [_local_profile(t, p) for p, _ in factorize(t.m)]
+        logs = [q.r_p * math.log10(q.p - 1) + q.v * math.log10(q.p) for q in profiles]
+        _require_printable("E", digits=sum(logs))
     result = 1
     for p, _ in factorize(t.m):
         result *= E_local(_local_profile(t, p))
@@ -163,25 +165,8 @@ def E_bruteforce(t: Periods) -> int:
     """E directly from the defining mean, summed over one period k = 1..lcm."""
     t = _coerce(t)
     m = t.m
-    q, rem = divmod(_periodic_sum(_von_sterneck_table, t, m), m)
-    if rem:  # the mean is always an integer; a remainder is an internal error
-        raise ArithmeticError(f"brute-force sum not divisible by {m}")
-    return q
-
-
-def _may_pass_print_limit(t: PeriodTuple) -> bool:
-    """Whether E(t) may be nonzero and longer than PRINT_DIGITS digits.
-
-    |h_s(p)| <= (p-1)^(s-1), so each local factor is at most (p-1)^r_p * p^v.
-    Only profiles are computed, never a power.
-    """
-    if next(_vanishing_primes(t), None) is not None:
-        return False
-    digits = 0.0
-    for p, _ in factorize(t.m):
-        prof = _local_profile(t, p)
-        digits += prof.r_p * math.log10(p - 1) + prof.v * math.log10(p)
-    return digits >= PRINT_DIGITS
+    total = _periodic_sum(_von_sterneck_table, t, m)
+    return _exact_quotient(total, m, "brute-force sum")  # the mean is an integer
 
 
 def _vanishing_primes(t: PeriodTuple) -> Iterator[tuple[int, int]]:
@@ -217,7 +202,7 @@ def f_r(m: int, r: int) -> int:
     _require_int(r, "f_r expects r >= 0", 0)
     if r == 0:
         return 1
-    _require_printable(r - 1, m, "f_r")
+    _require_printable("f_r", r - 1, m)
     result = 1
     for p, a in factorize(m):
         result *= (p - 1) * p ** ((r - 1) * (a - 1)) * _h_poly(r, p)

@@ -20,10 +20,13 @@ from __future__ import annotations
 
 from math import factorial
 
-from .arith import _require_int, divisors, jordan_phi
+from .arith import _exact_quotient, _require_int, divisors, jordan_phi
 
 INDEX_GUARD = 12
 # Keeps M(12), about 8.7 * (rank - 1) digits, within Python's 4,300-digit str limit.
+# It also keeps _canonical_actions's index * rank levels of recursion, at most
+# 400 within TUPLE_SCAN_GUARD (index 1), under the interpreter's limit: at index
+# 1 rank 990 completes and 1,000 raises RecursionError (CPython 3.11.7).
 RANK_GUARD = 400
 # transitive_pair_counts visits at most n * (n!)^(r-1) leaves (Hall's first term)
 # at about n * r steps each, and charges that before any work.  Measured (rank,
@@ -65,12 +68,7 @@ def free_group_conjugacy_classes(rank: int, index: int) -> int:
     n, r = index, rank
     counts = _hall(r, n)
     total = sum(jordan_phi((r - 1) * d + 1, n // d) * counts[d] for d in divisors(n))
-    count, rem = divmod(total, n)
-    if rem:
-        raise ArithmeticError(
-            f"divisor sum {total} not divisible by {n} at rank={r}, index={n}"
-        )
-    return count
+    return _exact_quotient(total, n, f"divisor sum at rank={r}, index={n}")
 
 
 def _canonical_actions(points: int, rank: int, paired: bool = False):

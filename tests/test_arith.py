@@ -286,11 +286,32 @@ def test_jordan_phi_print_bound():
     assert jordan_phi(10**400, 1) == 1
 
 
-def test_print_limit_is_one_constant():
-    # epi's count bound and arith's power bounds share one object, not two 4300s
-    from orbicyclic import epi
+def test_require_printable_bounds_digits_alone():
+    arith._require_printable("x", digits=4299.999)
+    with pytest.raises(ValueError, match="^x may exceed the 4300-digit print limit$"):
+        arith._require_printable("x", digits=4300.0)
+    # the digits shrink the room left for the power: 9 * 10^4299 has 4,300
+    # digits and 27 * 10^4299 has 4,301
+    arith._require_printable("x", 2, 3, 4299.0)
+    with pytest.raises(ValueError, match="print limit"):
+        arith._require_printable("x", 3, 3, 4299.0)
 
-    assert epi.PRINT_DIGITS is arith.PRINT_DIGITS == 4300
+
+def test_require_printable_compares_the_exponent_in_constant_time():
+    start = perf_counter()
+    with pytest.raises(ValueError, match="^x may exceed the 4300-digit print limit$"):
+        arith._require_printable("x", 10**400, 3)
+    assert perf_counter() - start < 0.01
+    # a base <= 1 bounds nothing, however large the exponent
+    for base in (1, 0):
+        arith._require_printable("x", 10**400, base)
+
+
+def test_exact_quotient():
+    assert arith._exact_quotient(42, 6, "x") == 7
+    assert arith._exact_quotient(-42, 6, "x") == -7
+    with pytest.raises(ArithmeticError, match="^sum at n=3: 43 is not divisible by 6$"):
+        arith._exact_quotient(43, 6, "sum at n=3")
 
 
 def test_jordan_phi_divisible_by_euler_phi():

@@ -117,6 +117,25 @@ class TestEpi:
         assert code == 0
         assert "check[brute_force]: ok" in err
 
+    def test_check_mismatch_exits_3(self, capsys, monkeypatch):
+        # the check compares count_epi's E factor with E's defining mean
+        monkeypatch.setattr(cli, "E_bruteforce", lambda periods: -1)
+        argv = ("--check", "epi", "--genus", "0", "--order", "10", "--periods", "2,5,10")
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == "epimorphisms (0;2,5,10) -> Z_10: 4\n"
+        assert err == "check[brute_force]: MISMATCH expected=4 observed=-1\n"
+
+    def test_check_takes_the_mean_when_the_count_vanishes(self, capsys):
+        # lcm 1000003 does not divide 12, so the count is 0 without E; the
+        # check still takes E's mean, whose modulus passes the brute-force guard
+        argv = ("epi", "--genus", "0", "--order", "12", "--periods", "1000003")
+        assert run(capsys, *argv) == (0, "epimorphisms (0;1000003) -> Z_12: 0\n", "")
+        guard = "error: modulus 1000003 exceeds the brute-force guard 1000000\n"
+        assert run(capsys, "--check", *argv) == (1, "", guard)
+        # e --check refuses the same tuple in the same words
+        assert run(capsys, "--check", "e", "1000003") == (1, "", guard)
+
     def test_genus_guard_fails_fast(self, capsys):
         for genus in ("10000", "100000000", str(10**400)):
             start = perf_counter()

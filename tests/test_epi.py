@@ -3,8 +3,8 @@ from time import perf_counter
 import pytest
 
 from orbicyclic.arith import euler_phi, jordan_phi
-from orbicyclic.epi import _count_epi_by_brute_force, count_epi
-from orbicyclic.orbicyclic import equals_phi_classification
+from orbicyclic.epi import count_epi
+from orbicyclic.orbicyclic import E_bruteforce, E_closed, equals_phi_classification
 from orbicyclic.orbifold import OrbifoldSignature, enumerate_orbifolds, epi_nonvanishing
 
 
@@ -48,6 +48,11 @@ def test_print_bound_is_checked_before_the_count():
     assert count_epi(sig(10**400), 1) == 1
 
 
+def test_order_one_skips_the_print_bound():
+    # prod(m_j) alone passes the limit, but Z_1 has at most one epimorphism
+    assert count_epi(sig(0, *(999983,) * 800), 1) == 0
+
+
 def test_rejects_bad_order():
     with pytest.raises(ValueError):
         count_epi(sig(1), 0)
@@ -74,7 +79,7 @@ def test_divisible_by_totient_when_nonzero():
                 n = count_epi(s, ell)
                 assert n > 0
                 assert n % euler_phi(ell) == 0
-                assert _count_epi_by_brute_force(s, ell) == n
+                assert E_bruteforce(s.periods) == E_closed(s.periods)
 
 
 def test_equals_totient_criterion():

@@ -85,6 +85,52 @@ def test_integer_check_has_one_implementation():
     ]
 
 
+def raise_sites(source: str, text: str) -> list[str | None]:
+    """The innermost function around each raise statement whose source contains text."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Raise) and text in ast.unparse(node):
+            found.append(func)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_finds_a_raise():
+    source = (
+        "raise ValueError('past the print limit')\n"
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise ArithmeticError(f'{x} past the print limit')\n"
+        "    raise ArithmeticError\n"
+    )
+    assert raise_sites(source, "print limit") == [None, "f"]
+    assert raise_sites(source, "raise ArithmeticError") == ["f", "f"]
+
+
+def test_print_limit_and_exact_division_have_one_implementation():
+    # every bound on printed digits goes through one rule, and every division
+    # the mathematics makes exact through one check; the census keeps its own
+    # ArithmeticError for an orbifold admitted at two group orders
+    def sites(text):
+        return [
+            (path.name, func)
+            for path in MODULES
+            for func in raise_sites(path.read_text(), text)
+        ]
+
+    assert sites("print limit") == [("arith.py", "_require_printable")]
+    assert sites("raise ArithmeticError") == [
+        ("arith.py", "_exact_quotient"),
+        ("orbifold.py", "census"),
+    ]
+
+
 def test_cli_binds_no_library_knowledge():
     # Bounds, formulas and oracles live beside the code they bound or check;
     # the CLI only parses and renders, so its one module constant is COMMANDS.

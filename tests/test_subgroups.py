@@ -3,6 +3,7 @@ from time import perf_counter
 import pytest
 
 from orbicyclic.subgroups import (
+    RANK_GUARD,
     TUPLE_SCAN_GUARD,
     free_group_conjugacy_classes,
     free_group_subgroups,
@@ -80,6 +81,12 @@ def test_rank_guard():
         with pytest.raises(ValueError, match="rank 1000000 exceeds guard 400"):
             count(10**6, 12)
     assert perf_counter() - start < 1
+
+
+def test_rank_guard_bounds_the_scan_recursion():
+    # the canonical scan recurses index * rank levels; at index 1 and the
+    # largest rank it still fits under the interpreter's recursion limit
+    assert transitive_pair_counts(RANK_GUARD, 1) == (1, 1)
 
 
 def test_tuple_scan_guard_counts_steps():
