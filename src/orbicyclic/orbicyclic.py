@@ -23,9 +23,9 @@ import math
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple
 
-from .arith import PRINT_DIGITS, _exact_quotient, _periodic_sum, _require_int
-from .arith import _require_printable, _von_sterneck_table, divisors, factorize
-from .arith import is_prime
+from .arith import PRINT_DIGITS, _exact_quotient, _factorize, _periodic_sum
+from .arith import _require_int, _require_printable, _von_sterneck_table
+from .arith import divisors, factorize, is_prime
 
 TRIPLES_GUARD = 10**4
 
@@ -102,14 +102,8 @@ def _local_profile(t: PeriodTuple, p: int) -> LocalProfile:
             exps.append(e)
     if not exps:  # for a prime p, the same as p not dividing the lcm
         raise ValueError(f"{p} divides no value of {t!r}")
-    a = max(exps)
-    return LocalProfile(
-        p=p,
-        a=a,
-        s=sum(1 for e in exps if e == a),
-        v=sum(e - 1 for e in exps) - a + 1,
-        r_p=len(exps),
-    )
+    a, r_p = max(exps), len(exps)
+    return LocalProfile(p, a, exps.count(a), sum(exps) - r_p - a + 1, r_p)
 
 
 def h_poly(s: int, x: int) -> int:
@@ -149,12 +143,13 @@ def E_closed(t: Periods) -> int:
     factor by (p-1)^r_p * p^v, from profiles alone, before any power.
     """
     t = _coerce(t)
+    fac = _factorize(t.m)  # a PeriodTuple's lcm is already a valid argument
     if sum(map(math.log10, t)) >= PRINT_DIGITS and not vanishes(t)[0]:
-        profiles = [_local_profile(t, p) for p, _ in factorize(t.m)]
+        profiles = [_local_profile(t, p) for p, _ in fac]
         logs = [q.r_p * math.log10(q.p - 1) + q.v * math.log10(q.p) for q in profiles]
         _require_printable("E", digits=sum(logs))
     result = 1
-    for p, _ in factorize(t.m):
+    for p, _ in fac:
         result *= E_local(_local_profile(t, p))
         if result == 0:
             return 0

@@ -1,17 +1,19 @@
 import pytest
 
-from orbicyclic import arith, orbifold
+from orbicyclic import arith, congruence, orbifold
 
 
 @pytest.fixture(autouse=True)
 def fresh_caches():
     """Start every test with empty per-modulus and per-(gamma, ell) caches.
 
-    A factorization or Phi row cached by an earlier test would let a later
-    one pass without running the code it counts calls of, and a candidate or
-    orbifold list cached before a monkeypatch would hide the patched code.
+    A factorization, Phi row or residue class cached by an earlier test would
+    let a later one pass without running the code it counts calls of, and a
+    candidate or orbifold list cached before a monkeypatch would hide the
+    patched code.
     """
     arith._factorize.cache_clear()
     arith._von_sterneck_by_divisor.cache_clear()
+    congruence._classes_by_modulus.clear()
     orbifold._candidates.cache_clear()
     orbifold._epi_route.cache_clear()

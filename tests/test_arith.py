@@ -365,6 +365,13 @@ def test_von_sterneck_table_matches_pointwise():
         assert _von_sterneck_table(n) == [von_sterneck(k, n) for k in range(n)]
 
 
+def test_von_sterneck_table_powers_match_pointwise():
+    # the power is taken at the tau(n) divisor values, before the slice writes
+    for n in range(1, 61):
+        for c in range(5):
+            assert _von_sterneck_table(n, c) == [von_sterneck(k, n) ** c for k in range(n)]
+
+
 def test_ramanujan_sum_argument_order():
     # ramanujan_sum(n, k) == von_sterneck(k, n)
     assert ramanujan_sum(1, 3) == 1
@@ -425,6 +432,14 @@ def test_periodic_average_calls_f_once_per_residue_of_each_distinct_period():
     )
     assert len(calls) == 16
     assert set(calls) == {(k, m) for m in (12, 4) for k in range(m)}
+
+
+def test_periodic_average_of_repeated_periods_matches_pointwise_mean():
+    # f = gcd is no von Sterneck function, so each row is raised to its
+    # period's multiplicity by periodic_average's own table
+    for t, M in [((4, 4, 6), 12), ((6, 6, 6, 2), 12), ((5, 5), 10), ((3, 3, 3, 3), 9)]:
+        pointwise = Fraction(sum(math.prod(math.gcd(k, m) for m in t) for k in range(M)), M)
+        assert periodic_average(math.gcd, t, M) == pointwise, t
 
 
 def test_periodic_average_rejects_bad_modulus():

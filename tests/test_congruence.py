@@ -138,6 +138,31 @@ def test_matches_naive_scan_length_four():
             assert count_congruence_solutions(M, t) == counts[t], (M, t)
 
 
+def test_residue_store_stays_within_its_budget():
+    # moduli that sum past the budget, drawn with repeats, so the store both
+    # serves kept classes and empties itself to make room
+    store, budget = congruence._classes_by_modulus, congruence._CLASS_BUDGET
+    rng = random.Random(24)
+    pool = rng.sample(range(1, 6001), 30)
+    assert sum(pool) > budget
+    sweep = []
+    for _ in range(120):
+        M = rng.choice(pool)
+        divs = divisors_of(M)
+        t = tuple(rng.choice(divs) for _ in range(rng.randint(1, 2)))
+        sweep.append((M, t, count_congruence_solutions(M, t)))
+        assert M in store and sum(store) <= budget, M
+    assert not {M for M, _, _ in sweep} <= set(store)  # some were evicted
+    for M, t, count in sweep:
+        store.clear()
+        assert count_congruence_solutions(M, t) == count, (M, t)
+    # a modulus past the budget is counted but not kept, and evicts nothing
+    kept = dict(store)
+    M = budget + 1
+    assert count_congruence_solutions(M, (M, M)) == E_closed((M, M))
+    assert store == kept
+
+
 def test_oracle_imports_nothing_from_what_it_checks():
     # the oracle must stay independent of E: no arith, no closed form
     tree = ast.parse(Path(congruence.__file__).read_text())

@@ -168,12 +168,15 @@ def test_import_leaves_fractions_unloaded():
 
 
 def test_import_fills_no_cache():
-    # a cache filled at import would be paid again by every process start
+    # a cache filled at import would be paid again by every process start; the
+    # congruence store is a plain dict, which the cache_info probe cannot see
     probe = (
         "import sys, orbicyclic\n"
         "caches = {f'{m.__name__}.{k}': v.cache_info().currsize\n"
         "          for name, m in list(sys.modules.items()) if name.startswith('orbicyclic')\n"
         "          for k, v in vars(m).items() if hasattr(v, 'cache_info')}\n"
+        "caches['congruence._classes_by_modulus'] = len(\n"
+        "    sys.modules['orbicyclic.congruence']._classes_by_modulus)\n"
         "print(len(caches), *sorted(k for k, n in caches.items() if n))"
     )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
