@@ -12,12 +12,9 @@ from __future__ import annotations
 
 import math
 import operator
-import random
+from collections.abc import Callable, Iterable
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Iterable
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from itertools import count
 
 # A Factorization is an ordered list of (prime, exponent) pairs with the
 # primes strictly increasing; [] represents 1.
@@ -108,8 +105,9 @@ def is_prime(n: int) -> bool:
 # Rho takes about sqrt(p) steps for the least prime p of n, so the slowest
 # cofactor factorize accepts is a product of two primes just below
 # sqrt(MR_BOUND), about 2**40.7.  Measured on a 2-core VM under CPython
-# 3.11.7 over 16 such semiprimes: median 0.8 s, range 0.04-4.7 s per call.
-# That is the worst case, so the walk needs no step budget.
+# 3.11.7 over 16 such semiprimes, two rounds: median 0.8-0.9 s, range
+# 0.45-2.2 s per call.  That is the worst case, so the walk needs no step
+# budget.
 def _pollard_rho(n: int) -> int:
     """Return a nontrivial factor of an odd composite n (Brent's variant).
 
@@ -118,15 +116,13 @@ def _pollard_rho(n: int) -> int:
     unchecked and then r more, each multiplying x - y into a running
     product mod n, with one gcd per batch of steps.  If a batch's gcd is
     n, the batch is replayed from its saved start with one gcd per step;
-    only if that also gives n is a fresh walk drawn.  The walks are drawn
-    from a generator seeded with n, so the result never depends on the
-    state of the global random module.
+    only if that also gives n is a fresh walk taken.  Every walk starts
+    from y = 2, the first with c = 1 and each fresh one with the next c, so
+    the factor found depends only on n.
     """
     batch = 128
-    rng = random.Random(n)
-    while True:
-        c = rng.randrange(1, n)
-        y = rng.randrange(n)
+    for c in count(1):
+        y = 2
         g = q = r = 1
         while g == 1:
             x = y
@@ -276,7 +272,7 @@ def ramanujan_sum(n: int, k: int) -> int:
     return sum(d * mobius(n // d) for d in divisors(g))
 
 
-def _von_sterneck_table(n: int, power: int = 1) -> list[int]:
+def _von_sterneck_table(n: int, power: int) -> list[int]:
     """[Phi(k, n) ** power for k in range(n)], from Phi at the divisors of n.
 
     Those tau(n) values are computed once per n and kept; the n-long table

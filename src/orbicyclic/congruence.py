@@ -28,8 +28,9 @@ STEP_GUARD = 10**6
 # Each modulus's residues sorted by their gcd with it, kept across calls: a
 # sweep repeats its moduli, and the class pass is most of a small count.
 # Modulus M holds M residues, so the keys sum to the residues held.  A
-# modulus that would pass the budget empties the store first, and one
-# larger than the budget is counted but not kept.  Measured with tracemalloc
+# modulus is kept only if it fits in what the budget leaves, and nothing is
+# ever evicted: a sweep past the budget keeps its first moduli, and a call
+# never costs more than with an empty store.  Measured with tracemalloc
 # under CPython 3.11.7: one modulus near the budget (65,520) holds 2.7 MB,
 # the moduli 1..60 together 0.05 MB.
 _CLASS_BUDGET = 2**16
@@ -88,8 +89,6 @@ def _residue_classes(M: int) -> dict[int, list[int]]:
         classes = {}
         for x in range(M):
             classes.setdefault(math.gcd(x, M), []).append(x)
-        if M <= _CLASS_BUDGET:
-            if sum(_classes_by_modulus) + M > _CLASS_BUDGET:
-                _classes_by_modulus.clear()
+        if sum(_classes_by_modulus) + M <= _CLASS_BUDGET:
             _classes_by_modulus[M] = classes
     return classes

@@ -20,8 +20,9 @@ h_s(x) = ((x-1)^(s-1) + (-1)^s) / x.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from itertools import product
-from typing import Iterable, Iterator, NamedTuple
 
 from .arith import PRINT_DIGITS, _exact_quotient, _factorize, _periodic_sum
 from .arith import _require_int, _require_printable, _von_sterneck_table
@@ -67,14 +68,10 @@ def _coerce(t: Periods) -> PeriodTuple:
     return t if isinstance(t, PeriodTuple) else PeriodTuple(t)
 
 
-class LocalProfile(NamedTuple):
+class LocalProfile(namedtuple("LocalProfile", "p a s v r_p")):
     """Per-prime parameters (a, s, v, r_p) of a period tuple at p."""
 
-    p: int
-    a: int
-    s: int
-    v: int
-    r_p: int
+    __slots__ = ()
 
 
 def local_profile(t: Periods, p: int) -> LocalProfile:

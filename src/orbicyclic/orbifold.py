@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
 
 from .arith import _require_int, divisors
 from .orbicyclic import PeriodTuple, _vanishing_primes
@@ -269,7 +269,7 @@ def enumerate_orbifolds_via_harvey(gamma: int, ell: int) -> list[OrbifoldSignatu
     ]
 
 
-class CensusResult(NamedTuple):
+class CensusResult(namedtuple("CensusResult", "gamma orbifolds")):
     """Admissible orbifolds for one surface genus, as (ell, signature) pairs.
 
     a counts the orbifolds (signature together with its admitting ell);
@@ -278,8 +278,7 @@ class CensusResult(NamedTuple):
     signature determines its ell (census raises otherwise).
     """
 
-    gamma: int
-    orbifolds: tuple[tuple[int, OrbifoldSignature], ...]
+    __slots__ = ()
 
     @property
     def a(self) -> int:

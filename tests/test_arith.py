@@ -362,7 +362,7 @@ def test_von_sterneck_four_routes_agree():
 
 def test_von_sterneck_table_matches_pointwise():
     for n in [*range(1, 401), 5040, 27720]:
-        assert _von_sterneck_table(n) == [von_sterneck(k, n) for k in range(n)]
+        assert _von_sterneck_table(n, 1) == [von_sterneck(k, n) for k in range(n)]
 
 
 def test_von_sterneck_table_powers_match_pointwise():

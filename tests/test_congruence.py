@@ -140,7 +140,7 @@ def test_matches_naive_scan_length_four():
 
 def test_residue_store_stays_within_its_budget():
     # moduli that sum past the budget, drawn with repeats, so the store both
-    # serves kept classes and empties itself to make room
+    # serves kept classes and turns away moduli that no longer fit
     store, budget = congruence._classes_by_modulus, congruence._CLASS_BUDGET
     rng = random.Random(24)
     pool = rng.sample(range(1, 6001), 30)
@@ -150,9 +150,10 @@ def test_residue_store_stays_within_its_budget():
         M = rng.choice(pool)
         divs = divisors_of(M)
         t = tuple(rng.choice(divs) for _ in range(rng.randint(1, 2)))
+        before = set(store)
         sweep.append((M, t, count_congruence_solutions(M, t)))
-        assert M in store and sum(store) <= budget, M
-    assert not {M for M, _, _ in sweep} <= set(store)  # some were evicted
+        assert before <= set(store) and sum(store) <= budget, M
+    assert not {M for M, _, _ in sweep} <= set(store)  # some were not kept
     for M, t, count in sweep:
         store.clear()
         assert count_congruence_solutions(M, t) == count, (M, t)
@@ -161,6 +162,18 @@ def test_residue_store_stays_within_its_budget():
     M = budget + 1
     assert count_congruence_solutions(M, (M, M)) == E_closed((M, M))
     assert store == kept
+
+
+def test_residue_store_keeps_a_large_modulus_across_small_ones():
+    # a modulus near the budget stays kept while a small one that no longer
+    # fits beside it is counted afresh each time
+    store = congruence._classes_by_modulus
+    big, small = 65_520, 60
+    assert big <= congruence._CLASS_BUDGET < big + small
+    for _ in range(3):
+        assert count_congruence_solutions(big, (big, big)) == E_closed((big, big))
+        assert count_congruence_solutions(small, (60, 30, 20)) == E_closed((60, 30, 20))
+        assert set(store) == {big}
 
 
 def test_oracle_imports_nothing_from_what_it_checks():

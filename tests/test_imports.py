@@ -156,10 +156,13 @@ def test_cli_binds_no_library_knowledge():
     assert not imported & {"math", "itertools"}
 
 
-def test_import_leaves_fractions_unloaded():
-    # Fraction is imported inside periodic_average, its one user; -S keeps
-    # site's own imports out of the probe
-    probe = "import sys, orbicyclic; print(*sorted({'fractions', 'decimal'} & set(sys.modules)))"
+def test_import_loads_only_what_the_package_uses():
+    # Fraction is imported inside periodic_average, its one user; rho's walks
+    # need no RNG, and the records and annotations come from collections, so
+    # typing (and the re and enum it loads) stays out; -S keeps site's own
+    # imports out of the probe
+    unused = "{'fractions', 'decimal', 'random', 'typing', 're', 'enum'}"
+    probe = f"import sys, orbicyclic; print(*sorted({unused} & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run(
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True

@@ -304,6 +304,15 @@ class TestCensus:
         with pytest.raises(ValueError):
             census(7)
 
+    def test_signature_admitted_at_two_orders_is_an_error(self, monkeypatch):
+        # for gamma >= 2 Riemann-Hurwitz fixes ell, so this is an internal fault
+        def twice_admitted(gamma, ell):
+            return [sig(1, 2, 2)] if ell in (2, 3) else []
+
+        monkeypatch.setattr(orbifold, "enumerate_orbifolds", twice_admitted)
+        with pytest.raises(ArithmeticError, match="admitted by both ell=2 and ell=3$"):
+            census(2)
+
     def test_wiman_bound_is_sharp(self):
         # the largest admitting order is 4*gamma + 2, realized by (0;2,2*gamma+1,4*gamma+2)
         for gamma in (2, 3, 4):
