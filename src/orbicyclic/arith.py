@@ -40,6 +40,10 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
+class GuardError(ValueError):
+    """A valid input refused by a bound the library sets on cost or printed digits."""
+
+
 def _require_int(value, message: str, least: int | None = None) -> None:
     """Raise ValueError(f"{message}, got {value!r}") unless value is an int >= least.
 
@@ -63,7 +67,7 @@ def _require_printable(
     """
     room = PRINT_DIGITS - digits
     if room <= 0 or (base > 1 and exponent >= room / math.log10(base)):
-        raise ValueError(f"{name} may exceed the {PRINT_DIGITS}-digit print limit")
+        raise GuardError(f"{name} may exceed the {PRINT_DIGITS}-digit print limit")
 
 
 def _exact_quotient(numerator: int, denominator: int, what: str) -> int:
@@ -312,7 +316,7 @@ def _periodic_sum(
     BRUTE_FORCE_GUARD is rejected before any table is built.
     """
     if M > BRUTE_FORCE_GUARD:
-        raise ValueError(
+        raise GuardError(
             f"modulus {M} exceeds the brute-force guard {BRUTE_FORCE_GUARD}"
         )
     counts: dict[int, int] = {}

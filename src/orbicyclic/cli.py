@@ -2,18 +2,19 @@
 
 One subcommand per library area, each declared once in COMMANDS; every
 invocation prints exactly one record on stdout in the requested --format
-(table, json, or csv).  A handler returns (kind, payload, table_lines,
-csv_rows, checks): the json record's kind and payload, with counts as
-decimal strings; the table text's lines; the csv rows, header first; and
-its checks as (oracle, expected, observed[, detail]) tuples, each passing
-when str(expected) == str(observed).  main renders only the requested
-format.  --check (on e, also spelled --brute) reruns the result through
-an independent route (brute force, Harvey's conditions, exhaustive scans)
-and reports to stderr; a mismatch flips the exit code to 3 without
-touching the primary output.
+(table, json, or csv).  A handler only computes and renders: it returns
+(kind, payload, table_lines, csv_rows, checks), the json record's kind and
+payload (counts as decimal strings), the table text's lines, the csv rows
+(header first) and its checks as (oracle, thunk) pairs.  main renders the
+requested format, then calls each thunk for (expected, observed[, detail]),
+a pass when str(expected) == str(observed).  --check (on e, also --brute)
+reruns the result through an independent oracle and reports to stderr: a
+mismatch exits 3 and leaves the record on stdout, and an oracle refused by
+its own guard reports skipped, with the guard's message.
 
-Exit codes: 0 ok, 1 a value outside the command's domain or past a guard
-(the library's message), 2 an argv that does not parse, 3 failed check.
+Exit codes: 0 ok (every check passed or skipped), 1 a value outside the
+command's domain or past its own guard (the library's message), 2 an argv
+that does not parse, 3 failed check.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ import io
 import json
 import sys
 
-from .arith import divisors
+from .arith import GuardError, divisors
 from .congruence import count_congruence_solutions
 from .epi import count_epi
-from .mapcount import DART_PAIR_GUARD, dart_pair_oracle, theta
+from .mapcount import dart_pair_oracle, theta
 from .orbicyclic import (
     E_bruteforce,
     E_closed,
@@ -84,8 +85,7 @@ def _orbifold_forms(entries) -> tuple[list[dict], list[str], list[list]]:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers.  Each renders its counts before it runs its checks,
-# so a count past the print limit fails before any oracle runs.
+# Subcommand handlers; a check's thunk looks its oracle up when main calls it.
 
 
 def _handle_e(args):
@@ -94,12 +94,10 @@ def _handle_e(args):
     payload = {"periods": list(args.periods), "reduced": list(t), "value": str(value)}
     lines = [f"E({', '.join(str(m) for m in args.periods)}) = {value}"]
     rows = [["periods", "value"], [" ".join(map(str, args.periods)), value]]
-    checks = []
-    if args.check:
-        checks.append(("brute_force", value, E_bruteforce(t)))
-    if args.congruence is not None:
-        observed = count_congruence_solutions(args.congruence, t)
-        checks.append((f"congruence(M={args.congruence})", value, observed))
+    checks = [("brute_force", lambda: (value, E_bruteforce(t)))] if args.check else []
+    if args.congruence is not None:  # a check of its own, with or without --check
+        count = lambda: (value, count_congruence_solutions(args.congruence, t))
+        checks.append((f"congruence(M={args.congruence})", count))
     return "e_value", payload, lines, rows, checks
 
 
@@ -117,23 +115,24 @@ def _handle_epi(args):
         ["genus", "order", "periods", "value"],
         [args.genus, args.order, " ".join(map(str, sig.periods)), value],
     ]
-    checks = []
-    if args.check:  # count_epi's E factor against the defining mean
-        checks.append(("brute_force", E_closed(sig.periods), E_bruteforce(sig.periods)))
+    brute = lambda: (E_closed(sig.periods), E_bruteforce(sig.periods))
+    checks = [("brute_force", brute)] if args.check else []  # count_epi's E factor
     return "epi_count", payload, lines, rows, checks
 
 
 def _dual_route_check(gamma: int, ells, found) -> tuple:
-    """Compare the epimorphism route's orbifolds with Harvey's route."""
-    expected = [f"{ell}:{sig}" for ell, sig in found]
-    observed = [
-        f"{ell}:{sig}"
-        for ell in ells
-        for sig in enumerate_orbifolds_via_harvey(gamma, ell)
-    ]
-    only_e = [entry for entry in expected if entry not in observed]
-    only_h = [entry for entry in observed if entry not in expected]
-    return "harvey_route", expected, observed, f"epi-only={only_e} harvey-only={only_h}"
+    """The check comparing the epimorphism route's (ell, sig) pairs with Harvey's."""
+    def compare():
+        expected = [f"{ell}:{sig}" for ell, sig in found]
+        observed = [
+            f"{ell}:{sig}"
+            for ell in ells
+            for sig in enumerate_orbifolds_via_harvey(gamma, ell)
+        ]
+        only_e = [entry for entry in expected if entry not in observed]
+        only_h = [entry for entry in observed if entry not in expected]
+        return expected, observed, f"epi-only={only_e} harvey-only={only_h}"
+    return "harvey_route", compare
 
 
 def _handle_orbifolds(args):
@@ -142,9 +141,7 @@ def _handle_orbifolds(args):
         entries = census(args.gamma).orbifolds
     else:
         ells = [args.order]
-        entries = [
-            (args.order, sig) for sig in enumerate_orbifolds(args.gamma, args.order)
-        ]
+        entries = [(args.order, s) for s in enumerate_orbifolds(args.gamma, args.order)]
     signatures, lines, rows = _orbifold_forms(entries)
     lines.append(f"count: {len(entries)}")
     payload = {
@@ -178,9 +175,8 @@ def _handle_census(args):
         + [[gamma, g, n] for g, n in by_g]
         + [[gamma, "all", result.a], [gamma, "distinct", result.a_distinct]]
     )
-    checks = []
-    if args.check:
-        checks.append(_dual_route_check(gamma, _wiman_range(gamma), result.orbifolds))
+    ells = _wiman_range(gamma)
+    checks = [_dual_route_check(gamma, ells, result.orbifolds)] if args.check else []
     return "census", payload, lines, rows, checks
 
 
@@ -197,13 +193,12 @@ def _handle_theta(args):
     lines = [f"maps with {args.edges} edges on genus {args.gamma}: {value}"]
     rows = [["genus", "edges", "count"], [args.gamma, args.edges, value]]
     checks = []
-    if args.check:
+    if args.check:  # found is a generator: both routes wait for main
         ells = divisors(2 * args.edges)
-        found = [(ell, s) for ell in ells for s in enumerate_orbifolds(args.gamma, ell)]
-        checks.append(_dual_route_check(args.gamma, ells, found))
-        if args.edges <= DART_PAIR_GUARD:
-            _, unrooted = dart_pair_oracle(args.gamma, args.edges)
-            checks.append(("dart_pair_oracle", value, unrooted))
+        found = ((ell, s) for ell in ells for s in enumerate_orbifolds(args.gamma, ell))
+        darts = lambda: (value, dart_pair_oracle(args.gamma, args.edges)[1])
+        route = _dual_route_check(args.gamma, ells, found)
+        checks = [route, ("dart_pair_oracle", darts)]
     return "theta", payload, lines, rows, checks
 
 
@@ -224,11 +219,9 @@ def _handle_freegroup(args):
         ["rank", "index", "subgroups", "conjugacy_classes"],
         [args.rank, args.index, subgroups, classes],
     ]
-    checks = []
-    if args.check:
-        brute_subs, brute_classes = transitive_pair_counts(args.rank, args.index)
-        expected = f"{subgroups}/{classes}"
-        checks.append(("transitive_pairs", expected, f"{brute_subs}/{brute_classes}"))
+    expected = f"{subgroups}/{classes}"
+    scan = lambda: (expected, "%d/%d" % transitive_pair_counts(args.rank, args.index))
+    checks = [("transitive_pairs", scan)] if args.check else []
     return "subgroup_count", payload, lines, rows, checks
 
 
@@ -243,10 +236,8 @@ def _handle_triples(args):
     lines = [f"{t}  E = {v}" for t, v in valued]
     lines.append(f"nonvanishing triples with lcm {args.lcm}: {len(triples)}")
     rows = [["m1", "m2", "m3", "value"]] + [[*t, v] for t, v in valued]
-    checks = []
-    if args.check:
-        scan = _nonvanishing_triples_by_scan(args.lcm)
-        checks.append(("exhaustive_scan", list(triples), scan))
+    scan = lambda: (triples, _nonvanishing_triples_by_scan(args.lcm))
+    checks = [("exhaustive_scan", scan)] if args.check else []
     return "e_value", payload, lines, rows, checks
 
 
@@ -335,21 +326,26 @@ def main(argv=None) -> int:
             text = buf.getvalue().rstrip("\n")
         else:
             text = "\n".join(lines)
+        verdicts = []
+        for oracle, thunk in checks:
+            try:
+                expected, observed, *detail = thunk()
+            except GuardError as exc:  # refused by the oracle's own guard
+                verdict = f"skipped ({exc})"
+            else:
+                verdict = "ok"
+                if str(expected) != str(observed):
+                    verdict = f"MISMATCH expected={expected} observed={observed}"
+                    verdict += "".join(f" ({d})" for d in detail)
+            verdicts.append((oracle, verdict))
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
     print(text)
-    failed = False
-    for oracle, expected, observed, *detail in checks:
-        line = f"check[{oracle}]: ok"
-        if str(expected) != str(observed):
-            failed = True
-            line = f"check[{oracle}]: MISMATCH expected={expected} observed={observed}"
-            if detail:
-                line += f" ({detail[0]})"
-        print(line, file=sys.stderr)
-    return 3 if failed else 0
+    for oracle, verdict in verdicts:
+        print(f"check[{oracle}]: {verdict}", file=sys.stderr)
+    return 3 if any(v.startswith("MISMATCH") for _, v in verdicts) else 0
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from .orbicyclic import Periods, _coerce
+from .orbicyclic import GuardError, Periods, _coerce
 
 # Bounds one count's steps, charged before any work: M to sort range(M) into
 # residue classes (charged even when the classes are kept, so no refusal
@@ -56,7 +56,7 @@ def count_congruence_solutions(M: int, t: Periods) -> int:
     if M < 1:
         raise ValueError(f"modulus must be >= 1, got {M}")
     if M > STEP_GUARD:
-        raise ValueError(f"modulus {M} exceeds the step guard {STEP_GUARD}")
+        raise GuardError(f"modulus {M} exceeds the step guard {STEP_GUARD}")
     for mj in t:
         if M % mj != 0:
             raise ValueError(f"period {mj} does not divide modulus {M}")
@@ -70,7 +70,7 @@ def count_congruence_solutions(M: int, t: Periods) -> int:
         steps += min(prefix, M // g) * len(classes[d])
         prefix, g = prefix * len(classes[d]), math.gcd(g, d)
     if steps > STEP_GUARD:
-        raise ValueError(f"{steps} steps exceed the step guard {STEP_GUARD}")
+        raise GuardError(f"{steps} steps exceed the step guard {STEP_GUARD}")
     ways = {0: 1}
     for d in ds:
         step: dict[int, int] = {}

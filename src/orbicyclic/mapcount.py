@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, factorial
 
-from .arith import _exact_quotient, _require_int, divisors
+from .arith import GuardError, _exact_quotient, _require_int, divisors
 from .epi import count_epi
 from .orbifold import ELL_GUARD, GAMMA_GUARD, enumerate_orbifolds
 from .subgroups import _canonical_actions
@@ -77,7 +77,7 @@ def rooted_map_count(g: int, n: int) -> int:
     if n == 0:
         return 1 if g == 0 else 0
     if g > GAMMA_GUARD or n > ELL_GUARD // 2:
-        raise ValueError(
+        raise GuardError(
             f"rooted count N_{g}({n}) exceeds the guard "
             f"(g <= {GAMMA_GUARD}, n <= {ELL_GUARD // 2})"
         )
@@ -116,7 +116,7 @@ def theta(gamma: int, n: int) -> int:
     """
     _check_args(gamma, n)
     if gamma > GAMMA_GUARD or 2 * n > ELL_GUARD:
-        raise ValueError(
+        raise GuardError(
             f"(gamma={gamma}, n={n}) exceeds the guard "
             f"(gamma <= {GAMMA_GUARD}, 2n <= {ELL_GUARD})"
         )
@@ -176,5 +176,5 @@ def dart_pair_oracle(gamma: int, n: int) -> tuple[int, int]:
     """
     _check_args(gamma, n)
     if n > DART_PAIR_GUARD:
-        raise ValueError(f"oracle guard: n = {n} exceeds {DART_PAIR_GUARD}")
+        raise GuardError(f"oracle guard: n = {n} exceeds {DART_PAIR_GUARD}")
     return _map_census(n).get(gamma, (0, 0))

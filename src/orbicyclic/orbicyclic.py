@@ -24,7 +24,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from itertools import product
 
-from .arith import PRINT_DIGITS, _exact_quotient, _factorize, _periodic_sum
+from .arith import PRINT_DIGITS, GuardError, _exact_quotient, _factorize, _periodic_sum
 from .arith import _require_int, _require_printable, _von_sterneck_table
 from .arith import divisors, factorize, is_prime
 
@@ -215,7 +215,7 @@ def enumerate_nonvanishing_triples(m: int) -> list[tuple[int, int, int]]:
     _require_int(m, "lcm must be an integer")
     _require_int(m, "lcm must be >= 1", 1)
     if m > TRIPLES_GUARD:
-        raise ValueError(f"lcm {m} exceeds the enumeration guard {TRIPLES_GUARD}")
+        raise GuardError(f"lcm {m} exceeds the enumeration guard {TRIPLES_GUARD}")
     per_prime: list[list[tuple[int, int, int]]] = []
     for p, a in factorize(m):
         options = [] if p == 2 else [(p**a, p**a, p**a)]

@@ -25,7 +25,7 @@ from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
 
-from .arith import _require_int, divisors
+from .arith import GuardError, _require_int, divisors
 from .orbicyclic import PeriodTuple, _vanishing_primes
 
 GAMMA_GUARD = 6
@@ -170,7 +170,7 @@ def _check_order(gamma: int, ell: int) -> None:
     if gamma < 0 or ell < 1:
         raise ValueError(f"need gamma >= 0 and ell >= 1, got {gamma}, {ell}")
     if gamma > GAMMA_GUARD or ell > ELL_GUARD:
-        raise ValueError(
+        raise GuardError(
             f"(gamma={gamma}, ell={ell}) exceeds the guard "
             f"(gamma <= {GAMMA_GUARD}, ell <= {ELL_GUARD})"
         )

@@ -68,12 +68,17 @@ class TestEValue:
         assert "check[congruence(M=24)]: ok" in err
 
     def test_congruence_guard_fails_fast(self, capsys):
+        # the count is refused by the oracle's own step guard, fast, and the
+        # record it would have checked still goes out
         start = perf_counter()
         code, out, err = run(capsys, "e", "9973", "9973", "9973", "--congruence", "9973")
         assert perf_counter() - start < 1
-        assert code == 1
-        assert out == ""
-        assert err == "error: 99460729 steps exceed the step guard 1000000\n"
+        assert code == 0
+        assert out == "E(9973, 9973, 9973) = 99430812\n"
+        assert err == (
+            "check[congruence(M=9973)]: skipped "
+            "(99460729 steps exceed the step guard 1000000)\n"
+        )
 
     def test_miller_rabin_bound(self, capsys):
         psi_13 = "3317044064679887385961981"
@@ -128,13 +133,28 @@ class TestEpi:
 
     def test_check_takes_the_mean_when_the_count_vanishes(self, capsys):
         # lcm 1000003 does not divide 12, so the count is 0 without E; the
-        # check still takes E's mean, whose modulus passes the brute-force guard
+        # check still takes E's mean, whose modulus passes the brute-force
+        # guard, so the check is skipped and the count still goes out
         argv = ("epi", "--genus", "0", "--order", "12", "--periods", "1000003")
-        assert run(capsys, *argv) == (0, "epimorphisms (0;1000003) -> Z_12: 0\n", "")
-        guard = "error: modulus 1000003 exceeds the brute-force guard 1000000\n"
-        assert run(capsys, "--check", *argv) == (1, "", guard)
-        # e --check refuses the same tuple in the same words
-        assert run(capsys, "--check", "e", "1000003") == (1, "", guard)
+        record = "epimorphisms (0;1000003) -> Z_12: 0\n"
+        assert run(capsys, *argv) == (0, record, "")
+        skipped = (
+            "check[brute_force]: skipped "
+            "(modulus 1000003 exceeds the brute-force guard 1000000)\n"
+        )
+        assert run(capsys, "--check", *argv) == (0, record, skipped)
+        # e --check skips the same mean in the same words
+        assert run(capsys, "--check", "e", "1000003") == (0, "E(1000003) = 0\n", skipped)
+
+    def test_check_past_the_print_limit_is_skipped(self, capsys):
+        # the count vanishes without E, and the check's E_closed is refused by
+        # the print limit: a bound of the oracle's side, not of the count
+        periods = ",".join(["999983"] * 800)
+        argv = ("epi", "--genus", "0", "--order", "1", "--periods", periods)
+        record = f"epimorphisms (0;{periods}) -> Z_1: 0\n"
+        assert run(capsys, *argv) == (0, record, "")
+        skipped = "check[brute_force]: skipped (E may exceed the 4300-digit print limit)\n"
+        assert run(capsys, "--check", *argv) == (0, record, skipped)
 
     def test_genus_guard_fails_fast(self, capsys):
         for genus in ("10000", "100000000", str(10**400)):
@@ -255,6 +275,17 @@ class TestTheta:
         assert "check[harvey_route]: ok" in err
         assert "check[dart_pair_oracle]: MISMATCH expected=6 observed=7" in err
 
+    def test_dart_pair_check_past_its_guard_is_skipped(self, capsys):
+        # n = 12 is past the dart-pair oracle's guard (n <= 5): the check says
+        # so instead of vanishing, and the Harvey route still runs
+        code, out, err = run(capsys, "--check", "theta", "--gamma", "0", "--edges", "12")
+        assert code == 0
+        assert out == "maps with 12 edges on genus 0: 658049140\n"
+        assert err == (
+            "check[harvey_route]: ok\n"
+            "check[dart_pair_oracle]: skipped (oracle guard: n = 12 exceeds 5)\n"
+        )
+
 
 class TestFreegroup:
     def test_table(self, capsys):
@@ -270,6 +301,15 @@ class TestFreegroup:
         code, _, err = run(capsys, "--check", "freegroup", "--rank", "2", "--index", "4")
         assert code == 0
         assert "check[transitive_pairs]: ok" in err
+
+    def test_check_past_the_scan_guard_is_skipped(self, capsys):
+        code, out, err = run(capsys, "freegroup", "--rank", "3", "--index", "6", "--check")
+        assert code == 0
+        assert out == "F_3 index 6: 3011263 subgroups, 504243 conjugacy classes\n"
+        assert err == (
+            "check[transitive_pairs]: skipped "
+            "(brute force at rank=3, index=6 exceeds guard 500000)\n"
+        )
 
     def test_guard(self, capsys):
         code, _, err = run(capsys, "freegroup", "--rank", "2", "--index", "13")
@@ -447,9 +487,14 @@ class TestUsageErrors:
         assert run(capsys)[0] == 2
 
     def test_brute_force_guard(self, capsys):
-        code, _, err = run(capsys, "e", "1000003", "999983", "--brute")
-        assert code == 1
-        assert "guard" in err
+        # past the brute-force guard the check is skipped, not the value
+        code, out, err = run(capsys, "e", "1000003", "999983", "--brute")
+        assert code == 0
+        assert out == "E(1000003, 999983) = 0\n"
+        assert err == (
+            "check[brute_force]: skipped "
+            "(modulus 999985999949 exceeds the brute-force guard 1000000)\n"
+        )
 
 
 # A value in the domain of each required option, and for each subcommand's
@@ -549,6 +594,58 @@ def test_cli_imports_only_the_standard_library():
     assert not loaded & {"dataclasses", "inspect"}, loaded
 
 
+class OracleCalled(Exception):
+    pass
+
+
+def refusing(when):
+    """An oracle stand-in that raises OracleCalled(when)."""
+
+    def oracle(*args):
+        raise OracleCalled(when)
+
+    return oracle
+
+
+# The cli names the checks read, and for each subcommand an argv asking for
+# every check it has, with the names only its checks read (E_closed is epi's
+# expected side, enumerate_orbifolds theta's).
+ORACLES = (
+    "E_bruteforce",
+    "count_congruence_solutions",
+    "dart_pair_oracle",
+    "enumerate_orbifolds_via_harvey",
+    "transitive_pair_counts",
+    "_nonvanishing_triples_by_scan",
+)
+CHECKED = {
+    "e": (["e", "12", "12", "--congruence", "24"], ()),
+    "epi": (["epi", "--genus", "0", "--order", "10", "--periods", "2,5,10"], ("E_closed",)),
+    "orbifolds": (["orbifolds", "--gamma", "2", "--order", "6"], ()),
+    "census": (["census", "--gamma", "2"], ()),
+    "theta": (["theta", "--gamma", "1", "--edges", "3"], ("enumerate_orbifolds",)),
+    "freegroup": (["freegroup", "--rank", "2", "--index", "3"], ()),
+    "triples": (["triples", "--lcm", "12"], ()),
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_handlers_call_no_oracle(monkeypatch, command):
+    # a handler only computes and renders; each check's thunk reads its oracle
+    # from the cli module when main calls it, so a later rebinding is seen
+    argv, only_checked = CHECKED[command]
+    args = cli.build_parser().parse_args(["--check", *argv])
+    for name in ORACLES + only_checked:
+        monkeypatch.setattr(cli, name, refusing("early"))
+    *_, checks = cli.COMMANDS[command][1](args)
+    assert len(checks) == (2 if command in ("e", "theta") else 1)
+    for name in ORACLES + only_checked:
+        monkeypatch.setattr(cli, name, refusing("late"))
+    for _, thunk in checks:
+        with pytest.raises(OracleCalled, match="late"):
+            thunk()
+
+
 # Each subcommand with its options; values and periods are drawn from TOKENS.
 CLI_OPTIONS = {
     "e": ["--congruence"],
@@ -605,3 +702,14 @@ def test_cli_never_raises_and_exits_with_a_documented_code(argv):
         assert any(line.startswith("error: ") for line in lines), (argv, lines)
     elif code == 2:
         assert any(line.startswith("usage: ") for line in lines), (argv, lines)
+    # every check line is a verdict: passed, failed or refused by its own guard
+    verdicts = [line.partition("]: ")[2] for line in lines if line.startswith("check[")]
+    for verdict in verdicts:
+        assert (
+            verdict == "ok"
+            or verdict.startswith("MISMATCH ")
+            or (verdict.startswith("skipped (") and verdict.endswith(")"))
+        ), (argv, verdict)
+    assert (code == 3) == any(v.startswith("MISMATCH ") for v in verdicts), (argv, lines)
+    if code in (0, 3):
+        assert out.getvalue() != "", argv

@@ -29,8 +29,10 @@ def test_cli_catalogue_stdout_matches(capsys):
     assert len(catalogue) == len(EXPECTED["cli-cold"])
     for argv in catalogue:
         code = main(list(argv))
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
         assert code == 0, argv
+        # every catalogue check runs within its guards and passes
+        assert "error:" not in err and "MISMATCH" not in err, (argv, err)
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == EXPECTED["cli-cold"][json.dumps(argv)], argv
 

@@ -131,6 +131,86 @@ def test_print_limit_and_exact_division_have_one_implementation():
     ]
 
 
+def guard_raises(source: str) -> list[tuple[str | None, str, bool]]:
+    """(function, raised name, whether its text names a guard) for each raise.
+
+    Only the message's literal text counts, so a bound merely printed in it
+    (gamma in [2, GAMMA_GUARD]) does not; the print limit counts as a guard.
+    """
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            text = "".join(
+                n.value
+                for n in ast.walk(node.exc)
+                if isinstance(n, ast.Constant) and isinstance(n.value, str)
+            )
+            names = "guard" in text or "print limit" in text
+            found.append((func, ast.unparse(exc), names))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_finds_a_guard_raise():
+    source = (
+        "def f(x):\n"
+        "    if x > G:\n"
+        "        raise GuardError(f'{x} exceeds the guard {G}')\n"
+        "    raise ValueError(f'x must be in [0, {G}]')\n"
+    )
+    assert guard_raises(source) == [("f", "GuardError", True), ("f", "ValueError", False)]
+
+
+def test_every_guard_raises_guard_error():
+    # GuardError marks a valid input refused by a bound the library set, so
+    # the CLI can tell an oracle past its guard from a domain error; it is
+    # defined once, and a raise names a guard exactly when it raises it
+    found = [
+        (path.name, func, raised, names)
+        for path in MODULES
+        for func, raised, names in guard_raises(path.read_text())
+    ]
+    assert all((raised == "GuardError") == names for _, _, raised, names in found), [
+        site for site in found if (site[2] == "GuardError") != site[3]
+    ]
+    guarded = {name for name, _, raised, _ in found if raised == "GuardError"}
+    assert guarded == {
+        "arith.py",
+        "congruence.py",
+        "mapcount.py",
+        "orbicyclic.py",
+        "orbifold.py",
+        "subgroups.py",
+    }
+    defined = [
+        (path.name, node.name)
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef) and node.name == "GuardError"
+    ]
+    assert defined == [("arith.py", "GuardError")]
+
+
+def test_cli_catches_guard_error_in_one_place():
+    # main turns an oracle's guard into a skipped check; nothing else does
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    handlers = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler)
+        and node.type is not None
+        and "GuardError" in ast.unparse(node.type)
+    ]
+    assert len(handlers) == 1
+
+
 def test_cli_binds_no_library_knowledge():
     # Bounds, formulas and oracles live beside the code they bound or check;
     # the CLI only parses and renders, so its one module constant is COMMANDS.
@@ -154,6 +234,15 @@ def test_cli_binds_no_library_knowledge():
         for alias in node.names
     } | {node.module for node in tree.body if isinstance(node, ast.ImportFrom)}
     assert not imported & {"math", "itertools"}
+    # nor does it import a library constant, such as an oracle's guard
+    constants = [
+        alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.isupper()
+    ]
+    assert constants == []
 
 
 def test_import_loads_only_what_the_package_uses():
