@@ -301,8 +301,10 @@ def census(gamma: int) -> CensusResult:
     _require_int(gamma, "gamma must be an integer")
     if gamma in (0, 1):
         raise ValueError(f"census is infinite for gamma = {gamma}")
-    if gamma < 0 or gamma > GAMMA_GUARD:
+    if gamma < 0:
         raise ValueError(f"gamma must be in [2, {GAMMA_GUARD}], got {gamma}")
+    if gamma > GAMMA_GUARD:
+        raise GuardError(f"gamma {gamma} exceeds the census guard {GAMMA_GUARD}")
     seen: dict[OrbifoldSignature, int] = {}
     for ell in _wiman_range(gamma):
         for sig in enumerate_orbifolds(gamma, ell):

@@ -13,7 +13,8 @@ def fresh_caches():
     patched code.
     """
     arith._factorize.cache_clear()
-    arith._von_sterneck_by_divisor.cache_clear()
+    for store in (arith._rows, arith._classes, arith._columns):
+        store.clear()
     congruence._classes_by_modulus.clear()
     orbifold._candidates.cache_clear()
     orbifold._epi_route.cache_clear()

@@ -9,8 +9,8 @@ from hypothesis import given, strategies as st
 
 from orbicyclic import arith
 from orbicyclic.arith import (
+    _divisor_classes,
     _pollard_rho,
-    _von_sterneck_table,
     divisors,
     euler_phi,
     factorize,
@@ -29,7 +29,13 @@ from orbicyclic.mapcount import (
     rooted_map_count,
     theta,
 )
-from orbicyclic.orbicyclic import E_bruteforce, enumerate_nonvanishing_triples, f_r, h_poly
+from orbicyclic.orbicyclic import (
+    E_bruteforce,
+    E_closed,
+    enumerate_nonvanishing_triples,
+    f_r,
+    h_poly,
+)
 from orbicyclic.orbifold import (
     OrbifoldSignature,
     census,
@@ -137,9 +143,27 @@ def test_bruteforce_rows_are_built_once_per_modulus(monkeypatch):
 
 
 def test_per_modulus_caches_are_bounded():
-    for cache in (arith._factorize, arith._von_sterneck_by_divisor):
-        maxsize = cache.cache_info().maxsize
-        assert isinstance(maxsize, int) and maxsize > 0
+    maxsize = arith._factorize.cache_info().maxsize
+    assert isinstance(maxsize, int) and maxsize > 0
+    # E_bruteforce's stores are bounded by the divisors they hold: a value
+    # that does not fit in what is left is returned but not kept
+    stores = (arith._rows, arith._classes, arith._columns)
+    assert all(store.budget == 2**15 for store in stores)
+    for store in stores:
+        store.budget = 40
+    try:
+        for M in (360, 720, 5040, 12, 6, 60):
+            t = (M, M // 2, 2)
+            assert E_bruteforce(t) == E_closed(t)
+        # the first keys that fit are kept: tau(360) = 24, tau(12) = 6, tau(6) = 4
+        assert set(arith._columns) == {(360, 360), (12, 12), (12, 6), (6, 6)}
+        assert set(arith._classes) == {360, 12, 6}
+        assert set(arith._rows) == {360, 2, 12, 6, 3}
+        for store in stores:
+            assert store.held == sum(map(len, store.values())) <= 40
+    finally:
+        for store in stores:
+            store.budget = 2**15
 
 
 def test_factorize_large_semiprime():
@@ -360,16 +384,32 @@ def test_von_sterneck_four_routes_agree():
             assert abs(v - roots) < 1e-6
 
 
-def test_von_sterneck_table_matches_pointwise():
-    for n in [*range(1, 401), 5040, 27720]:
-        assert _von_sterneck_table(n, 1) == [von_sterneck(k, n) for k in range(n)]
+def test_divisor_classes_count_the_residues_by_gcd():
+    for M in [*range(1, 401), 5040, 27720]:
+        by_gcd = {}
+        for k in range(M):
+            by_gcd[math.gcd(k, M)] = by_gcd.get(math.gcd(k, M), 0) + 1
+        assert _divisor_classes(M) == by_gcd
 
 
-def test_von_sterneck_table_powers_match_pointwise():
-    # the power is taken at the tau(n) divisor values, before the slice writes
-    for n in range(1, 61):
-        for c in range(5):
-            assert _von_sterneck_table(n, c) == [von_sterneck(k, n) ** c for k in range(n)]
+def test_von_sterneck_column_matches_pointwise():
+    # Phi(k, m) for every k < M is the column value at gcd(k, M)
+    for M in [*range(1, 401), 5040, 27720]:
+        at = {g: i for i, g in enumerate(arith._classes[M])}
+        for m in divisors(M) if M <= 120 else (M, divisors(M)[-2], 1):
+            column = arith._columns[M, m]
+            for k in range(M):
+                assert von_sterneck(k, m) == column[at[math.gcd(k, M)]], (M, m, k)
+
+
+def test_von_sterneck_column_powers_match_pointwise():
+    # a period repeated c times enters as its column raised to the power c
+    for M in range(1, 61):
+        for m in divisors(M):
+            for c in range(5):
+                t = (m,) * c + (M,)
+                pointwise = sum(von_sterneck(k, m) ** c * von_sterneck(k, M) for k in range(M))
+                assert E_bruteforce(t) * M == pointwise, t
 
 
 def test_ramanujan_sum_argument_order():

@@ -133,18 +133,34 @@ class TestEpi:
 
     def test_check_takes_the_mean_when_the_count_vanishes(self, capsys):
         # lcm 1000003 does not divide 12, so the count is 0 without E; the
-        # check still takes E's mean, whose modulus passes the brute-force
-        # guard, so the check is skipped and the count still goes out
+        # check still takes E's mean, over the 2 gcd classes of 1000003
         argv = ("epi", "--genus", "0", "--order", "12", "--periods", "1000003")
         record = "epimorphisms (0;1000003) -> Z_12: 0\n"
         assert run(capsys, *argv) == (0, record, "")
+        assert run(capsys, "--check", *argv) == (0, record, "check[brute_force]: ok\n")
+        # e --check takes the same mean
+        assert run(capsys, "--check", "e", "1000003") == (
+            0,
+            "E(1000003) = 0\n",
+            "check[brute_force]: ok\n",
+        )
+        # the product of the first 17 primes has 2**17 gcd classes, which
+        # pass the brute-force guard: the check is skipped, the count goes out
+        lcm = "1922760350154212639070"
+        argv = ("epi", "--genus", "0", "--order", "12", "--periods", lcm)
         skipped = (
             "check[brute_force]: skipped "
-            "(modulus 1000003 exceeds the brute-force guard 1000000)\n"
+            "(393216 steps exceed the brute-force guard 262144)\n"
         )
-        assert run(capsys, "--check", *argv) == (0, record, skipped)
+        start = perf_counter()
+        assert run(capsys, "--check", *argv) == (
+            0,
+            f"epimorphisms (0;{lcm}) -> Z_12: 0\n",
+            skipped,
+        )
         # e --check skips the same mean in the same words
-        assert run(capsys, "--check", "e", "1000003") == (0, "E(1000003) = 0\n", skipped)
+        assert run(capsys, "--check", "e", lcm) == (0, f"E({lcm}) = 0\n", skipped)
+        assert perf_counter() - start < 1
 
     def test_check_past_the_print_limit_is_skipped(self, capsys):
         # the count vanishes without E, and the check's E_closed is refused by
@@ -186,11 +202,11 @@ class TestOrbifolds:
         assert code == 1
         assert out == ""
         assert err == "error: census is infinite for gamma = 1\n"
-        # the sweep is the census, so it names the census range
+        # the sweep is the census, so it names the census guard
         code, out, err = run(capsys, "orbifolds", "--gamma", "7")
         assert code == 1
         assert out == ""
-        assert err == "error: gamma must be in [2, 6], got 7\n"
+        assert err == "error: gamma 7 exceeds the census guard 6\n"
 
     def test_check(self, capsys):
         code, _, err = run(capsys, "--check", "orbifolds", "--gamma", "2", "--order", "6")
@@ -487,13 +503,28 @@ class TestUsageErrors:
         assert run(capsys)[0] == 2
 
     def test_brute_force_guard(self, capsys):
-        # past the brute-force guard the check is skipped, not the value
+        # a lcm of 12 digits has 4 gcd classes, well inside the brute-force guard
         code, out, err = run(capsys, "e", "1000003", "999983", "--brute")
         assert code == 0
         assert out == "E(1000003, 999983) = 0\n"
+        assert err == "check[brute_force]: ok\n"
+        # an e-wide-shaped long tuple, lcm 2406725881560, is checked too
+        periods = ("20224587240", "6077590610", "661188429", "194467185", "63399960", "2040885")
+        code, out, err = run(capsys, "e", *periods, "--brute")
+        assert code == 0
+        assert out == f"E({', '.join(periods)}) = 1523866321877667576805938601820160000\n"
+        assert err == "check[brute_force]: ok\n"
+        # past the brute-force guard the check is skipped, not the value: the
+        # product of the first 20 primes has 2**20 gcd classes
+        lcm = "557940830126698960967415390"
+        start = perf_counter()
+        code, out, err = run(capsys, "e", lcm, "--brute")
+        assert perf_counter() - start < 1
+        assert code == 0
+        assert out == f"E({lcm}) = 0\n"
         assert err == (
             "check[brute_force]: skipped "
-            "(modulus 999985999949 exceeds the brute-force guard 1000000)\n"
+            "(3145728 steps exceed the brute-force guard 262144)\n"
         )
 
 

@@ -261,7 +261,8 @@ def test_import_loads_only_what_the_package_uses():
 
 def test_import_fills_no_cache():
     # a cache filled at import would be paid again by every process start; the
-    # congruence store is a plain dict, which the cache_info probe cannot see
+    # congruence store and E_bruteforce's stores are dicts, which the
+    # cache_info probe cannot see
     probe = (
         "import sys, orbicyclic\n"
         "caches = {f'{m.__name__}.{k}': v.cache_info().currsize\n"
@@ -269,6 +270,8 @@ def test_import_fills_no_cache():
         "          for k, v in vars(m).items() if hasattr(v, 'cache_info')}\n"
         "caches['congruence._classes_by_modulus'] = len(\n"
         "    sys.modules['orbicyclic.congruence']._classes_by_modulus)\n"
+        "for name in ('_rows', '_classes', '_columns'):\n"
+        "    caches[f'arith.{name}'] = len(getattr(sys.modules['orbicyclic.arith'], name))\n"
         "print(len(caches), *sorted(k for k, n in caches.items() if n))"
     )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))

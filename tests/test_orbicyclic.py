@@ -7,7 +7,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from orbicyclic import arith
-from orbicyclic.arith import divisors, euler_phi, periodic_average, von_sterneck
+from orbicyclic.arith import GuardError, divisors, euler_phi, periodic_average, von_sterneck
 from orbicyclic.congruence import count_congruence_solutions
 from orbicyclic.orbicyclic import (
     E_bruteforce,
@@ -245,8 +245,63 @@ class TestEValues:
         assert E_bruteforce(t) == E_closed(t)
 
     def test_bruteforce_errors(self):
-        with pytest.raises(ValueError, match="brute-force guard 1000000"):
-            E_bruteforce((1000001,))
+        # the class sum pays tau(lcm), not the lcm: 1000001 = 101 * 9901 has 4 classes
+        assert E_bruteforce((1000001,)) == E_closed((1000001,)) == 0
+        # refused before any work: tau(M) per distinct period for its column
+        # and row, and per class k * sqrt(k) for each of the (distinct periods
+        # + 1) passes over terms of k 1024-bit words
+        p = 2**61 - 1
+        for r in (1, 27495):  # the last multiplicity under the guard: 262,082 steps
+            assert E_bruteforce((p,) * r) == ((p - 1) ** r + (p - 1) * (-1) ** r) // p
+        first = [q for q in range(2, 72) if euler_phi(q) == q - 1]
+        for t, steps in [
+            ((p,) * 27496, 262242),  # k = 1639: the first multiplicity past the guard
+            ((math.prod(first[:17]),), 393216),  # 2**17 divisors
+            ((math.prod(first[:20]),), 3145728),  # 2**20 divisors
+        ]:
+            message = f"^{steps} steps exceed the brute-force guard 262144$"
+            start = time.perf_counter()
+            with pytest.raises(GuardError, match=message):
+                E_bruteforce(t)
+            assert time.perf_counter() - start < 1
+
+    def test_bruteforce_calls_no_primary(self, monkeypatch):
+        # the defining mean uses no closed form, local profile, local factor or h_s
+        tuples = [(10, 5, 2), (12, 12, 6, 6), (3, 3, 3, 3), (2, 2, 2), (720720, 720720), ()]
+        expected = [E_closed(t) for t in tuples]
+
+        def refuse(*args):
+            raise AssertionError("an oracle called a primary")
+
+        for name in ("E_closed", "_local_profile", "E_local", "_h_poly"):
+            monkeypatch.setattr(f"orbicyclic.orbicyclic.{name}", refuse)
+        assert [E_bruteforce(t) for t in tuples] == expected == [4, 12, 6, 0, 138240, 1]
+        # the patches bite: the closed form, which looks them up, now fails
+        with pytest.raises(AssertionError, match="called a primary"):
+            E_closed((10, 5, 2))
+
+    def test_matches_bruteforce_past_a_million(self):
+        # lcms in (10**6, 5 * 10**12] from the primes up to 31, as e-wide draws
+        # them; before the class sum every one was past the brute-force guard
+        rng = random.Random(20261019)
+        primes, top = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31), {2: 4, 3: 2}
+        seen = nonzero = 0
+        while seen < 200:
+            r = rng.randint(1, 8)
+            entries = [1] * r
+            for q in primes:
+                a = rng.randint(0, top.get(q, 1))
+                s = rng.randint(1, r)
+                for j in range(r):
+                    entries[j] *= q ** (a if j < s else rng.randint(0, a))
+                rng.shuffle(entries)
+            if 10**6 < math.lcm(*entries) <= 5 * 10**12:
+                value = E_closed(entries)
+                assert E_bruteforce(entries) == value, entries
+                seen, nonzero = seen + 1, nonzero + (value != 0)
+        assert nonzero >= 20
+        for d in divisors(720720):
+            assert E_bruteforce((d, 720720)) == E_closed((d, 720720))
 
 
 class TestVanishes:

@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from orbicyclic import orbifold
-from orbicyclic.arith import divisors, euler_phi
+from orbicyclic.arith import GuardError, divisors, euler_phi
 from orbicyclic.orbifold import (
     ELL_GUARD,
     GAMMA_GUARD,
@@ -301,8 +301,12 @@ class TestCensus:
             census(0)
         with pytest.raises(ValueError):
             census(1)
-        with pytest.raises(ValueError):
+        # a gamma past the guard is valid input refused on cost, as in _check_order
+        with pytest.raises(GuardError, match="^gamma 7 exceeds the census guard 6$"):
             census(7)
+        with pytest.raises(ValueError, match=r"^gamma must be in \[2, 6\], got -1$") as refused:
+            census(-1)
+        assert not isinstance(refused.value, GuardError)
 
     def test_signature_admitted_at_two_orders_is_an_error(self, monkeypatch):
         # for gamma >= 2 Riemann-Hurwitz fixes ell, so this is an internal fault
