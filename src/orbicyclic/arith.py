@@ -79,7 +79,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test for n < MR_BOUND."""
     _require_int(n, "is_prime expects an integer")
     if n >= MR_BOUND:
-        raise ValueError(f"Miller-Rabin is proven only below {MR_BOUND}, got {n}")
+        raise GuardError(f"Miller-Rabin is proven only below its guard {MR_BOUND}, got {n}")
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -153,7 +153,7 @@ def factorize(n: int) -> Factorization:
     Trial division up to 10**4, which alone decides every n below 10**8,
     then deterministic Miller-Rabin plus Pollard rho (Brent's variant with
     batched gcds) for a cofactor that trial division leaves undecided; that
-    cofactor must be below MR_BOUND (ValueError otherwise); no
+    cofactor must be below MR_BOUND (GuardError otherwise); no
     sub-exponential machinery.  The factorizations of the 4096 most
     recently used n are kept; every call returns a fresh list.
     """
@@ -303,6 +303,21 @@ def _divisor_classes(M: int) -> dict[int, int]:
     return classes
 
 
+def _von_sterneck_row(n: int) -> dict[int, int]:
+    """{g: Phi(g, n)} for g | n, for an n that the caller has checked.
+
+    Built positionally, as von_sterneck evaluates one value: each p^a | n
+    multiplies Phi(d, n / p^a) by Phi(p^e, p^a), which is (p-1) p^(a-1) at
+    e = a, -p^(a-1) at e = a - 1 and 0 below.
+    """
+    row = {1: 1}
+    for p, a in _factorize(n):
+        q = p ** (a - 1)
+        local = [(p**e, 0) for e in range(a - 1)] + [(q, -q), (q * p, q * p - q)]
+        row = {g * pe: v * f for g, v in row.items() for pe, f in local}
+    return row
+
+
 def _von_sterneck_column(key: tuple[int, int]) -> tuple[int, ...]:
     """Phi(g, m) for g in _classes[M], from m's Phi row at gcd(g, m); key = (M, m)."""
     M, m = key
@@ -313,7 +328,7 @@ def _von_sterneck_column(key: tuple[int, int]) -> tuple[int, ...]:
 # E_bruteforce's stores: a Phi row per period, the classes of each lcm and a
 # column per (lcm, period).  With tracemalloc, CPython 3.11.7, each full with the
 # 2^15 divisors of the product of the first 15 primes: 3.5, 2.7 and 0.3 MB.
-_rows = _Store(lambda n: {g: von_sterneck(g, n) for g in divisors(n)}, 2**15)
+_rows = _Store(_von_sterneck_row, 2**15)
 _classes = _Store(_divisor_classes, 2**15)
 _columns = _Store(_von_sterneck_column, 2**15)
 

@@ -7,7 +7,7 @@ from orbicyclic import arith, congruence, orbifold
 def fresh_caches():
     """Start every test with empty per-modulus and per-(gamma, ell) caches.
 
-    A factorization, Phi row or residue class cached by an earlier test would
+    A factorization, Phi row or class polynomial cached by an earlier test would
     let a later one pass without running the code it counts calls of, and a
     candidate or orbifold list cached before a monkeypatch would hide the
     patched code.
@@ -15,6 +15,6 @@ def fresh_caches():
     arith._factorize.cache_clear()
     for store in (arith._rows, arith._classes, arith._columns):
         store.clear()
-    congruence._classes_by_modulus.clear()
+    congruence._polynomials.clear()
     orbifold._candidates.cache_clear()
     orbifold._epi_route.cache_clear()

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from orbicyclic import arith
 from orbicyclic.arith import (
+    GuardError,
     _divisor_classes,
     _pollard_rho,
     divisors,
@@ -127,19 +128,15 @@ def test_factorize_runs_rho_once_per_modulus(monkeypatch):
 
 
 def test_bruteforce_rows_are_built_once_per_modulus(monkeypatch):
-    calls = []
-
-    def counted(k, n):
-        calls.append((k, n))
-        return von_sterneck(k, n)
-
-    monkeypatch.setattr(arith, "von_sterneck", counted)
+    built = []
+    build = arith._rows.build
+    monkeypatch.setattr(arith._rows, "build", lambda n: built.append(n) or build(n))
     t = (360, 360, 120, 8)
     first = E_bruteforce(t)
-    assert len(calls) == sum(len(divisors(m)) for m in set(t))
+    assert sorted(built) == [8, 120, 360]
     assert E_bruteforce(t) == first
     assert E_bruteforce((120, 8)) == E_bruteforce((8, 120))
-    assert len(calls) == sum(len(divisors(m)) for m in set(t))
+    assert sorted(built) == [8, 120, 360]
 
 
 def test_per_modulus_caches_are_bounded():
@@ -228,10 +225,10 @@ def test_is_prime_past_twelve_witnesses():
 
 def test_is_prime_bound():
     assert is_prime(PSI_13 - 1) is False
-    message = f"Miller-Rabin is proven only below {PSI_13}, got {PSI_13}"
-    with pytest.raises(ValueError, match=message):
+    message = f"^Miller-Rabin is proven only below its guard {PSI_13}, got {PSI_13}$"
+    with pytest.raises(GuardError, match=message):
         is_prime(PSI_13)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(GuardError, match=message):
         factorize(PSI_13)
 
 

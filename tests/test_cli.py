@@ -71,14 +71,30 @@ class TestEValue:
         # the count is refused by the oracle's own step guard, fast, and the
         # record it would have checked still goes out
         start = perf_counter()
-        code, out, err = run(capsys, "e", "9973", "9973", "9973", "--congruence", "9973")
+        code, out, err = run(capsys, "e", "99991", "99991", "99991", "--congruence", "99991")
         assert perf_counter() - start < 1
         assert code == 0
-        assert out == "E(9973, 9973, 9973) = 99430812\n"
+        assert out == "E(99991, 99991, 99991) = 9997900110\n"
         assert err == (
-            "check[congruence(M=9973)]: skipped "
-            "(99460729 steps exceed the step guard 1000000)\n"
+            "check[congruence(M=99991)]: skipped (2863677 steps exceed "
+            "the step guard 1000000, 2863677 of them for block 99991)\n"
         )
+        # the shape the guard refused before the count split M into blocks
+        code, out, err = run(capsys, "e", "9973", "9973", "9973", "--congruence", "9973")
+        assert code == 0
+        assert out == "E(9973, 9973, 9973) = 99430812\n"
+        assert err == "check[congruence(M=9973)]: ok\n"
+
+    def test_congruence_past_a_million(self, capsys):
+        # an e-wide-shaped long tuple: the count splits 2406725881560 into
+        # prime-power blocks, none larger than 16
+        periods = ("20224587240", "6077590610", "661188429", "194467185", "63399960", "2040885")
+        start = perf_counter()
+        code, out, err = run(capsys, "e", *periods, "--congruence", "2406725881560")
+        assert perf_counter() - start < 1
+        assert code == 0
+        assert out == f"E({', '.join(periods)}) = 1523866321877667576805938601820160000\n"
+        assert err == "check[congruence(M=2406725881560)]: ok\n"
 
     def test_miller_rabin_bound(self, capsys):
         psi_13 = "3317044064679887385961981"
@@ -86,7 +102,18 @@ class TestEValue:
         assert code == 1
         assert out == ""
         assert err == (
-            f"error: Miller-Rabin is proven only below {psi_13}, got {psi_13}\n"
+            f"error: Miller-Rabin is proven only below its guard {psi_13}, got {psi_13}\n"
+        )
+        # the same guard in a check's oracle skips the check, not the record:
+        # the count is 0 without E, since the period does not divide 12
+        code, out, err = run(
+            capsys, "epi", "--check", "--genus", "0", "--order", "12", "--periods", psi_13
+        )
+        assert code == 0
+        assert out == f"epimorphisms (0;{psi_13}) -> Z_12: 0\n"
+        assert err == (
+            "check[brute_force]: skipped (Miller-Rabin is proven only below its guard "
+            f"{psi_13}, got {psi_13})\n"
         )
 
 

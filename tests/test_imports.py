@@ -268,8 +268,8 @@ def test_import_fills_no_cache():
         "caches = {f'{m.__name__}.{k}': v.cache_info().currsize\n"
         "          for name, m in list(sys.modules.items()) if name.startswith('orbicyclic')\n"
         "          for k, v in vars(m).items() if hasattr(v, 'cache_info')}\n"
-        "caches['congruence._classes_by_modulus'] = len(\n"
-        "    sys.modules['orbicyclic.congruence']._classes_by_modulus)\n"
+        "caches['congruence._polynomials'] = len(\n"
+        "    sys.modules['orbicyclic.congruence']._polynomials)\n"
         "for name in ('_rows', '_classes', '_columns'):\n"
         "    caches[f'arith.{name}'] = len(getattr(sys.modules['orbicyclic.arith'], name))\n"
         "print(len(caches), *sorted(k for k, n in caches.items() if n))"

@@ -218,19 +218,16 @@ class TestEValues:
             assert periodic_average(von_sterneck, t, 2 * m) == base
             assert periodic_average(von_sterneck, t, 3 * m) == base
 
-    def test_bruteforce_calls_von_sterneck_once_per_divisor(self, monkeypatch):
-        calls = {}
-
-        def counted(k, n):
-            calls[n] = calls.get(n, 0) + 1
-            return von_sterneck(k, n)
-
-        monkeypatch.setattr(arith, "von_sterneck", counted)
-        t = (360, 360, 120, 8, 9, 5)
-        assert E_bruteforce(t) == E_closed(t)
-        assert sorted(calls) == sorted(set(t))
-        for m, count in calls.items():
-            assert count <= len(divisors(m)), (m, count)
+    def test_bruteforce_rows_equal_von_sterneck(self):
+        # each row is built positionally from the factorization, never from
+        # von_sterneck, and must equal it at every divisor
+        for n in range(1, 5041):
+            assert arith._rows[n] == {g: von_sterneck(g, n) for g in divisors(n)}, n
+        n = math.prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53))
+        row = arith._rows[n]
+        assert len(row) == 2**16
+        for g in random.Random(16).sample(sorted(row), 500):
+            assert row[g] == von_sterneck(g, n), g
 
     def test_bruteforce_semiprime_lcm_is_fast(self):
         # 988027 = 997 * 991: 988,027 residues but only 4 distinct Phi values
