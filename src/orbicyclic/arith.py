@@ -38,7 +38,7 @@ MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 class GuardError(ValueError):
-    """A valid input refused by a bound the library sets on cost or printed digits."""
+    """A valid input refused by a library bound on cost, printed digits or a proven range."""
 
 
 def _require_int(value, message: str, least: int | None = None) -> None:

@@ -85,6 +85,20 @@ class TestEValue:
         assert out == "E(9973, 9973, 9973) = 99430812\n"
         assert err == "check[congruence(M=9973)]: ok\n"
 
+    def test_congruence_guard_refuses_a_huge_block(self, capsys):
+        # a block of order 2**700 is refused by the guard, not by a float
+        # overflow, so the record still goes out and the check is skipped
+        q = str(2**700)
+        start = perf_counter()
+        code, out, err = run(capsys, "e", q, q, "--congruence", q)
+        assert perf_counter() - start < 1
+        assert code == 0
+        assert out == f"E({q}, {q}) = {2**699}\n"
+        assert err == (
+            f"check[congruence(M={q})]: skipped ({q} steps exceed "
+            f"the step guard 1000000, {q} of them for block {q})\n"
+        )
+
     def test_congruence_past_a_million(self, capsys):
         # an e-wide-shaped long tuple: the count splits 2406725881560 into
         # prime-power blocks, none larger than 16

@@ -85,6 +85,17 @@ def test_tuple_guard_fails_fast():
     assert count_congruence_solutions(101, (101,) * 4) == E_closed((101,) * 4)
 
 
+def test_a_block_past_the_guard_alone_is_refused_in_integers():
+    # a block of order 2**64 or more is charged the pass over Z_L alone, in
+    # integers: 2**700 is refused, not overflowed in the float model
+    q = 2**700
+    start = perf_counter()
+    limit = f"^{q} steps exceed the step guard 1000000, {q} of them for block {q}$"
+    with pytest.raises(GuardError, match=limit):
+        count_congruence_solutions(q, (q, q))
+    assert perf_counter() - start < 1
+
+
 def test_step_guard_follows_the_work():
     # 2**21 residue tuples, but the lcm is 3: one block, and sums in Z_3
     assert count_congruence_solutions(9996, (3,) * 22) == E_closed((3,) * 22)
