@@ -5,7 +5,8 @@ von Sterneck function Phi(k, n), Ramanujan sums C_n(k), and the generic
 periodic-average functional whose semi-multiplicativity underlies the
 closed formulas elsewhere in this package.
 
-All functions are pure and use exact integer (or Fraction) arithmetic.
+All functions are pure and use exact integer (or Fraction) arithmetic; the
+one cache kept here is of factorizations.
 """
 
 from __future__ import annotations
@@ -271,66 +272,6 @@ def ramanujan_sum(n: int, k: int) -> int:
     _require_int(n, "ramanujan_sum modulus must be >= 1", 1)
     g = math.gcd(k, n)
     return sum(d * mobius(n // d) for d in divisors(g))
-
-
-class _Store(dict):
-    """{key: build(key)}, each value kept only while the lengths sum to <= budget."""
-
-    def __init__(self, build: Callable, budget: int):
-        self.build, self.budget, self.held = build, budget, 0
-
-    def __missing__(self, key):
-        value = self.build(key)
-        if self.held + len(value) <= self.budget:
-            self[key] = value
-            self.held += len(value)
-        return value
-
-    def clear(self) -> None:
-        super().clear()
-        self.held = 0
-
-
-def _divisor_classes(M: int) -> dict[int, int]:
-    """{g: phi(M/g)} for g | M: phi(M/g) of the k < M have gcd(k, M) = g.
-
-    Built positionally: each p^a | M turns (M/d, phi(d)) into (M/(d p^e), phi(d p^e)).
-    """
-    classes = {M: 1}
-    for p, a in _factorize(M):
-        phis = [(1, 1)] + [(p**e, p**e - p ** (e - 1)) for e in range(1, a + 1)]
-        classes = {g // q: s * f for g, s in classes.items() for q, f in phis}
-    return classes
-
-
-def _von_sterneck_row(n: int) -> dict[int, int]:
-    """{g: Phi(g, n)} for g | n, for an n that the caller has checked.
-
-    Built positionally, as von_sterneck evaluates one value: each p^a | n
-    multiplies Phi(d, n / p^a) by Phi(p^e, p^a), which is (p-1) p^(a-1) at
-    e = a, -p^(a-1) at e = a - 1 and 0 below.
-    """
-    row = {1: 1}
-    for p, a in _factorize(n):
-        q = p ** (a - 1)
-        local = [(p**e, 0) for e in range(a - 1)] + [(q, -q), (q * p, q * p - q)]
-        row = {g * pe: v * f for g, v in row.items() for pe, f in local}
-    return row
-
-
-def _von_sterneck_column(key: tuple[int, int]) -> tuple[int, ...]:
-    """Phi(g, m) for g in _classes[M], from m's Phi row at gcd(g, m); key = (M, m)."""
-    M, m = key
-    row = _rows[m]
-    return tuple([row[math.gcd(g, m)] for g in _classes[M]])
-
-
-# E_bruteforce's stores: a Phi row per period, the classes of each lcm and a
-# column per (lcm, period).  With tracemalloc, CPython 3.11.7, each full with the
-# 2^15 divisors of the product of the first 15 primes: 3.5, 2.7 and 0.3 MB.
-_rows = _Store(_von_sterneck_row, 2**15)
-_classes = _Store(_divisor_classes, 2**15)
-_columns = _Store(_von_sterneck_column, 2**15)
 
 
 def periodic_average(

@@ -10,7 +10,8 @@ requested format, then calls each thunk for (expected, observed[, detail]),
 a pass when str(expected) == str(observed).  --check (on e, also --brute)
 reruns the result through an independent oracle and reports to stderr: a
 mismatch exits 3 and leaves the record on stdout, and an oracle refused by
-its own guard reports skipped, with the guard's message.
+its own guard reports skipped, with the guard's message.  A reader that
+closes stdout early gets no traceback: the verdicts and exit code stand.
 
 Exit codes: 0 ok (every check passed or skipped), 1 a value outside the
 command's domain or past its own guard (the library's message), 2 an argv
@@ -23,6 +24,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from .arith import GuardError, divisors
@@ -342,7 +344,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # stdout now writes to devnull, so the final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     for oracle, verdict in verdicts:
         print(f"check[{oracle}]: {verdict}", file=sys.stderr)
     return 3 if any(v.startswith("MISMATCH") for _, v in verdicts) else 0

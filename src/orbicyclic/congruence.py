@@ -186,7 +186,7 @@ def _class_polynomial(L: int, slot: int, n: int) -> int:
 class _PolynomialStore(dict):
     """{(L, slot, n): class polynomial}, each kept only while the bytes held stay <= budget.
 
-    The policy of arith._Store, sized in bytes; the oracle imports nothing from arith.
+    The policy of orbicyclic._Store, sized in bytes; the oracle imports nothing from arith.
     """
 
     def __init__(self, budget: int):

@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, factorial
 
-from .arith import GuardError, _exact_quotient, _require_int, divisors
+from .arith import GuardError, _exact_quotient, _require_int, _require_printable, divisors
 from .epi import count_epi
 from .orbifold import ELL_GUARD, GAMMA_GUARD, enumerate_orbifolds
 from .subgroups import _canonical_actions
@@ -32,6 +32,7 @@ def planar_rooted_count(n: int) -> int:
     """Rooted planar maps with n edges: 2 * 3^n * (2n)! / (n! (n+2)!)."""
     _require_int(n, "edge count must be an integer")
     _require_int(n, "edge count must be >= 0", 0)
+    _require_printable("planar_rooted_count", n, 12)  # N_0(n) <= 12^n
     return 2 * 3**n * factorial(2 * n) // (factorial(n) * factorial(n + 2))
 
 

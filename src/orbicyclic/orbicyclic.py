@@ -21,22 +21,14 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from itertools import product, repeat
 from operator import mul
 
-from .arith import PRINT_DIGITS, GuardError, _classes, _columns, _exact_quotient
-from .arith import _factorize, _require_int, _require_printable
-from .arith import divisors, factorize, is_prime
+from .arith import PRINT_DIGITS, GuardError, _exact_quotient, _factorize
+from .arith import _require_int, _require_printable, divisors, factorize, is_prime
 
 TRIPLES_GUARD = 10**4
-
-# E_bruteforce's steps, charged before any work: tau(M) per distinct period for
-# its column and row, and per class k * sqrt(k) for each of the (distinct periods
-# + 1) passes over terms of k 1024-bit words (terms are below M ** (len + 1)).
-# Best of 5 first calls, shared 2-core VM, CPython 3.11.7, with Phi rows built
-# positionally: the first 16 primes' product 0.11 s, (that product,) * 14 0.15 s.
-_MEAN_GUARD = 2**18
 
 
 class PeriodTuple(tuple):
@@ -161,6 +153,67 @@ def E_closed(t: Periods) -> int:
     return result
 
 
+# E_bruteforce's steps, charged before any work: tau(M) per distinct period for
+# its column, and per class k * sqrt(k) for each of the (distinct periods + 1)
+# passes over terms of k 1024-bit words (terms are below M ** (len + 1)).
+# Best of 5 first calls, shared 2-core VM, CPython 3.11.7, with the stores
+# emptied: the first 16 primes' product 0.03 s, (that product,) * 14 0.06 s.
+_MEAN_GUARD = 2**18
+
+
+class _Store(dict):
+    """{key: build(key)}, each value kept only while the lengths sum to <= budget."""
+
+    def __init__(self, build: Callable, budget: int):
+        self.build, self.budget, self.held = build, budget, 0
+
+    def __missing__(self, key):
+        value = self.build(key)
+        if self.held + len(value) <= self.budget:
+            self[key] = value
+            self.held += len(value)
+        return value
+
+    def clear(self) -> None:
+        super().clear()
+        self.held = 0
+
+
+def _divisor_table(M: int, local: Callable[[int, int], list[int]]) -> tuple[int, ...]:
+    """prod of local(p, a)[e] over the p^a || M, for each divisor prod p^e of M."""
+    table = [1]
+    for p, a in _factorize(M):  # the last prime's exponent varies fastest: one order per M
+        factors = local(p, a)
+        table = [v * f for v in table for f in factors]
+    return tuple(table)
+
+
+def _class_sizes(M: int) -> tuple[int, ...]:
+    """phi(M/g) for each g | M: the number of k < M with gcd(k, M) = g."""
+    return _divisor_table(M, lambda p, a: [p**k - p**k // p for k in range(a, -1, -1)])
+
+
+def _von_sterneck_column(key: tuple[int, int]) -> tuple[int, ...]:
+    """Phi(g, m) for each g | M, key = (M, m), by von Sterneck's local rule.
+
+    With p^b || m and q = p^b // p, Phi(p^e, p^b) is p^b - q for e >= b, -q at e = b - 1, else 0.
+    """
+    M, m = key
+
+    def local(p: int, a: int) -> list[int]:
+        b = next(e for e in range(a + 1) if m % p ** (e + 1))
+        q = p**b // p
+        return [p**b - q if e >= b else -q if e == b - 1 else 0 for e in range(a + 1)]
+    return _divisor_table(M, local)
+
+
+# E_bruteforce's tables, one tuple per lcm and per (lcm, period), aligned by
+# _divisor_table.  With tracemalloc, CPython 3.11.7, each full with the 2^15
+# divisors of the product of the first 15 primes: 1.34 MB each.
+_classes = _Store(_class_sizes, 2**15)
+_columns = _Store(_von_sterneck_column, 2**15)
+
+
 def E_bruteforce(t: Periods) -> int:
     """E from the defining mean over one period k = 1..M, M the lcm, by gcd class.
 
@@ -178,7 +231,7 @@ def E_bruteforce(t: Periods) -> int:
     steps = tau * ((len(counts) + 1) * kbits * math.isqrt(kbits) + len(counts))
     if steps > _MEAN_GUARD:
         raise GuardError(f"{steps} steps exceed the brute-force guard {_MEAN_GUARD}")
-    terms = _classes[M].values()
+    terms = _classes[M]
     for m, c in counts.items():
         column = _columns[M, m]
         terms = map(mul, terms, column if c == 1 else map(pow, column, repeat(c)))

@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from orbicyclic import arith
 from orbicyclic.arith import (
     GuardError,
-    _divisor_classes,
     _pollard_rho,
     divisors,
     euler_phi,
@@ -33,6 +32,9 @@ from orbicyclic.mapcount import (
 from orbicyclic.orbicyclic import (
     E_bruteforce,
     E_closed,
+    _classes,
+    _columns,
+    _divisor_table,
     enumerate_nonvanishing_triples,
     f_r,
     h_poly,
@@ -129,14 +131,14 @@ def test_factorize_runs_rho_once_per_modulus(monkeypatch):
 
 def test_bruteforce_rows_are_built_once_per_modulus(monkeypatch):
     built = []
-    build = arith._rows.build
-    monkeypatch.setattr(arith._rows, "build", lambda n: built.append(n) or build(n))
+    build = _columns.build
+    monkeypatch.setattr(_columns, "build", lambda key: built.append(key) or build(key))
     t = (360, 360, 120, 8)
     first = E_bruteforce(t)
-    assert sorted(built) == [8, 120, 360]
+    assert sorted(built) == [(360, 8), (360, 120), (360, 360)]
     assert E_bruteforce(t) == first
     assert E_bruteforce((120, 8)) == E_bruteforce((8, 120))
-    assert sorted(built) == [8, 120, 360]
+    assert sorted(built) == [(120, 8), (120, 120), (360, 8), (360, 120), (360, 360)]
 
 
 def test_per_modulus_caches_are_bounded():
@@ -144,7 +146,7 @@ def test_per_modulus_caches_are_bounded():
     assert isinstance(maxsize, int) and maxsize > 0
     # E_bruteforce's stores are bounded by the divisors they hold: a value
     # that does not fit in what is left is returned but not kept
-    stores = (arith._rows, arith._classes, arith._columns)
+    stores = (_classes, _columns)
     assert all(store.budget == 2**15 for store in stores)
     for store in stores:
         store.budget = 40
@@ -153,9 +155,8 @@ def test_per_modulus_caches_are_bounded():
             t = (M, M // 2, 2)
             assert E_bruteforce(t) == E_closed(t)
         # the first keys that fit are kept: tau(360) = 24, tau(12) = 6, tau(6) = 4
-        assert set(arith._columns) == {(360, 360), (12, 12), (12, 6), (6, 6)}
-        assert set(arith._classes) == {360, 12, 6}
-        assert set(arith._rows) == {360, 2, 12, 6, 3}
+        assert set(_columns) == {(360, 360), (12, 12), (12, 6), (6, 6)}
+        assert set(_classes) == {360, 12, 6}
         for store in stores:
             assert store.held == sum(map(len, store.values())) <= 40
     finally:
@@ -381,20 +382,31 @@ def test_von_sterneck_four_routes_agree():
             assert abs(v - roots) < 1e-6
 
 
+def divisor_walk(M):
+    """The divisors of M in the order of E_bruteforce's tables."""
+    return _divisor_table(M, lambda p, a: [p**e for e in range(a + 1)])
+
+
 def test_divisor_classes_count_the_residues_by_gcd():
+    # every table of M lists its divisors in one order: the exponent of the
+    # last prime of factorize(M) varies fastest
     for M in [*range(1, 401), 5040, 27720]:
-        by_gcd = {}
+        order = [1]
+        for p, a in factorize(M):
+            order = [g * p**e for g in order for e in range(a + 1)]
+        assert divisor_walk(M) == tuple(order)
+        by_gcd = dict.fromkeys(order, 0)
         for k in range(M):
-            by_gcd[math.gcd(k, M)] = by_gcd.get(math.gcd(k, M), 0) + 1
-        assert _divisor_classes(M) == by_gcd
+            by_gcd[math.gcd(k, M)] += 1
+        assert _classes[M] == tuple(by_gcd.values()), M
 
 
 def test_von_sterneck_column_matches_pointwise():
     # Phi(k, m) for every k < M is the column value at gcd(k, M)
     for M in [*range(1, 401), 5040, 27720]:
-        at = {g: i for i, g in enumerate(arith._classes[M])}
+        at = {g: i for i, g in enumerate(divisor_walk(M))}
         for m in divisors(M) if M <= 120 else (M, divisors(M)[-2], 1):
-            column = arith._columns[M, m]
+            column = _columns[M, m]
             for k in range(M):
                 assert von_sterneck(k, m) == column[at[math.gcd(k, M)]], (M, m, k)
 

@@ -398,6 +398,39 @@ class TestTriples:
         assert code == 0
         assert "check[exhaustive_scan]: ok" in err
 
+    @pytest.mark.parametrize(
+        "patch, check, code, verdict",
+        [
+            ("", False, 0, None),
+            ("", True, 0, "ok"),
+            ("cli._nonvanishing_triples_by_scan = lambda m: []; ", True, 3, "MISMATCH"),
+        ],
+        ids=["record", "ok", "mismatch"],
+    )
+    def test_closed_stdout_prints_no_traceback(self, patch, check, code, verdict):
+        # the reader takes one byte and closes the pipe, as `| head -c 1` does;
+        # the 112 KB record overfills the 64 KiB pipe, so the write meets the
+        # closed end, and the verdict still reaches stderr with its exit code
+        probe = f"import sys; from orbicyclic import cli; {patch}sys.exit(cli.main(sys.argv[1:]))"
+        argv = ["triples", "--lcm", "9240", "--format", "json"] + ["--check"] * check
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(orbicyclic.__path__[0]))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", probe, *argv],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        assert proc.stdout.read(1) == "{"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == code
+        if verdict is None:
+            assert err == ""
+        else:
+            assert err.startswith(f"check[exhaustive_scan]: {verdict}")
+            assert err.count("\n") == 1 and err.endswith("\n")
+
 
 # Exact stdout of every subcommand x format pair not pinned above.
 EXACT_STDOUT = [

@@ -261,21 +261,20 @@ def test_import_loads_only_what_the_package_uses():
 
 def test_import_fills_no_cache():
     # a cache filled at import would be paid again by every process start; the
-    # congruence store and E_bruteforce's stores are dicts, which the
-    # cache_info probe cannot see
+    # budgeted stores are dicts, which the cache_info probe cannot see, so they
+    # are found by type: a module-level dict with a budget attribute
     probe = (
         "import sys, orbicyclic\n"
+        "modules = [m for name, m in list(sys.modules.items()) if name.startswith('orbicyclic')]\n"
         "caches = {f'{m.__name__}.{k}': v.cache_info().currsize\n"
-        "          for name, m in list(sys.modules.items()) if name.startswith('orbicyclic')\n"
-        "          for k, v in vars(m).items() if hasattr(v, 'cache_info')}\n"
-        "caches['congruence._polynomials'] = len(\n"
-        "    sys.modules['orbicyclic.congruence']._polynomials)\n"
-        "for name in ('_rows', '_classes', '_columns'):\n"
-        "    caches[f'arith.{name}'] = len(getattr(sys.modules['orbicyclic.arith'], name))\n"
-        "print(len(caches), *sorted(k for k, n in caches.items() if n))"
+        "          for m in modules for k, v in vars(m).items() if hasattr(v, 'cache_info')}\n"
+        "stores = {id(v): (f'{m.__name__}.{k}', len(v)) for m in modules\n"
+        "          for k, v in vars(m).items() if isinstance(v, dict) and hasattr(v, 'budget')}\n"
+        "caches.update(stores.values())\n"
+        "print(len(stores), len(caches), *sorted(k for k, n in caches.items() if n))"
     )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run(
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout.split()
-    assert int(out[0]) > 0 and out[1:] == []
+    assert out[0] == "3" and int(out[1]) > 3 and out[2:] == []

@@ -3,7 +3,7 @@ from time import perf_counter
 
 import pytest
 
-from orbicyclic.arith import divisors
+from orbicyclic.arith import GuardError, divisors
 from orbicyclic.mapcount import (
     DART_PAIR_GUARD,
     _carrell_chapuy,
@@ -47,6 +47,16 @@ class TestPlanarClosedForm:
     def test_sequence(self):
         assert [planar_rooted_count(n) for n in range(1, 13)] == PLANAR
         assert planar_rooted_count(0) == 1
+
+    def test_print_limit(self):
+        # N_0(n) <= 12^n: refused from n = 3985 on, before any factorial is taken
+        for n in (3985, 10**6, 10**100):
+            start = perf_counter()
+            message = "^planar_rooted_count may exceed the 4300-digit print limit$"
+            with pytest.raises(GuardError, match=message):
+                planar_rooted_count(n)
+            assert perf_counter() - start < 1
+        assert len(str(planar_rooted_count(3984))) <= 4300
 
 
 class TestRootedMapCount:

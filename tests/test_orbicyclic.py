@@ -6,7 +6,6 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from orbicyclic import arith
 from orbicyclic.arith import GuardError, divisors, euler_phi, periodic_average, von_sterneck
 from orbicyclic.congruence import count_congruence_solutions
 from orbicyclic.orbicyclic import (
@@ -15,6 +14,8 @@ from orbicyclic.orbicyclic import (
     E_local,
     LocalProfile,
     PeriodTuple,
+    _columns,
+    _divisor_table,
     _nonvanishing_triples_by_scan,
     enumerate_nonvanishing_triples,
     equals_phi_classification,
@@ -219,15 +220,20 @@ class TestEValues:
             assert periodic_average(von_sterneck, t, 3 * m) == base
 
     def test_bruteforce_rows_equal_von_sterneck(self):
-        # each row is built positionally from the factorization, never from
-        # von_sterneck, and must equal it at every divisor
+        # each column is built positionally from the factorization, never from
+        # von_sterneck, and must equal it at every divisor, in the tables' order
+        def walk(n):
+            return _divisor_table(n, lambda p, a: [p**e for e in range(a + 1)])
+
         for n in range(1, 5041):
-            assert arith._rows[n] == {g: von_sterneck(g, n) for g in divisors(n)}, n
+            order = walk(n)
+            assert sorted(order) == divisors(n), n
+            assert _columns[n, n] == tuple(von_sterneck(g, n) for g in order), n
         n = math.prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53))
-        row = arith._rows[n]
-        assert len(row) == 2**16
-        for g in random.Random(16).sample(sorted(row), 500):
-            assert row[g] == von_sterneck(g, n), g
+        order, column = walk(n), _columns[n, n]
+        assert len(column) == len(order) == 2**16
+        for i in random.Random(16).sample(range(2**16), 500):
+            assert column[i] == von_sterneck(order[i], n), order[i]
 
     def test_bruteforce_semiprime_lcm_is_fast(self):
         # 988027 = 997 * 991: 988,027 residues but only 4 distinct Phi values
