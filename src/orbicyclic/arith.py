@@ -6,7 +6,8 @@ periodic-average functional whose semi-multiplicativity underlies the
 closed formulas elsewhere in this package.
 
 All functions are pure and use exact integer (or Fraction) arithmetic; the
-one cache kept here is of factorizations.
+one cache kept here is of factorizations.  GuardError and its two rules,
+_require_printable and _require_within, serve every guard in the package.
 """
 
 from __future__ import annotations
@@ -68,6 +69,12 @@ def _require_printable(
         raise GuardError(f"{name} may exceed the {PRINT_DIGITS}-digit print limit")
 
 
+def _require_within(what: str, value: int, guard: int) -> None:
+    """Refuse a valid input whose measure of cost or size, value, passes its guard."""
+    if value > guard:
+        raise GuardError(f"{what} {value} exceeds the guard {guard}")
+
+
 def _exact_quotient(numerator: int, denominator: int, what: str) -> int:
     """numerator / denominator, exact by proof: a remainder is an internal error."""
     q, rem = divmod(numerator, denominator)
@@ -79,8 +86,7 @@ def _exact_quotient(numerator: int, denominator: int, what: str) -> int:
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test for n < MR_BOUND."""
     _require_int(n, "is_prime expects an integer")
-    if n >= MR_BOUND:
-        raise GuardError(f"Miller-Rabin is proven only below its guard {MR_BOUND}, got {n}")
+    _require_within("Miller-Rabin argument", n, MR_BOUND - 1)
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -293,10 +299,7 @@ def periodic_average(
         _require_int(m, "period values must be integers")
         if m < 1 or modulus % m != 0:
             raise ValueError(f"period {m} does not divide modulus {modulus}")
-    if modulus > BRUTE_FORCE_GUARD:
-        raise GuardError(
-            f"modulus {modulus} exceeds the brute-force guard {BRUTE_FORCE_GUARD}"
-        )
+    _require_within("brute-force modulus", modulus, BRUTE_FORCE_GUARD)
     from fractions import Fraction  # its one user in the package: load it here
     column = [1] * modulus
     for m, c in Counter(ms).items():

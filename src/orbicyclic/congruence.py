@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 
-from .orbicyclic import GuardError, Periods, _coerce
+from .orbicyclic import Periods, _coerce, _require_within, _Store
 
 # Bounds one count's steps, summed over its blocks and charged before any
 # work.  A step is one residue visited to build a class or to take a sparse
@@ -88,21 +88,19 @@ def count_congruence_solutions(M: int, t: Periods) -> int:
             cost += n + (n * N / 2700 if sparse else dense)
         plans.append((int(cost), q, L, slot, products))
     steps = sum(plan[0] for plan in plans)
-    if steps > STEP_GUARD:
+    if steps > STEP_GUARD:  # the costliest block is sought only for the message
         worst, q = max(plan[:2] for plan in plans)
-        raise GuardError(
-            f"{steps} steps exceed the step guard {STEP_GUARD}, {worst} of them for block {q}"
-        )
+        _require_within(f"congruence steps (block {q} takes {worst})", steps, STEP_GUARD)
     count = 1
     for _, _, L, slot, products in plans:
         span = L * slot
-        w = generators = _class_polynomial(L, slot, L)
+        w = generators = _polynomials[L, slot, L]
         for n, sparse in products:
             if sparse:
                 stride = L // n * slot
                 w = sum(w << u * stride for u in _units(n))
             else:
-                w *= _class_polynomial(L, slot, n)
+                w *= _polynomials[L, slot, n]
             w = (w & (1 << span) - 1) + (w >> span)
         ones = (1 << slot) - 1
         count *= (w & generators * ones) % ones
@@ -166,35 +164,14 @@ def _units(n: int) -> list[int]:
     return [u for u in range(n) if math.gcd(u, n) == 1]
 
 
-def _class_polynomial(L: int, slot: int, n: int) -> int:
-    """The sum of 2^(slot * y) over the y of order n in Z_L, kept if it fits."""
-    key = (L, slot, n)
-    poly = _polynomials.get(key)
-    if poly is None:
-        stride = L // n * slot // 8
-        packed = bytearray(L * slot // 8)
-        for u in _units(n):
-            packed[u * stride] = 1
-        poly = int.from_bytes(packed, "little")
-        size = len(packed) + _ENTRY_BYTES
-        if _polynomials.held + size <= _polynomials.budget:
-            _polynomials[key] = poly
-            _polynomials.held += size
-    return poly
-
-
-class _PolynomialStore(dict):
-    """{(L, slot, n): class polynomial}, each kept only while the bytes held stay <= budget.
-
-    The policy of orbicyclic._Store, sized in bytes; the oracle imports nothing from arith.
-    """
-
-    def __init__(self, budget: int):
-        self.budget, self.held = budget, 0
-
-    def clear(self) -> None:
-        super().clear()
-        self.held = 0
+def _class_polynomial(key: tuple[int, int, int]) -> int:
+    """The sum of 2^(slot * y) over the y of order n in Z_L, key = (L, slot, n)."""
+    L, slot, n = key
+    stride = L // n * slot // 8
+    packed = bytearray(L * slot // 8)
+    for u in _units(n):
+        packed[u * stride] = 1
+    return int.from_bytes(packed, "little")
 
 
 # Class polynomials kept across calls: a sweep repeats its blocks, and a
@@ -210,4 +187,4 @@ class _PolynomialStore(dict):
 # of the L < 5000 at one-byte slots, 4.29 MB traced for 4.19 MB charged;
 # three e-triangle rounds keep 62 classes, 0.01 MB.
 _ENTRY_BYTES = 200
-_polynomials = _PolynomialStore(2**22)
+_polynomials = _Store(_class_polynomial, 2**22, lambda key, _: key[0] * key[1] // 8 + _ENTRY_BYTES)

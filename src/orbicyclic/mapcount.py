@@ -6,7 +6,7 @@ the exact Carrell-Chapuy recurrence; genus 0 also has a sum-free closed
 formula, kept as the reference for the recurrence's planar row.  theta()
 combines rooted counts with the cyclic-orbifold and epimorphism
 machinery, Burnside-style, to count maps up to all orientation-preserving
-isomorphisms rather than up to rooted ones.
+isomorphisms rather than up to rooted ones; both share the enumerators' guards.
 
 An exhaustive oracle over dart pairs (sigma, alpha), which visits each rooted
 map once (Walsh and Lehman 1972), cross-checks both counts at small sizes.
@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb, factorial
 
-from .arith import GuardError, _exact_quotient, _require_int, _require_printable, divisors
+from .arith import _exact_quotient, _require_int, _require_printable, _require_within, divisors
 from .epi import count_epi
 from .orbifold import ELL_GUARD, GAMMA_GUARD, enumerate_orbifolds
 from .subgroups import _canonical_actions
@@ -63,12 +63,18 @@ def _carrell_chapuy(g: int, n: int) -> int:
     return _exact_quotient(total + 3 * pairs, n + 1, what)
 
 
+def _require_guarded(g: int, n: int) -> None:
+    """Refuse a genus or edge count past theta's domain: the enumerators' guards at ell = 2n."""
+    _require_within("genus", g, GAMMA_GUARD)
+    _require_within("edge count", n, ELL_GUARD // 2)
+
+
 def rooted_map_count(g: int, n: int) -> int:
     """N_g(n), with N_g(n) = 0 for negative n.
 
-    The zero-edge map exists only on the sphere.  Every genus is guarded
-    by g <= GAMMA_GUARD and n <= ELL_GUARD // 2, the most theta() asks
-    for; within it every genus uses the Carrell-Chapuy recurrence.
+    The zero-edge map exists only on the sphere.  Any other genus and edge
+    count must lie in theta's guarded domain; within it every genus uses
+    the Carrell-Chapuy recurrence.
     """
     _require_int(g, "genus must be an integer")
     _require_int(n, "edge count must be an integer")
@@ -77,11 +83,7 @@ def rooted_map_count(g: int, n: int) -> int:
         return 0
     if n == 0:
         return 1 if g == 0 else 0
-    if g > GAMMA_GUARD or n > ELL_GUARD // 2:
-        raise GuardError(
-            f"rooted count N_{g}({n}) exceeds the guard "
-            f"(g <= {GAMMA_GUARD}, n <= {ELL_GUARD // 2})"
-        )
+    _require_guarded(g, n)
     return _carrell_chapuy(g, n)
 
 
@@ -112,15 +114,11 @@ def theta(gamma: int, n: int) -> int:
     rooted count of quotient maps.  The grand total must come out
     divisible by 2n.
 
-    Inputs past gamma <= GAMMA_GUARD or 2n <= ELL_GUARD, the largest ell
-    summed over, are rejected before any work is done.
+    Inputs past the enumerators' guards, gamma <= GAMMA_GUARD and 2n <=
+    ELL_GUARD, the largest ell summed over, are rejected before any work.
     """
     _check_args(gamma, n)
-    if gamma > GAMMA_GUARD or 2 * n > ELL_GUARD:
-        raise GuardError(
-            f"(gamma={gamma}, n={n}) exceeds the guard "
-            f"(gamma <= {GAMMA_GUARD}, 2n <= {ELL_GUARD})"
-        )
+    _require_guarded(gamma, n)
     total = 0
     for ell in divisors(2 * n):
         dart_orbits = 2 * n // ell
@@ -140,7 +138,7 @@ def theta(gamma: int, n: int) -> int:
                 if placements == 0:
                     continue
                 ways = comb(dart_orbits, s2)
-                sig_sum += ways * placements * rooted_map_count(sig.g, quotient_edges)
+                sig_sum += ways * placements * _carrell_chapuy(sig.g, quotient_edges)
             total += epi * sig_sum
     return _exact_quotient(total, 2 * n, f"Burnside sum at gamma={gamma}, n={n}")
 
@@ -176,6 +174,5 @@ def dart_pair_oracle(gamma: int, n: int) -> tuple[int, int]:
     rooted map, and one unrooted map when its code is least over all root darts.
     """
     _check_args(gamma, n)
-    if n > DART_PAIR_GUARD:
-        raise GuardError(f"oracle guard: n = {n} exceeds {DART_PAIR_GUARD}")
+    _require_within("dart-pair edge count", n, DART_PAIR_GUARD)
     return _map_census(n).get(gamma, (0, 0))

@@ -25,8 +25,8 @@ from collections.abc import Callable, Iterable, Iterator
 from itertools import product, repeat
 from operator import mul
 
-from .arith import PRINT_DIGITS, GuardError, _exact_quotient, _factorize
-from .arith import _require_int, _require_printable, divisors, factorize, is_prime
+from .arith import PRINT_DIGITS, _exact_quotient, _factorize, _require_int
+from .arith import _require_printable, _require_within, divisors, factorize, is_prime
 
 TRIPLES_GUARD = 10**4
 
@@ -162,16 +162,20 @@ _MEAN_GUARD = 2**18
 
 
 class _Store(dict):
-    """{key: build(key)}, each value kept only while the lengths sum to <= budget."""
+    """{key: build(key)}, each value kept only while the sizes sum to <= budget.
 
-    def __init__(self, build: Callable, budget: int):
-        self.build, self.budget, self.held = build, budget, 0
+    A value's size is size(key, value), its length by default; nothing is evicted.
+    """
+
+    def __init__(self, build: Callable, budget: int, size: Callable = lambda k, v: len(v)):
+        self.build, self.budget, self.size, self.held = build, budget, size, 0
 
     def __missing__(self, key):
         value = self.build(key)
-        if self.held + len(value) <= self.budget:
+        size = self.size(key, value)
+        if self.held + size <= self.budget:
             self[key] = value
-            self.held += len(value)
+            self.held += size
         return value
 
     def clear(self) -> None:
@@ -229,8 +233,7 @@ def E_bruteforce(t: Periods) -> int:
     kbits = 1 + (len(t) + 1) * M.bit_length() // 1024
     tau = math.prod([a + 1 for _, a in _factorize(M)])
     steps = tau * ((len(counts) + 1) * kbits * math.isqrt(kbits) + len(counts))
-    if steps > _MEAN_GUARD:
-        raise GuardError(f"{steps} steps exceed the brute-force guard {_MEAN_GUARD}")
+    _require_within("brute-force steps", steps, _MEAN_GUARD)
     terms = _classes[M]
     for m, c in counts.items():
         column = _columns[M, m]
@@ -291,8 +294,7 @@ def enumerate_nonvanishing_triples(m: int) -> list[tuple[int, int, int]]:
     """
     _require_int(m, "lcm must be an integer")
     _require_int(m, "lcm must be >= 1", 1)
-    if m > TRIPLES_GUARD:
-        raise GuardError(f"lcm {m} exceeds the enumeration guard {TRIPLES_GUARD}")
+    _require_within("triples lcm", m, TRIPLES_GUARD)
     per_prime: list[list[tuple[int, int, int]]] = []
     for p, a in factorize(m):
         options = [] if p == 2 else [(p**a, p**a, p**a)]

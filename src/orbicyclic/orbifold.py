@@ -15,7 +15,7 @@ Both enumeration routes filter one candidate generator, which applies
 no admissibility condition and prunes every branch whose remaining sum
 cannot be reached.  Its sorted output is kept once per (gamma, ell), and
 so is the result of the epimorphism route; Harvey's route, the oracle,
-is recomputed on every call.
+is recomputed on every call.  The guards are checked as a list is built.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
 
-from .arith import GuardError, _require_int, divisors
+from .arith import _require_int, _require_within, divisors
 from .orbicyclic import PeriodTuple, _vanishing_primes
 
 GAMMA_GUARD = 6
@@ -164,16 +164,11 @@ def epi_nonvanishing(sig: OrbifoldSignature, ell: int) -> tuple[bool, list[str]]
 
 
 def _check_order(gamma: int, ell: int) -> None:
-    """Refuse a (gamma, ell) outside the guarded domain of the enumerators."""
+    """Refuse a (gamma, ell) of the wrong type or sign; _candidates applies the guards."""
     _require_int(gamma, "gamma must be an integer")
     _require_int(ell, "group order must be an integer")
     if gamma < 0 or ell < 1:
         raise ValueError(f"need gamma >= 0 and ell >= 1, got {gamma}, {ell}")
-    if gamma > GAMMA_GUARD or ell > ELL_GUARD:
-        raise GuardError(
-            f"(gamma={gamma}, ell={ell}) exceeds the guard "
-            f"(gamma <= {GAMMA_GUARD}, ell <= {ELL_GUARD})"
-        )
 
 
 def _candidate_signatures(gamma: int, ell: int) -> Iterator[OrbifoldSignature]:
@@ -184,7 +179,7 @@ def _candidate_signatures(gamma: int, ell: int) -> Iterator[OrbifoldSignature]:
     ell - ell/m_j sum to 2*gamma - 2 - ell*(2g - 2).  Periods are chosen
     non-increasing in contribution, so each multiset comes out once.  A
     branch is entered only if the sum it leaves is still a sum of the
-    contributions from its divisor on.  (gamma, ell) must pass _check_order.
+    contributions from its divisor on.  (gamma, ell) must pass _check_order and the guards.
     """
     divs = divisors(ell)[:0:-1]  # the divisors >= 2, largest contribution first
     parts = [ell - ell // d for d in divs]
@@ -221,13 +216,16 @@ def _candidate_signatures(gamma: int, ell: int) -> Iterator[OrbifoldSignature]:
 # domain, so both caches hold at most (GAMMA_GUARD + 1) * ELL_GUARD = 1,400
 # keys.  Measured with tracemalloc under CPython 3.11.7: the whole domain
 # (1,049 candidates) holds about 0.6 MB in both together.  lru_cache takes
-# True for 1 and 2.0 for 2, so every lookup comes after _check_order.
+# True for 1 and 2.0 for 2, so every lookup comes after _check_order; the
+# guards are checked on a miss, before any work, so a hit costs no check.
 _DOMAIN = (GAMMA_GUARD + 1) * ELL_GUARD
 
 
 @lru_cache(maxsize=_DOMAIN)
 def _candidates(gamma: int, ell: int) -> tuple[OrbifoldSignature, ...]:
     """The candidate signatures for (gamma, ell), sorted by (g, r, periods)."""
+    _require_within("gamma", gamma, GAMMA_GUARD)
+    _require_within("group order", ell, ELL_GUARD)
     # the module global, so that a rebinding of the generator sees every draw
     found = _candidate_signatures(gamma, ell)
     return tuple(sorted(found, key=lambda s: (s.g, s.r, s.periods)))
@@ -296,15 +294,14 @@ def census(gamma: int) -> CensusResult:
     """Count all admissible orbifolds for surface genus gamma >= 2.
 
     The union over ell is exhausted by ell <= 4*gamma + 2 (Wiman); gamma 0
-    and 1 are rejected, their orbifold families being infinite in ell.
+    and 1 are rejected, their orbifold families being infinite in ell, and
+    a gamma past GAMMA_GUARD by the first enumeration, before any work.
     """
     _require_int(gamma, "gamma must be an integer")
     if gamma in (0, 1):
         raise ValueError(f"census is infinite for gamma = {gamma}")
     if gamma < 0:
         raise ValueError(f"gamma must be in [2, {GAMMA_GUARD}], got {gamma}")
-    if gamma > GAMMA_GUARD:
-        raise GuardError(f"gamma {gamma} exceeds the census guard {GAMMA_GUARD}")
     seen: dict[OrbifoldSignature, int] = {}
     for ell in _wiman_range(gamma):
         for sig in enumerate_orbifolds(gamma, ell):

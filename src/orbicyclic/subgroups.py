@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from math import factorial
 
-from .arith import GuardError, _exact_quotient, _require_int, divisors, jordan_phi
+from .arith import _exact_quotient, _require_int, _require_within, divisors, jordan_phi
 
 INDEX_GUARD = 12
 # Keeps M(12), about 8.7 * (rank - 1) digits, within Python's 4,300-digit str limit.
@@ -40,11 +40,9 @@ def _check_args(rank: int, index: int) -> None:
     _require_int(rank, "rank must be an integer")
     _require_int(index, "index must be an integer")
     _require_int(rank, "rank must be >= 1", 1)
-    if rank > RANK_GUARD:
-        raise GuardError(f"rank {rank} exceeds guard {RANK_GUARD}")
+    _require_within("rank", rank, RANK_GUARD)
     _require_int(index, "index must be >= 1", 1)
-    if index > INDEX_GUARD:
-        raise GuardError(f"index {index} exceeds guard {INDEX_GUARD}")
+    _require_within("index", index, INDEX_GUARD)
 
 
 def _hall(r: int, n: int) -> list[int]:
@@ -126,9 +124,7 @@ def transitive_pair_counts(rank: int, index: int) -> tuple[int, int]:
     those tuples up to all relabellings.
     """
     _check_args(rank, index)
-    if index**2 * rank * factorial(index) ** (rank - 1) > TUPLE_SCAN_GUARD:
-        raise GuardError(
-            f"brute force at rank={rank}, index={index} exceeds guard {TUPLE_SCAN_GUARD}"
-        )
+    steps = index**2 * rank * factorial(index) ** (rank - 1)
+    _require_within("tuple-scan steps", steps, TUPLE_SCAN_GUARD)
     leaves = [least for _, least in _canonical_actions(index, rank)]
     return len(leaves), sum(leaves)

@@ -226,7 +226,7 @@ def test_is_prime_past_twelve_witnesses():
 
 def test_is_prime_bound():
     assert is_prime(PSI_13 - 1) is False
-    message = f"^Miller-Rabin is proven only below its guard {PSI_13}, got {PSI_13}$"
+    message = f"^Miller-Rabin argument {PSI_13} exceeds the guard {PSI_13 - 1}$"
     with pytest.raises(GuardError, match=message):
         is_prime(PSI_13)
     with pytest.raises(GuardError, match=message):
@@ -498,7 +498,8 @@ def test_periodic_average_rejects_bad_modulus():
         periodic_average(von_sterneck, (2,), 0)
     # the sum holds one entry per residue, so the modulus has a bound
     start = perf_counter()
-    with pytest.raises(ValueError, match="brute-force guard 1000000"):
+    message = "^brute-force modulus 2000000 exceeds the guard 1000000$"
+    with pytest.raises(GuardError, match=message):
         periodic_average(math.gcd, (2,), 2 * 10**6)
     assert perf_counter() - start < 1
 

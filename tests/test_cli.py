@@ -76,8 +76,8 @@ class TestEValue:
         assert code == 0
         assert out == "E(99991, 99991, 99991) = 9997900110\n"
         assert err == (
-            "check[congruence(M=99991)]: skipped (2863677 steps exceed "
-            "the step guard 1000000, 2863677 of them for block 99991)\n"
+            "check[congruence(M=99991)]: skipped (congruence steps (block 99991 takes "
+            "2863677) 2863677 exceeds the guard 1000000)\n"
         )
         # the shape the guard refused before the count split M into blocks
         code, out, err = run(capsys, "e", "9973", "9973", "9973", "--congruence", "9973")
@@ -95,8 +95,8 @@ class TestEValue:
         assert code == 0
         assert out == f"E({q}, {q}) = {2**699}\n"
         assert err == (
-            f"check[congruence(M={q})]: skipped ({q} steps exceed "
-            f"the step guard 1000000, {q} of them for block {q})\n"
+            f"check[congruence(M={q})]: skipped (congruence steps (block {q} takes "
+            f"{q}) {q} exceeds the guard 1000000)\n"
         )
 
     def test_congruence_past_a_million(self, capsys):
@@ -111,12 +111,12 @@ class TestEValue:
         assert err == "check[congruence(M=2406725881560)]: ok\n"
 
     def test_miller_rabin_bound(self, capsys):
-        psi_13 = "3317044064679887385961981"
+        psi_13, guard = "3317044064679887385961981", "3317044064679887385961980"
         code, out, err = run(capsys, "e", psi_13, psi_13)
         assert code == 1
         assert out == ""
         assert err == (
-            f"error: Miller-Rabin is proven only below its guard {psi_13}, got {psi_13}\n"
+            f"error: Miller-Rabin argument {psi_13} exceeds the guard {guard}\n"
         )
         # the same guard in a check's oracle skips the check, not the record:
         # the count is 0 without E, since the period does not divide 12
@@ -126,8 +126,8 @@ class TestEValue:
         assert code == 0
         assert out == f"epimorphisms (0;{psi_13}) -> Z_12: 0\n"
         assert err == (
-            "check[brute_force]: skipped (Miller-Rabin is proven only below its guard "
-            f"{psi_13}, got {psi_13})\n"
+            f"check[brute_force]: skipped (Miller-Rabin argument {psi_13} exceeds "
+            f"the guard {guard})\n"
         )
 
 
@@ -191,7 +191,7 @@ class TestEpi:
         argv = ("epi", "--genus", "0", "--order", "12", "--periods", lcm)
         skipped = (
             "check[brute_force]: skipped "
-            "(393216 steps exceed the brute-force guard 262144)\n"
+            "(brute-force steps 393216 exceeds the guard 262144)\n"
         )
         start = perf_counter()
         assert run(capsys, "--check", *argv) == (
@@ -243,11 +243,11 @@ class TestOrbifolds:
         assert code == 1
         assert out == ""
         assert err == "error: census is infinite for gamma = 1\n"
-        # the sweep is the census, so it names the census guard
+        # the sweep is the census, refused by the enumerators' gamma guard
         code, out, err = run(capsys, "orbifolds", "--gamma", "7")
         assert code == 1
         assert out == ""
-        assert err == "error: gamma 7 exceeds the census guard 6\n"
+        assert err == "error: gamma 7 exceeds the guard 6\n"
 
     def test_check(self, capsys):
         code, _, err = run(capsys, "--check", "orbifolds", "--gamma", "2", "--order", "6")
@@ -314,8 +314,7 @@ class TestTheta:
         assert perf_counter() - start < 5
         assert code == 1
         assert out == ""
-        assert err.startswith("error:")
-        assert "2n <= 200" in err
+        assert err == "error: edge count 1000000 exceeds the guard 100\n"
 
     def test_check_passes(self, capsys):
         code, _, err = run(capsys, "--check", "theta", "--gamma", "0", "--edges", "3")
@@ -340,7 +339,7 @@ class TestTheta:
         assert out == "maps with 12 edges on genus 0: 658049140\n"
         assert err == (
             "check[harvey_route]: ok\n"
-            "check[dart_pair_oracle]: skipped (oracle guard: n = 12 exceeds 5)\n"
+            "check[dart_pair_oracle]: skipped (dart-pair edge count 12 exceeds the guard 5)\n"
         )
 
 
@@ -365,12 +364,13 @@ class TestFreegroup:
         assert out == "F_3 index 6: 3011263 subgroups, 504243 conjugacy classes\n"
         assert err == (
             "check[transitive_pairs]: skipped "
-            "(brute force at rank=3, index=6 exceeds guard 500000)\n"
+            "(tuple-scan steps 55987200 exceeds the guard 500000)\n"
         )
 
     def test_guard(self, capsys):
         code, _, err = run(capsys, "freegroup", "--rank", "2", "--index", "13")
         assert code == 1
+        assert err == "error: index 13 exceeds the guard 12\n"
 
     def test_rank_guard_fails_fast(self, capsys):
         start = perf_counter()
@@ -378,7 +378,7 @@ class TestFreegroup:
         assert perf_counter() - start < 1
         assert code == 1
         assert out == ""
-        assert err == "error: rank 1000000 exceeds guard 400\n"
+        assert err == "error: rank 1000000 exceeds the guard 400\n"
 
 
 class TestTriples:
@@ -598,7 +598,7 @@ class TestUsageErrors:
         assert out == f"E({lcm}) = 0\n"
         assert err == (
             "check[brute_force]: skipped "
-            "(3145728 steps exceed the brute-force guard 262144)\n"
+            "(brute-force steps 3145728 exceeds the guard 262144)\n"
         )
 
 

@@ -168,10 +168,32 @@ def test_finds_a_guard_raise():
     assert guard_raises(source) == [("f", "GuardError", True), ("f", "ValueError", False)]
 
 
+def loads(source: str, names: set[str]) -> list[str | None]:
+    """The innermost function around each read of one of names, in order."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Name) and node.id in names and isinstance(node.ctx, ast.Load):
+            found.append(func)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_finds_a_load():
+    source = "from m import G\nG = 1\ndef f(x):\n    return x > G\nprint(G)\n"
+    assert loads(source, {"G"}) == ["f", None]
+
+
 def test_every_guard_raises_guard_error():
     # GuardError marks a valid input refused by a bound the library set, so
     # the CLI can tell an oracle past its guard from a domain error; it is
-    # defined once, and a raise names a guard exactly when it raises it
+    # defined once, raised by the two refusal rules alone, and a raise names
+    # a guard exactly when it raises it
     found = [
         (path.name, func, raised, names)
         for path in MODULES
@@ -180,15 +202,10 @@ def test_every_guard_raises_guard_error():
     assert all((raised == "GuardError") == names for _, _, raised, names in found), [
         site for site in found if (site[2] == "GuardError") != site[3]
     ]
-    guarded = {name for name, _, raised, _ in found if raised == "GuardError"}
-    assert guarded == {
-        "arith.py",
-        "congruence.py",
-        "mapcount.py",
-        "orbicyclic.py",
-        "orbifold.py",
-        "subgroups.py",
-    }
+    assert [(name, func) for name, func, raised, _ in found if raised == "GuardError"] == [
+        ("arith.py", "_require_printable"),
+        ("arith.py", "_require_within"),
+    ]
     defined = [
         (path.name, node.name)
         for path in MODULES
@@ -196,6 +213,9 @@ def test_every_guard_raises_guard_error():
         if isinstance(node, ast.ClassDef) and node.name == "GuardError"
     ]
     assert defined == [("arith.py", "GuardError")]
+    # theta and the rooted counts share the enumerators' domain, checked in one place
+    mapcount = (PACKAGE / "mapcount.py").read_text()
+    assert loads(mapcount, {"GAMMA_GUARD", "ELL_GUARD"}) == ["_require_guarded"] * 2
 
 
 def test_cli_catches_guard_error_in_one_place():

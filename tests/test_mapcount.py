@@ -3,6 +3,7 @@ from time import perf_counter
 
 import pytest
 
+from orbicyclic import orbifold
 from orbicyclic.arith import GuardError, divisors
 from orbicyclic.mapcount import (
     DART_PAIR_GUARD,
@@ -15,6 +16,7 @@ from orbicyclic.mapcount import (
 )
 from orbicyclic.orbifold import (
     OrbifoldSignature,
+    census,
     enumerate_orbifolds,
     enumerate_orbifolds_via_harvey,
 )
@@ -38,9 +40,19 @@ GENUS3 = [
     167808024, 4721384790, 117593590752, 2675326679856,
 ]
 
-THETA0 = [2, 4, 14, 57, 312, 2071, 15030, 117735]
+THETA0 = [
+    2, 4, 14, 57, 312, 2071, 15030, 117735, 967850, 8268816, 72833730, 658049140,
+    6074058060, 57106433817, 545532037612, 5284835906037, 51833908183164,
+    514019531037910, 5147924676612282, 52017438279806634, 529867070532745464,
+    5437158683198415852, 56168213151585033438, 583825369323829741876,
+    6102921193699676356284, 64130971334149516719996, 677183743279978343681498,
+    7182984705497413204651038, 76511970567087552769326612,
+    818199885251704414518808523,
+]
 THETA1 = [0, 1, 6, 46, 452, 4852, 52972, 587047]
-THETA2 = [0, 0, 0, 4, 106, 2382, 46680, 830848]
+THETA2 = [
+    0, 0, 0, 4, 106, 2382, 46680, 830848, 13804864, 218353000, 3328822880, 49325772812,
+]
 
 
 class TestPlanarClosedForm:
@@ -83,16 +95,16 @@ class TestRootedMapCount:
 
     def test_guard(self):
         assert rooted_map_count(6, 100) > 0
-        with pytest.raises(ValueError, match=r"g <= 6, n <= 100"):
+        with pytest.raises(GuardError, match="^genus 7 exceeds the guard 6$"):
             rooted_map_count(7, 8)
-        with pytest.raises(ValueError, match=r"g <= 6, n <= 100"):
+        with pytest.raises(GuardError, match="^edge count 101 exceeds the guard 100$"):
             rooted_map_count(1, 101)
         # genus 0 (the closed formula) is held to the same limit; at
         # n = 10**5 the unguarded formula took seconds
         start = perf_counter()
-        with pytest.raises(ValueError, match=r"g <= 6, n <= 100"):
+        with pytest.raises(GuardError, match="^edge count 101 exceeds the guard 100$"):
             rooted_map_count(0, 101)
-        with pytest.raises(ValueError, match=r"g <= 6, n <= 100"):
+        with pytest.raises(GuardError, match="^edge count 100000 exceeds the guard 100$"):
             rooted_map_count(0, 10**5)
         assert perf_counter() - start < 1
 
@@ -116,9 +128,9 @@ class TestCarrellChapuy:
 
 class TestTheta:
     def test_sequences(self):
-        assert [theta(0, n) for n in range(1, 9)] == THETA0
+        assert [theta(0, n) for n in range(1, 31)] == THETA0
         assert [theta(1, n) for n in range(1, 9)] == THETA1
-        assert [theta(2, n) for n in range(1, 9)] == THETA2
+        assert [theta(2, n) for n in range(1, 13)] == THETA2
 
     def test_sparse_high_genus(self):
         # genus 4 needs at least 8 edges; small n dies in the multinomial.
@@ -133,12 +145,12 @@ class TestTheta:
         with pytest.raises(ValueError):
             theta(-1, 2)
         start = perf_counter()
-        with pytest.raises(ValueError, match=r"gamma <= 6, 2n <= 200"):
+        with pytest.raises(GuardError, match="^edge count 1000000 exceeds the guard 100$"):
             theta(0, 10**6)
         assert perf_counter() - start < 5
-        with pytest.raises(ValueError, match=r"gamma <= 6, 2n <= 200"):
+        with pytest.raises(GuardError, match="^edge count 101 exceeds the guard 100$"):
             theta(3, 101)
-        with pytest.raises(ValueError, match=r"gamma <= 6, 2n <= 200"):
+        with pytest.raises(GuardError, match="^genus 7 exceeds the guard 6$"):
             theta(7, 1)
 
     def test_enumerator_route_matches(self):
@@ -191,7 +203,7 @@ class TestDartPairOracle:
         assert DART_PAIR_GUARD == 5
         assert dart_pair_oracle(2, 5) == (966, 106)
         start = perf_counter()
-        with pytest.raises(ValueError, match="n = 6 exceeds 5"):
+        with pytest.raises(GuardError, match="^dart-pair edge count 6 exceeds the guard 5$"):
             dart_pair_oracle(0, 6)
         assert perf_counter() - start < 1
         with pytest.raises(ValueError):
@@ -234,3 +246,30 @@ def test_theta_integrality_and_rooted_sandwich():
             rooted = rooted_map_count(gamma, n)
             assert unrooted * 2 * n >= rooted
             assert unrooted <= rooted or rooted == 0
+
+
+def test_guards_refuse_before_any_work(monkeypatch):
+    # census has no guard of its own, and theta and the rooted counts share
+    # one: the enumerators' guards refuse on a cache miss, before a candidate
+    # is drawn, whether or not lists of the guarded domain are kept (the
+    # caches start empty, as in every test)
+    drawn, draw = [], orbifold._candidate_signatures
+    monkeypatch.setattr(
+        orbifold, "_candidate_signatures", lambda *key: drawn.append(key) or draw(*key)
+    )
+    refusals = [
+        (census, (7,), "gamma 7 exceeds the guard 6"),
+        (theta, (7, 3), "genus 7 exceeds the guard 6"),
+        (theta, (2, 101), "edge count 101 exceeds the guard 100"),
+        (rooted_map_count, (2, 101), "edge count 101 exceeds the guard 100"),
+    ]
+    for route in (enumerate_orbifolds, enumerate_orbifolds_via_harvey):
+        refusals.append((route, (7, 1), "gamma 7 exceeds the guard 6"))
+        refusals.append((route, (6, 201), "group order 201 exceeds the guard 200"))
+    for cached in ([], [(6, 200), (6, 1)]):
+        for key in cached:
+            assert enumerate_orbifolds(*key) == enumerate_orbifolds_via_harvey(*key)
+        for refused, args, message in refusals:
+            with pytest.raises(GuardError, match=f"^{message}$"):
+                refused(*args)
+        assert drawn == cached

@@ -250,9 +250,9 @@ class TestEValues:
     def test_bruteforce_errors(self):
         # the class sum pays tau(lcm), not the lcm: 1000001 = 101 * 9901 has 4 classes
         assert E_bruteforce((1000001,)) == E_closed((1000001,)) == 0
-        # refused before any work: tau(M) per distinct period for its column
-        # and row, and per class k * sqrt(k) for each of the (distinct periods
-        # + 1) passes over terms of k 1024-bit words
+        # refused before any work: tau(M) per distinct period for its column,
+        # and per class k * sqrt(k) for each of the (distinct periods + 1)
+        # passes over terms of k 1024-bit words
         p = 2**61 - 1
         for r in (1, 27495):  # the last multiplicity under the guard: 262,082 steps
             assert E_bruteforce((p,) * r) == ((p - 1) ** r + (p - 1) * (-1) ** r) // p
@@ -262,7 +262,7 @@ class TestEValues:
             ((math.prod(first[:17]),), 393216),  # 2**17 divisors
             ((math.prod(first[:20]),), 3145728),  # 2**20 divisors
         ]:
-            message = f"^{steps} steps exceed the brute-force guard 262144$"
+            message = f"^brute-force steps {steps} exceeds the guard 262144$"
             start = time.perf_counter()
             with pytest.raises(GuardError, match=message):
                 E_bruteforce(t)

@@ -301,8 +301,9 @@ class TestCensus:
             census(0)
         with pytest.raises(ValueError):
             census(1)
-        # a gamma past the guard is valid input refused on cost, as in _check_order
-        with pytest.raises(GuardError, match="^gamma 7 exceeds the census guard 6$"):
+        # a gamma past the guard is valid input refused on cost, by the
+        # enumerators' own guard at the census's first group order
+        with pytest.raises(GuardError, match="^gamma 7 exceeds the guard 6$"):
             census(7)
         with pytest.raises(ValueError, match=r"^gamma must be in \[2, 6\], got -1$") as refused:
             census(-1)
