@@ -6,8 +6,10 @@ periodic-average functional whose semi-multiplicativity underlies the
 closed formulas elsewhere in this package.
 
 All functions are pure and use exact integer (or Fraction) arithmetic; the
-one cache kept here is of factorizations.  GuardError and its two rules,
-_require_printable and _require_within, serve every guard in the package.
+one cache kept here is of factorizations.  Three rules serve the whole
+package: _require_int refuses an argument outside its integer domain with a
+ValueError, and _require_printable and _require_within refuse a valid input
+past a library bound with a GuardError.
 """
 
 from __future__ import annotations
@@ -43,16 +45,30 @@ class GuardError(ValueError):
     """A valid input refused by a library bound on cost, printed digits or a proven range."""
 
 
-def _require_int(value, message: str, least: int | None = None) -> None:
-    """Raise ValueError(f"{message}, got {value!r}") unless value is an int >= least.
+def _shown(value) -> str:
+    """repr(value), or for an int past Python's int-to-str limit its sign and digit count."""
+    try:
+        return repr(value)
+    except ValueError:
+        size = abs(value)
+        # 2**(b-1) <= size < 2**b leaves two digit counts; one power of 10 decides
+        digits = int(size.bit_length() * math.log10(2)) + 1
+        if size < 10 ** (digits - 1):
+            digits -= 1
+        return f"a {'negative ' if value < 0 else ''}{digits}-digit number"
+
+
+def _require_int(value, what: str, least: int | None = None) -> None:
+    """Refuse value unless it is an int, and >= least if given: the one domain rule.
 
     A bool is an int subclass but never a valid argument here.
     """
-    if type(value) is not int:  # a plain int, the hot-path case, skips isinstance
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{message}, got {value!r}")
-    if least is not None and value < least:
-        raise ValueError(f"{message}, got {value!r}")
+    # a plain int, the hot-path case, is settled by its type and skips isinstance
+    if type(value) is int or isinstance(value, int) and not isinstance(value, bool):
+        if least is None or value >= least:
+            return
+    bound = "" if least is None else f" >= {least}"
+    raise ValueError(f"{what} must be an integer{bound}, got {_shown(value)}")
 
 
 def _require_printable(
@@ -69,10 +85,14 @@ def _require_printable(
         raise GuardError(f"{name} may exceed the {PRINT_DIGITS}-digit print limit")
 
 
-def _require_within(what: str, value: int, guard: int) -> None:
-    """Refuse a valid input whose measure of cost or size, value, passes its guard."""
+def _require_within(what: str, value: int, guard: int, *named: int) -> None:
+    """Refuse a valid input whose measure of cost or size, value, passes its guard.
+
+    Each {} in what stands for one of named, shown as the value is.
+    """
     if value > guard:
-        raise GuardError(f"{what} {value} exceeds the guard {guard}")
+        what = what.format(*map(_shown, named))
+        raise GuardError(f"{what} {_shown(value)} exceeds the guard {guard}")
 
 
 def _exact_quotient(numerator: int, denominator: int, what: str) -> int:
@@ -85,7 +105,7 @@ def _exact_quotient(numerator: int, denominator: int, what: str) -> int:
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test for n < MR_BOUND."""
-    _require_int(n, "is_prime expects an integer")
+    _require_int(n, "is_prime argument")
     _require_within("Miller-Rabin argument", n, MR_BOUND - 1)
     if n < 2:
         return False
@@ -164,7 +184,7 @@ def factorize(n: int) -> Factorization:
     sub-exponential machinery.  The factorizations of the 4096 most
     recently used n are kept; every call returns a fresh list.
     """
-    _require_int(n, "factorize expects a positive integer", 1)
+    _require_int(n, "factorize argument", 1)
     return list(_factorize(n))
 
 
@@ -174,7 +194,7 @@ def factorize(n: int) -> Factorization:
 # 1.4 MB, a few tenths of a KB each.
 @lru_cache(maxsize=4096)
 def _factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """factorize(n) as a tuple, for an n that factorize has checked."""
+    """factorize(n) as a tuple, for an n already known to be an int >= 1."""
     exponents: dict[int, int] = {}
     for p in (2, 3, 5):
         while n % p == 0:
@@ -231,8 +251,7 @@ def jordan_phi(k: int, n: int) -> int:
     form already delivers (each local factor becomes 1 - 1 = 0).  It is at
     most n^k, which must stay within PRINT_DIGITS digits.
     """
-    _require_int(k, "jordan_phi order must be an integer")
-    _require_int(k, "jordan_phi order must be >= 0", 0)
+    _require_int(k, "jordan_phi order", 0)
     fac = factorize(n)
     _require_printable("jordan_phi", k, n)
     return math.prod(p ** (a * k) - p ** ((a - 1) * k) for p, a in fac)
@@ -249,8 +268,7 @@ def von_sterneck(k: int, n: int) -> int:
                     = -p^(a-1)        if p^(a-1) | k but p^a does not,
                     = 0               otherwise.
     """
-    _require_int(n, "von_sterneck modulus must be an integer")
-    _require_int(n, "von_sterneck modulus must be >= 1", 1)
+    _require_int(n, "von_sterneck modulus", 1)
     if not isinstance(k, int):  # a bool k is harmless: it reduces like 0 or 1
         raise ValueError(f"von_sterneck argument must be an integer, got {k!r}")
     k %= n
@@ -273,9 +291,8 @@ def ramanujan_sum(n: int, k: int) -> int:
     misprint, and the test suite pins this form against von_sterneck
     (Hoelder's identity C_n(k) = Phi(k, n)).  gcd(0, n) counts as n.
     """
-    _require_int(n, "ramanujan_sum modulus must be an integer")
-    _require_int(k, "ramanujan_sum argument must be an integer")
-    _require_int(n, "ramanujan_sum modulus must be >= 1", 1)
+    _require_int(n, "ramanujan_sum modulus", 1)
+    _require_int(k, "ramanujan_sum argument")
     g = math.gcd(k, n)
     return sum(d * mobius(n // d) for d in divisors(g))
 
@@ -293,11 +310,10 @@ def periodic_average(
     integer (f = gcd is the standard example).
     """
     ms = list(periods)
-    _require_int(modulus, "modulus must be an integer")
-    _require_int(modulus, "modulus must be >= 1", 1)
+    _require_int(modulus, "modulus", 1)
     for m in ms:
-        _require_int(m, "period values must be integers")
-        if m < 1 or modulus % m != 0:
+        _require_int(m, "period value", 1)
+        if modulus % m != 0:
             raise ValueError(f"period {m} does not divide modulus {modulus}")
     _require_within("brute-force modulus", modulus, BRUTE_FORCE_GUARD)
     from fractions import Fraction  # its one user in the package: load it here

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 
-from .orbicyclic import Periods, _coerce, _require_within, _Store
+from .orbicyclic import Periods, _coerce, _require_int, _require_within, _Store
 
 # Bounds one count's steps, summed over its blocks and charged before any
 # work.  A step is one residue visited to build a class or to take a sparse
@@ -63,10 +63,7 @@ def count_congruence_solutions(M: int, t: Periods) -> int:
     class multiplies as shifted sums, a large one as one product of integers.
     """
     t = _coerce(t)
-    if not isinstance(M, int) or isinstance(M, bool):
-        raise ValueError(f"modulus must be an integer, got {M!r}")
-    if M < 1:
-        raise ValueError(f"modulus must be >= 1, got {M}")
+    _require_int(M, "modulus", 1)
     for mj in t:
         if M % mj != 0:
             raise ValueError(f"period {mj} does not divide modulus {M}")
@@ -90,7 +87,7 @@ def count_congruence_solutions(M: int, t: Periods) -> int:
     steps = sum(plan[0] for plan in plans)
     if steps > STEP_GUARD:  # the costliest block is sought only for the message
         worst, q = max(plan[:2] for plan in plans)
-        _require_within(f"congruence steps (block {q} takes {worst})", steps, STEP_GUARD)
+        _require_within("congruence steps (block {} takes {})", steps, STEP_GUARD, q, worst)
     count = 1
     for _, _, L, slot, products in plans:
         span = L * slot

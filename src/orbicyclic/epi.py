@@ -24,8 +24,7 @@ from .orbifold import OrbifoldSignature
 
 def count_epi(sig: OrbifoldSignature, ell: int) -> int:
     """Number of order-preserving epimorphisms pi_1(orbifold) -> Z_ell."""
-    _require_int(ell, "group order must be an integer")
-    _require_int(ell, "group order must be >= 1", 1)
+    _require_int(ell, "group order", 1)
     if ell > 1:  # ell^(2g) * prod(m_j) bounds the count; Z_1 takes at most one
         digits = sum(map(math.log10, sig.periods))
         _require_printable("the count", 2 * sig.g, ell, digits)

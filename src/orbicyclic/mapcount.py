@@ -30,8 +30,7 @@ DART_PAIR_GUARD = 5
 
 def planar_rooted_count(n: int) -> int:
     """Rooted planar maps with n edges: 2 * 3^n * (2n)! / (n! (n+2)!)."""
-    _require_int(n, "edge count must be an integer")
-    _require_int(n, "edge count must be >= 0", 0)
+    _require_int(n, "edge count", 0)
     _require_printable("planar_rooted_count", n, 12)  # N_0(n) <= 12^n
     return 2 * 3**n * factorial(2 * n) // (factorial(n) * factorial(n + 2))
 
@@ -76,9 +75,8 @@ def rooted_map_count(g: int, n: int) -> int:
     count must lie in theta's guarded domain; within it every genus uses
     the Carrell-Chapuy recurrence.
     """
-    _require_int(g, "genus must be an integer")
-    _require_int(n, "edge count must be an integer")
-    _require_int(g, "genus must be >= 0", 0)
+    _require_int(g, "genus", 0)
+    _require_int(n, "edge count")
     if n < 0:
         return 0
     if n == 0:
@@ -99,10 +97,8 @@ def _multinomial(top: int, parts: list[int]) -> int:
 
 
 def _check_args(gamma: int, n: int) -> None:
-    _require_int(gamma, "genus must be an integer")
-    _require_int(n, "edge count must be an integer")
-    _require_int(n, "edge count must be >= 1", 1)
-    _require_int(gamma, "genus must be >= 0", 0)
+    _require_int(gamma, "genus", 0)
+    _require_int(n, "edge count", 1)
 
 
 def theta(gamma: int, n: int) -> int:

@@ -26,7 +26,7 @@ from itertools import product, repeat
 from operator import mul
 
 from .arith import PRINT_DIGITS, _exact_quotient, _factorize, _require_int
-from .arith import _require_printable, _require_within, divisors, factorize, is_prime
+from .arith import _require_printable, _require_within, divisors, is_prime
 
 TRIPLES_GUARD = 10**4
 
@@ -44,7 +44,7 @@ class PeriodTuple(tuple):
     def __new__(cls, values: Iterable[int] = ()):
         values = list(values)
         for v in values:
-            _require_int(v, "period values must be integers >= 1", 1)
+            _require_int(v, "period value", 1)
         values.sort(reverse=True)
         return super().__new__(cls, values)
 
@@ -81,14 +81,14 @@ def local_profile(t: Periods, p: int) -> LocalProfile:
     v = sum over p-divisible arguments of (a_j - 1), minus a, plus 1,
     r_p = number of arguments divisible by p.
     """
-    # p < 2 turns both bools away here, before is_prime rejects them in its own words
-    if not isinstance(p, int) or p < 2 or not is_prime(p):
-        raise ValueError(f"local_profile needs a prime p >= 2, got p = {p!r}")
+    _require_int(p, "local_profile p", 2)
+    if not is_prime(p):
+        raise ValueError(f"local_profile p must be a prime, got {p}")
     return _local_profile(_coerce(t), p)
 
 
 def _local_profile(t: PeriodTuple, p: int) -> LocalProfile:
-    """local_profile without the primality test, for primes from factorize."""
+    """local_profile without the primality test, for primes from _factorize."""
     exps = []
     for mj in t:
         e = 0
@@ -111,9 +111,8 @@ def h_poly(s: int, x: int) -> int:
     (x-1)^(s-1) = (-1)^(s-1) mod x.  |h_s(x)| <= max(1, |x-1|^(s-1)), which
     must stay within PRINT_DIGITS digits.
     """
-    _require_int(s, "h_poly index must be an integer")
-    _require_int(x, "h_poly argument must be an integer")
-    _require_int(s, "h_poly index must be >= 1", 1)
+    _require_int(s, "h_poly index", 1)
+    _require_int(x, "h_poly argument")
     if x == 0:
         raise ValueError("h_poly is indeterminate at x = 0")
     _require_printable("h_poly", s - 1, abs(x - 1))
@@ -246,7 +245,7 @@ def _vanishing_primes(t: PeriodTuple) -> Iterator[tuple[int, int]]:
 
     The witnesses are the odd p with s(p) = 1 and p = 2 with s(2) odd.
     """
-    for p, _ in factorize(t.m):
+    for p, _ in _factorize(t.m):
         s = _local_profile(t, p).s
         if (s % 2 == 1) if p == 2 else (s == 1):
             yield p, s
@@ -268,15 +267,13 @@ def f_r(m: int, r: int) -> int:
 
     r = 0 is the empty tuple, so f_0(m) = 1; f_r(m) <= m^(r-1) must fit PRINT_DIGITS.
     """
-    _require_int(m, "f_r expects an integer m")
-    _require_int(r, "f_r expects an integer r")
-    _require_int(m, "f_r expects m >= 1", 1)
-    _require_int(r, "f_r expects r >= 0", 0)
+    _require_int(m, "f_r m", 1)
+    _require_int(r, "f_r r", 0)
     if r == 0:
         return 1
     _require_printable("f_r", r - 1, m)
     result = 1
-    for p, a in factorize(m):
+    for p, a in _factorize(m):
         result *= (p - 1) * p ** ((r - 1) * (a - 1)) * _h_poly(r, p)
         if result == 0:
             return 0
@@ -292,11 +289,10 @@ def enumerate_nonvanishing_triples(m: int) -> list[tuple[int, int, int]]:
     excluded, since it forces s(2) = 3 and E = 0.  The total is
     therefore prod over odd p of (3a(p) + 1), times 3a(2) if m is even.
     """
-    _require_int(m, "lcm must be an integer")
-    _require_int(m, "lcm must be >= 1", 1)
+    _require_int(m, "lcm", 1)
     _require_within("triples lcm", m, TRIPLES_GUARD)
     per_prime: list[list[tuple[int, int, int]]] = []
-    for p, a in factorize(m):
+    for p, a in _factorize(m):
         options = [] if p == 2 else [(p**a, p**a, p**a)]
         for c in range(a):
             top, low = p**a, p**c
@@ -327,7 +323,7 @@ def equals_phi_classification(t: Periods) -> bool:
         r(2) even when a = 1.
     """
     t = _coerce(t)
-    for p, _ in factorize(t.m):
+    for p, _ in _factorize(t.m):
         prof = _local_profile(t, p)
         a, s, r_p = prof.a, prof.s, prof.r_p
         if s == 2 and r_p == 2:

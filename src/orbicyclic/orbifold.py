@@ -43,10 +43,10 @@ class OrbifoldSignature(namedtuple("OrbifoldSignature", "g periods")):
     __slots__ = ()
 
     def __new__(cls, g: int, periods: Iterable[int] = ()):
-        _require_int(g, "quotient genus must be an integer >= 0", 0)
+        _require_int(g, "quotient genus", 0)
         periods = list(periods)
         for mj in periods:
-            _require_int(mj, "branch orders must be integers >= 2", 2)
+            _require_int(mj, "branch order", 2)
         periods.sort()
         return super().__new__(cls, g, tuple(periods))
 
@@ -80,8 +80,7 @@ def rh_gamma(sig: OrbifoldSignature, ell: int) -> int | None:
     ell * (m*(2g - 2) + sum (m - m/m_j)), m = lcm(m_j), if that makes gamma
     a nonnegative integer; None otherwise.  The m_j need not divide ell.
     """
-    _require_int(ell, "group order must be an integer")
-    _require_int(ell, "group order must be >= 1", 1)
+    _require_int(ell, "group order", 1)
     m = sig.m
     rhs = ell * (m * (2 * sig.g - 2) + sum(m - m // mj for mj in sig.periods))
     gamma, rem = divmod(rhs + 2 * m, 2 * m)
@@ -108,7 +107,7 @@ def harvey_admissible(
     (the test assumes ell >= 2; ell = 1 admits exactly the unbranched
     signature, which enumerate_orbifolds_via_harvey accepts untested).
     """
-    _require_int(gamma, "gamma must be an integer")
+    _require_int(gamma, "gamma")
     violated: list[str] = []
     if rh_gamma(sig, ell) != gamma:
         violated.append("RH")
@@ -148,8 +147,7 @@ def epi_nonvanishing(sig: OrbifoldSignature, ell: int) -> tuple[bool, list[str]]
       E3  s(p) = 1 for some odd prime p | m;
       E4  m is even and s(2) is odd.
     """
-    _require_int(ell, "group order must be an integer")
-    _require_int(ell, "group order must be >= 1", 1)
+    _require_int(ell, "group order", 1)
     violated: list[str] = []
     m = sig.m
     if ell % m != 0:
@@ -165,10 +163,8 @@ def epi_nonvanishing(sig: OrbifoldSignature, ell: int) -> tuple[bool, list[str]]
 
 def _check_order(gamma: int, ell: int) -> None:
     """Refuse a (gamma, ell) of the wrong type or sign; _candidates applies the guards."""
-    _require_int(gamma, "gamma must be an integer")
-    _require_int(ell, "group order must be an integer")
-    if gamma < 0 or ell < 1:
-        raise ValueError(f"need gamma >= 0 and ell >= 1, got {gamma}, {ell}")
+    _require_int(gamma, "gamma", 0)
+    _require_int(ell, "group order", 1)
 
 
 def _candidate_signatures(gamma: int, ell: int) -> Iterator[OrbifoldSignature]:
@@ -297,11 +293,9 @@ def census(gamma: int) -> CensusResult:
     and 1 are rejected, their orbifold families being infinite in ell, and
     a gamma past GAMMA_GUARD by the first enumeration, before any work.
     """
-    _require_int(gamma, "gamma must be an integer")
+    _require_int(gamma, "gamma", 0)
     if gamma in (0, 1):
         raise ValueError(f"census is infinite for gamma = {gamma}")
-    if gamma < 0:
-        raise ValueError(f"gamma must be in [2, {GAMMA_GUARD}], got {gamma}")
     seen: dict[OrbifoldSignature, int] = {}
     for ell in _wiman_range(gamma):
         for sig in enumerate_orbifolds(gamma, ell):

@@ -37,11 +37,9 @@ TUPLE_SCAN_GUARD = 500_000
 
 
 def _check_args(rank: int, index: int) -> None:
-    _require_int(rank, "rank must be an integer")
-    _require_int(index, "index must be an integer")
-    _require_int(rank, "rank must be >= 1", 1)
+    _require_int(rank, "rank", 1)
+    _require_int(index, "index", 1)
     _require_within("rank", rank, RANK_GUARD)
-    _require_int(index, "index must be >= 1", 1)
     _require_within("index", index, INDEX_GUARD)
 
 

@@ -112,7 +112,7 @@ def test_factorize_checks_its_argument_before_the_memo():
     # value and consulted before the check could answer them from factorize(1)
     assert factorize(1) == []
     for bad in (True, 1.0, 0):
-        with pytest.raises(ValueError, match="factorize expects a positive integer"):
+        with pytest.raises(ValueError, match="^factorize argument must be an integer >= 1, got "):
             factorize(bad)
 
 
@@ -278,7 +278,7 @@ def test_jordan_phi():
     # k=0 is the indicator of n=1
     assert jordan_phi(0, 1) == 1
     assert jordan_phi(0, 5) == 0
-    with pytest.raises(ValueError, match="jordan_phi order must be >= 0, got -1"):
+    with pytest.raises(ValueError, match="jordan_phi order must be an integer >= 0, got -1"):
         jordan_phi(-1, 5)
     # k=1 is the Euler totient
     for n in range(1, 100):
@@ -358,7 +358,7 @@ def test_von_sterneck_examples():
     assert von_sterneck(7, 1) == 1
     assert von_sterneck(3, 9) == -3
     assert von_sterneck(2, 6) == -1
-    with pytest.raises(ValueError, match="von_sterneck modulus must be >= 1, got 0"):
+    with pytest.raises(ValueError, match="von_sterneck modulus must be an integer >= 1, got 0"):
         von_sterneck(3, 0)
 
 
@@ -426,7 +426,7 @@ def test_ramanujan_sum_argument_order():
     assert ramanujan_sum(1, 3) == 1
     assert ramanujan_sum(10, 0) == 4
     assert ramanujan_sum(6, 2) == -1
-    with pytest.raises(ValueError, match="ramanujan_sum modulus must be >= 1, got 0"):
+    with pytest.raises(ValueError, match="ramanujan_sum modulus must be an integer >= 1, got 0"):
         ramanujan_sum(0, 3)
     for n in range(1, 40):
         for k in range(n):
@@ -512,22 +512,49 @@ def test_von_sterneck_bounded_by_totient(n, k):
 @pytest.mark.parametrize(
     "fn, good, bad, message",
     [
-        (jordan_phi, (2, 4), (2.5, 4), "jordan_phi order must be an integer, got 2.5"),
+        # a case whose message was reworded keeps the id it was first collected
+        # under, so rewording renames no test
+        pytest.param(
+            jordan_phi,
+            (2, 4),
+            (2.5, 4),
+            "jordan_phi order must be an integer >= 0, got 2.5",
+            id="jordan_phi-good0-bad0-jordan_phi order must be an integer, got 2.5",
+        ),
         (
             von_sterneck,
             (1, 4),
             (1.5, 4),
             "von_sterneck argument must be an integer, got 1.5",
         ),
-        (
+        pytest.param(
             rh_gamma,
             (OrbifoldSignature(0, (2, 2)), 2),
             (OrbifoldSignature(0, (2, 2)), 2.0),
-            "group order must be an integer, got 2.0",
+            "group order must be an integer >= 1, got 2.0",
+            id="rh_gamma-good2-bad2-group order must be an integer, got 2.0",
         ),
-        (free_group_subgroups, (2, 3), (2.0, 3), "rank must be an integer, got 2.0"),
-        (free_group_subgroups, (2, 3), (2, 3.0), "index must be an integer, got 3.0"),
-        (free_group_subgroups, (1, 3), (True, 3), "rank must be an integer, got True"),
+        pytest.param(
+            free_group_subgroups,
+            (2, 3),
+            (2.0, 3),
+            "rank must be an integer >= 1, got 2.0",
+            id="free_group_subgroups-good3-bad3-rank must be an integer, got 2.0",
+        ),
+        pytest.param(
+            free_group_subgroups,
+            (2, 3),
+            (2, 3.0),
+            "index must be an integer >= 1, got 3.0",
+            id="free_group_subgroups-good4-bad4-index must be an integer, got 3.0",
+        ),
+        pytest.param(
+            free_group_subgroups,
+            (1, 3),
+            (True, 3),
+            "rank must be an integer >= 1, got True",
+            id="free_group_subgroups-good5-bad5-rank must be an integer, got True",
+        ),
     ],
 )
 def test_integer_arguments_reject_non_integers(fn, good, bad, message):
@@ -542,38 +569,92 @@ def test_integer_arguments_reject_non_integers(fn, good, bad, message):
 @pytest.mark.parametrize(
     "fn, good, bad, message",
     [
-        (
+        # a case whose message was reworded keeps the id it was first collected
+        # under, so rewording renames no test
+        pytest.param(
             count_congruence_solutions,
             (1, ()),
             (True, ()),
-            "modulus must be an integer, got True",
+            "modulus must be an integer >= 1, got True",
+            id="count_congruence_solutions-good0-bad0-modulus must be an integer, got True",
         ),
-        (
+        pytest.param(
             count_congruence_solutions,
             (12, (4,)),
             (12.0, (4,)),
-            "modulus must be an integer, got 12.0",
+            "modulus must be an integer >= 1, got 12.0",
+            id="count_congruence_solutions-good1-bad1-modulus must be an integer, got 12.0",
         ),
-        (f_r, (3, 4), (3, 4.0), "f_r expects an integer r, got 4.0"),
-        (f_r, (12, 2), (12, 2.5), "f_r expects an integer r, got 2.5"),
-        (f_r, (12, 2), (12.0, 2), "f_r expects an integer m, got 12.0"),
-        (
+        pytest.param(
+            f_r,
+            (3, 4),
+            (3, 4.0),
+            "f_r r must be an integer >= 0, got 4.0",
+            id="f_r-good2-bad2-f_r expects an integer r, got 4.0",
+        ),
+        pytest.param(
+            f_r,
+            (12, 2),
+            (12, 2.5),
+            "f_r r must be an integer >= 0, got 2.5",
+            id="f_r-good3-bad3-f_r expects an integer r, got 2.5",
+        ),
+        pytest.param(
+            f_r,
+            (12, 2),
+            (12.0, 2),
+            "f_r m must be an integer >= 1, got 12.0",
+            id="f_r-good4-bad4-f_r expects an integer m, got 12.0",
+        ),
+        pytest.param(
             epi_nonvanishing,
             (OrbifoldSignature(0, (2, 2)), 2),
             (OrbifoldSignature(0, (2, 2)), 2.0),
-            "group order must be an integer, got 2.0",
+            "group order must be an integer >= 1, got 2.0",
+            id="epi_nonvanishing-good5-bad5-group order must be an integer, got 2.0",
         ),
-        (census, (2,), (2.0,), "gamma must be an integer, got 2.0"),
-        (census, (2,), (True,), "gamma must be an integer, got True"),
-        (theta, (1, 2), (1.0, 2), "genus must be an integer, got 1.0"),
-        (theta, (1, 2), (1, 2.0), "edge count must be an integer, got 2.0"),
-        (rooted_map_count, (1, 2), (1.0, 2), "genus must be an integer, got 1.0"),
+        pytest.param(
+            census,
+            (2,),
+            (2.0,),
+            "gamma must be an integer >= 0, got 2.0",
+            id="census-good6-bad6-gamma must be an integer, got 2.0",
+        ),
+        pytest.param(
+            census,
+            (2,),
+            (True,),
+            "gamma must be an integer >= 0, got True",
+            id="census-good7-bad7-gamma must be an integer, got True",
+        ),
+        pytest.param(
+            theta,
+            (1, 2),
+            (1.0, 2),
+            "genus must be an integer >= 0, got 1.0",
+            id="theta-good8-bad8-genus must be an integer, got 1.0",
+        ),
+        pytest.param(
+            theta,
+            (1, 2),
+            (1, 2.0),
+            "edge count must be an integer >= 1, got 2.0",
+            id="theta-good9-bad9-edge count must be an integer, got 2.0",
+        ),
+        pytest.param(
+            rooted_map_count,
+            (1, 2),
+            (1.0, 2),
+            "genus must be an integer >= 0, got 1.0",
+            id="rooted_map_count-good10-bad10-genus must be an integer, got 1.0",
+        ),
         (rooted_map_count, (1, 2), (1, 2.0), "edge count must be an integer, got 2.0"),
-        (
+        pytest.param(
             ramanujan_sum,
             (1, 4),
             (1.5, 4),
-            "ramanujan_sum modulus must be an integer, got 1.5",
+            "ramanujan_sum modulus must be an integer >= 1, got 1.5",
+            id="ramanujan_sum-good12-bad12-ramanujan_sum modulus must be an integer, got 1.5",
         ),
         (
             ramanujan_sum,
@@ -581,96 +662,168 @@ def test_integer_arguments_reject_non_integers(fn, good, bad, message):
             (4, 2.0),
             "ramanujan_sum argument must be an integer, got 2.0",
         ),
-        (enumerate_orbifolds, (2, 2), (True, 2), "gamma must be an integer, got True"),
-        (enumerate_orbifolds, (2, 12), (2.0, 12), "gamma must be an integer, got 2.0"),
-        (
+        pytest.param(
+            enumerate_orbifolds,
+            (2, 2),
+            (True, 2),
+            "gamma must be an integer >= 0, got True",
+            id="enumerate_orbifolds-good14-bad14-gamma must be an integer, got True",
+        ),
+        pytest.param(
+            enumerate_orbifolds,
+            (2, 12),
+            (2.0, 12),
+            "gamma must be an integer >= 0, got 2.0",
+            id="enumerate_orbifolds-good15-bad15-gamma must be an integer, got 2.0",
+        ),
+        pytest.param(
             enumerate_orbifolds_via_harvey,
             (2, 12),
             (2.0, 12),
-            "gamma must be an integer, got 2.0",
+            "gamma must be an integer >= 0, got 2.0",
+            id="enumerate_orbifolds_via_harvey-good16-bad16-gamma must be an integer, got 2.0",
         ),
-        (
+        pytest.param(
             count_epi,
             (OrbifoldSignature(0, (2, 2)), 2),
             (OrbifoldSignature(0, (2, 2)), True),
-            "group order must be an integer, got True",
+            "group order must be an integer >= 1, got True",
+            id="count_epi-good17-bad17-group order must be an integer, got True",
         ),
-        (
+        pytest.param(
             count_epi,
             (OrbifoldSignature(0, (2, 2)), 2),
             (OrbifoldSignature(0, (2, 2)), "2"),
-            "group order must be an integer, got '2'",
+            "group order must be an integer >= 1, got '2'",
+            id="count_epi-good18-bad18-group order must be an integer, got '2'",
         ),
-        (dart_pair_oracle, (1, 2), (1.0, 2), "genus must be an integer, got 1.0"),
-        (dart_pair_oracle, (1, 2), (True, 2), "genus must be an integer, got True"),
-        (
+        pytest.param(
+            dart_pair_oracle,
+            (1, 2),
+            (1.0, 2),
+            "genus must be an integer >= 0, got 1.0",
+            id="dart_pair_oracle-good19-bad19-genus must be an integer, got 1.0",
+        ),
+        pytest.param(
+            dart_pair_oracle,
+            (1, 2),
+            (True, 2),
+            "genus must be an integer >= 0, got True",
+            id="dart_pair_oracle-good20-bad20-genus must be an integer, got True",
+        ),
+        pytest.param(
             dart_pair_oracle,
             (1, 2),
             (1, True),
-            "edge count must be an integer, got True",
+            "edge count must be an integer >= 1, got True",
+            id="dart_pair_oracle-good21-bad21-edge count must be an integer, got True",
         ),
-        (dart_pair_oracle, (1, 2), (1, 2.0), "edge count must be an integer, got 2.0"),
+        pytest.param(
+            dart_pair_oracle,
+            (1, 2),
+            (1, 2.0),
+            "edge count must be an integer >= 1, got 2.0",
+            id="dart_pair_oracle-good22-bad22-edge count must be an integer, got 2.0",
+        ),
         (
             harvey_admissible,
             (OrbifoldSignature(0, (2, 2)), 2, 0),
             (OrbifoldSignature(0, (2, 2)), 2, 0.0),
             "gamma must be an integer, got 0.0",
         ),
-        (h_poly, (2, 3), (2.0, 3), "h_poly index must be an integer, got 2.0"),
-        (h_poly, (2, 3), (True, 3), "h_poly index must be an integer, got True"),
+        pytest.param(
+            h_poly,
+            (2, 3),
+            (2.0, 3),
+            "h_poly index must be an integer >= 1, got 2.0",
+            id="h_poly-good24-bad24-h_poly index must be an integer, got 2.0",
+        ),
+        pytest.param(
+            h_poly,
+            (2, 3),
+            (True, 3),
+            "h_poly index must be an integer >= 1, got True",
+            id="h_poly-good25-bad25-h_poly index must be an integer, got True",
+        ),
         (h_poly, (2, 3), (2, 3.0), "h_poly argument must be an integer, got 3.0"),
-        (is_prime, (2,), (2.0,), "is_prime expects an integer, got 2.0"),
-        (planar_rooted_count, (1,), (True,), "edge count must be an integer, got True"),
+        pytest.param(
+            is_prime,
+            (2,),
+            (2.0,),
+            "is_prime argument must be an integer, got 2.0",
+            id="is_prime-good27-bad27-is_prime expects an integer, got 2.0",
+        ),
+        pytest.param(
+            planar_rooted_count,
+            (1,),
+            (True,),
+            "edge count must be an integer >= 0, got True",
+            id="planar_rooted_count-good28-bad28-edge count must be an integer, got True",
+        ),
         # an integer below the domain once leaked math.factorial's message
-        (planar_rooted_count, (0,), (-1,), "edge count must be >= 0, got -1"),
-        (
+        pytest.param(
+            planar_rooted_count,
+            (0,),
+            (-1,),
+            "edge count must be an integer >= 0, got -1",
+            id="planar_rooted_count-good29-bad29-edge count must be >= 0, got -1",
+        ),
+        pytest.param(
             periodic_average,
             (von_sterneck, (2,), 2),
             (von_sterneck, (True,), 2),
-            "period values must be integers, got True",
+            "period value must be an integer >= 1, got True",
+            id="periodic_average-good30-bad30-period values must be integers, got True",
         ),
-        (
+        pytest.param(
             periodic_average,
             (von_sterneck, (2,), 2),
             (von_sterneck, (2,), 2.0),
-            "modulus must be an integer, got 2.0",
+            "modulus must be an integer >= 1, got 2.0",
+            id="periodic_average-good31-bad31-modulus must be an integer, got 2.0",
         ),
         # these compared with 1 before any type check
-        (
+        pytest.param(
             von_sterneck,
             (1, 3),
             (1, "3"),
-            "von_sterneck modulus must be an integer, got '3'",
+            "von_sterneck modulus must be an integer >= 1, got '3'",
+            id="von_sterneck-good32-bad32-von_sterneck modulus must be an integer, got '3'",
         ),
-        (
+        pytest.param(
             von_sterneck,
             (1, 3),
             (1, None),
-            "von_sterneck modulus must be an integer, got None",
+            "von_sterneck modulus must be an integer >= 1, got None",
+            id="von_sterneck-good33-bad33-von_sterneck modulus must be an integer, got None",
         ),
-        (
+        pytest.param(
             von_sterneck,
             (1, 2),
             (1, 2.0),
-            "von_sterneck modulus must be an integer, got 2.0",
+            "von_sterneck modulus must be an integer >= 1, got 2.0",
+            id="von_sterneck-good34-bad34-von_sterneck modulus must be an integer, got 2.0",
         ),
-        (
+        pytest.param(
             enumerate_nonvanishing_triples,
             (12,),
             ("12",),
-            "lcm must be an integer, got '12'",
+            "lcm must be an integer >= 1, got '12'",
+            id="enumerate_nonvanishing_triples-good35-bad35-lcm must be an integer, got '12'",
         ),
-        (
+        pytest.param(
             enumerate_nonvanishing_triples,
             (12,),
             (None,),
-            "lcm must be an integer, got None",
+            "lcm must be an integer >= 1, got None",
+            id="enumerate_nonvanishing_triples-good36-bad36-lcm must be an integer, got None",
         ),
-        (
+        pytest.param(
             enumerate_nonvanishing_triples,
             (12,),
             (12.0,),
-            "lcm must be an integer, got 12.0",
+            "lcm must be an integer >= 1, got 12.0",
+            id="enumerate_nonvanishing_triples-good37-bad37-lcm must be an integer, got 12.0",
         ),
     ],
 )
@@ -681,3 +834,57 @@ def test_entry_points_reject_non_integers(fn, good, bad, message):
     fn(*good)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         fn(*bad)
+
+
+MR_REFUSAL = "Miller-Rabin argument a {}-digit number exceeds the guard 3317044064679887385961980"
+
+
+@pytest.mark.parametrize(
+    "fn, args, error, message",
+    [
+        (is_prime, (10**5000,), GuardError, MR_REFUSAL.format(5001)),
+        # trial division leaves a 4999-digit cofactor to Miller-Rabin
+        (factorize, (10**5000 + 1,), GuardError, MR_REFUSAL.format(4999)),
+        (E_closed, ((10**5000 + 1,),), GuardError, MR_REFUSAL.format(4999)),
+        (
+            count_congruence_solutions,
+            (2**20000, (2**20000, 2**20000)),
+            GuardError,
+            "congruence steps (block a 6021-digit number takes a 6021-digit number)"
+            " a 6021-digit number exceeds the guard 1000000",
+        ),
+        (
+            factorize,
+            (-(10**5000),),
+            ValueError,
+            "factorize argument must be an integer >= 1, got a negative 5001-digit number",
+        ),
+        (
+            theta,
+            (1, -(10**5000)),
+            ValueError,
+            "edge count must be an integer >= 1, got a negative 5001-digit number",
+        ),
+    ],
+)
+def test_refusal_survives_a_value_past_the_str_limit(fn, args, error, message):
+    # formatting such a value once raised Python's own int-to-str error in
+    # place of the refusal, so a --check past a guard failed, not skipped
+    start = perf_counter()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as refused:
+        fn(*args)
+    assert type(refused.value) is error
+    assert perf_counter() - start < 1
+
+
+def test_shown_counts_the_digits_of_an_unprintable_int():
+    from decimal import Decimal  # converts an int of any size without str
+
+    for k in (4300, 5000):
+        for size in (10**k, 10**k + 1, 10 ** (k + 1) - 1, 2 ** (4 * k), 2 ** (5 * k) - 1):
+            digits = Decimal(size).adjusted() + 1
+            assert arith._shown(size) == f"a {digits}-digit number"
+            assert arith._shown(-size) == f"a negative {digits}-digit number"
+    # a printable value is its repr, as is a value of another type
+    shown = [arith._shown(v) for v in (-(10**4300 - 1), 2.5, "3")]
+    assert shown == [repr(-(10**4300 - 1)), "2.5", "'3'"]

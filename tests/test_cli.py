@@ -414,17 +414,17 @@ class TestTriples:
         probe = f"import sys; from orbicyclic import cli; {patch}sys.exit(cli.main(sys.argv[1:]))"
         argv = ["triples", "--lcm", "9240", "--format", "json"] + ["--check"] * check
         env = dict(os.environ, PYTHONPATH=os.path.dirname(orbicyclic.__path__[0]))
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-c", probe, *argv],
             env=env,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
-        )
-        assert proc.stdout.read(1) == "{"
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=60) == code
+        ) as proc:  # leaving the block closes stderr too
+            assert proc.stdout.read(1) == "{"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == code
         if verdict is None:
             assert err == ""
         else:
@@ -533,7 +533,7 @@ def test_route_mismatch_detail(capsys, monkeypatch):
 class TestUsageErrors:
     def test_bad_period(self, capsys):
         # a period below 1 parses, and PeriodTuple rejects it (never dropped as a 1)
-        error = "error: period values must be integers >= 1, got 0\n"
+        error = "error: period value must be an integer >= 1, got 0\n"
         assert run(capsys, "e", "0") == (1, "", error)
 
     @pytest.mark.parametrize(
@@ -543,7 +543,7 @@ class TestUsageErrors:
             pytest.param(
                 "0",
                 1,
-                "error: period values must be integers >= 1, got 0\n",
+                "error: period value must be an integer >= 1, got 0\n",
                 id="0-must be >= 1, got 0",
             ),
             # a token that does not parse is argparse's usage error
@@ -615,14 +615,14 @@ IN_DOMAIN = {
 }
 BELOW_DOMAIN = {
     ("epi", "genus"): ("-1", "quotient genus must be an integer >= 0, got -1"),
-    ("epi", "order"): ("0", "group order must be >= 1, got 0"),
-    ("orbifolds", "gamma"): ("-1", "gamma must be in [2, 6], got -1"),
-    ("census", "gamma"): ("-1", "gamma must be in [2, 6], got -1"),
-    ("theta", "gamma"): ("-1", "genus must be >= 0, got -1"),
-    ("theta", "edges"): ("0", "edge count must be >= 1, got 0"),
-    ("freegroup", "rank"): ("0", "rank must be >= 1, got 0"),
-    ("freegroup", "index"): ("0", "index must be >= 1, got 0"),
-    ("triples", "lcm"): ("0", "lcm must be >= 1, got 0"),
+    ("epi", "order"): ("0", "group order must be an integer >= 1, got 0"),
+    ("orbifolds", "gamma"): ("-1", "gamma must be an integer >= 0, got -1"),
+    ("census", "gamma"): ("-1", "gamma must be an integer >= 0, got -1"),
+    ("theta", "gamma"): ("-1", "genus must be an integer >= 0, got -1"),
+    ("theta", "edges"): ("0", "edge count must be an integer >= 1, got 0"),
+    ("freegroup", "rank"): ("0", "rank must be an integer >= 1, got 0"),
+    ("freegroup", "index"): ("0", "index must be an integer >= 1, got 0"),
+    ("triples", "lcm"): ("0", "lcm must be an integer >= 1, got 0"),
 }
 
 
@@ -636,15 +636,15 @@ def out_of_domain_cases():
             for other in required:
                 argv += [f"--{other}", value if other == option else IN_DOMAIN[other]]
             yield argv, message
-    yield ["e", "0"], "period values must be integers >= 1, got 0"
-    yield ["e", "12", "--congruence", "0"], "modulus must be >= 1, got 0"
+    yield ["e", "0"], "period value must be an integer >= 1, got 0"
+    yield ["e", "12", "--congruence", "0"], "modulus must be an integer >= 1, got 0"
     yield (
         ["epi", "--genus", "0", "--order", "12", "--periods", "4,0"],
-        "period values must be integers >= 1, got 0",
+        "period value must be an integer >= 1, got 0",
     )
     yield (
         ["orbifolds", "--gamma", "2", "--order", "0"],
-        "need gamma >= 0 and ell >= 1, got 2, 0",
+        "group order must be an integer >= 1, got 0",
     )
 
 

@@ -286,8 +286,8 @@ def test_polynomial_store_keeps_a_large_class_across_small_ones(monkeypatch):
 
 
 def test_oracle_imports_nothing_from_what_it_checks():
-    # the oracle must stay independent of E: no arith, no closed form; even
-    # the store and the refusal rule come through the module that supplies _coerce
+    # the oracle must stay independent of E: no arith, no closed form; even the
+    # store and the two rules come through the module that supplies _coerce
     tree = ast.parse(Path(congruence.__file__).read_text())
     imported = set()
     for node in ast.walk(tree):
@@ -301,5 +301,6 @@ def test_oracle_imports_nothing_from_what_it_checks():
         ".orbicyclic:Periods",
         ".orbicyclic:_Store",
         ".orbicyclic:_coerce",
+        ".orbicyclic:_require_int",
         ".orbicyclic:_require_within",
     }

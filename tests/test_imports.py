@@ -2,6 +2,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -75,14 +76,11 @@ def test_finds_a_bool_check():
 
 
 def test_integer_check_has_one_implementation():
-    # The congruence oracle keeps its own copy: it imports nothing from arith.
+    # the congruence oracle takes the rule through orbicyclic, as it does its guard
     sites = [
         (path.name, func) for path in MODULES for func in bool_checks(path.read_text())
     ]
-    assert sites == [
-        ("arith.py", "_require_int"),
-        ("congruence.py", "count_congruence_solutions"),
-    ]
+    assert sites == [("arith.py", "_require_int")]
 
 
 def raise_sites(source: str, text: str) -> list[str | None]:
@@ -129,6 +127,59 @@ def test_print_limit_and_exact_division_have_one_implementation():
         ("arith.py", "_exact_quotient"),
         ("orbifold.py", "census"),
     ]
+
+
+def require_int_args(source: str) -> list[tuple[str | None, str]]:
+    """(innermost function, first argument) for each _require_int call, in order."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "_require_int"
+        ):
+            found.append((func, ast.unparse(node.args[0])))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_finds_a_require_int_call():
+    source = "_require_int(n, 'n')\ndef f(x, y):\n    _require_int(x, 'x', 1)\n"
+    assert require_int_args(source) == [(None, "n"), ("f", "x")]
+
+
+def test_every_integer_domain_goes_through_one_rule():
+    # an integer argument outside its range is refused by one _require_int
+    # call, in the rule's one message shape; a hand-written ValueError is left
+    # only for what no integer range states
+    sites = [
+        (path.name, func)
+        for path in MODULES
+        for func in raise_sites(path.read_text(), "raise ValueError")
+    ]
+    assert sites == [
+        ("arith.py", "_require_int"),
+        ("arith.py", "von_sterneck"),  # k: any int, a bool included
+        ("arith.py", "periodic_average"),  # a period that does not divide the modulus
+        ("congruence.py", "count_congruence_solutions"),  # the same for the oracle
+        ("orbicyclic.py", "local_profile"),  # p is not a prime
+        ("orbicyclic.py", "_local_profile"),  # p divides no value
+        ("orbicyclic.py", "h_poly"),  # h_s is indeterminate at x = 0
+        ("orbifold.py", "census"),  # the census is infinite at gamma 0 and 1
+    ]
+    # and one call checks one argument, its type and its least value together
+    calls = Counter(
+        (path.name, func, arg)
+        for path in MODULES
+        for func, arg in require_int_args(path.read_text())
+    )
+    assert [call for call, n in calls.items() if n > 1] == []
 
 
 def guard_raises(source: str) -> list[tuple[str | None, str, bool]]:

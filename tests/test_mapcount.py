@@ -211,7 +211,7 @@ class TestDartPairOracle:
 
     def test_rejects_negative_genus(self):
         # the same check and message as theta and rooted_map_count
-        with pytest.raises(ValueError, match="genus must be >= 0, got -1"):
+        with pytest.raises(ValueError, match="genus must be an integer >= 0, got -1"):
             dart_pair_oracle(-1, 2)
 
 

@@ -82,7 +82,7 @@ class TestLocalProfile:
     # p = 2.0 returned a profile with a float p
     @pytest.mark.parametrize("p", [1, -1, 0, 2.0, True])
     def test_rejects_p_below_two_or_not_an_int(self, p):
-        message = f"local_profile needs a prime p >= 2, got p = {p!r}"
+        message = f"local_profile p must be an integer >= 2, got {p!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             local_profile((2,), p)
 
@@ -90,7 +90,7 @@ class TestLocalProfile:
     # as LocalProfile(p=4, a=1, s=1, v=0, r_p=1) for ((8,), 4)
     @pytest.mark.parametrize("p", [4, 6, 9])
     def test_rejects_composite_p(self, p):
-        message = f"local_profile needs a prime p >= 2, got p = {p}"
+        message = f"local_profile p must be a prime, got {p}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             local_profile((36,), p)
 

@@ -92,7 +92,7 @@ class TestRiemannHurwitz:
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             rh_gamma(sig(1), 0)
-        with pytest.raises(ValueError, match="group order must be >= 1, got 0"):
+        with pytest.raises(ValueError, match="group order must be an integer >= 1, got 0"):
             epi_nonvanishing(sig(0, 2, 2), 0)
 
 
@@ -260,9 +260,9 @@ class TestCaches:
         # lru_cache takes True for 1 and 2.0 for 2, so the checks come first
         for fn in (enumerate_orbifolds, enumerate_orbifolds_via_harvey):
             assert fn(1, 2) == [sig(0, 2, 2, 2, 2), sig(1)]
-            with pytest.raises(ValueError, match="^gamma must be an integer, got True$"):
+            with pytest.raises(ValueError, match="^gamma must be an integer >= 0, got True$"):
                 fn(True, 2)
-            with pytest.raises(ValueError, match="^group order must be an integer, got 2.0$"):
+            with pytest.raises(ValueError, match="^group order must be an integer >= 1, got 2.0$"):
                 fn(1, 2.0)
 
 
@@ -305,7 +305,7 @@ class TestCensus:
         # enumerators' own guard at the census's first group order
         with pytest.raises(GuardError, match="^gamma 7 exceeds the guard 6$"):
             census(7)
-        with pytest.raises(ValueError, match=r"^gamma must be in \[2, 6\], got -1$") as refused:
+        with pytest.raises(ValueError, match="^gamma must be an integer >= 0, got -1$") as refused:
             census(-1)
         assert not isinstance(refused.value, GuardError)
 
