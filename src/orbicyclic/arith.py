@@ -314,7 +314,7 @@ def periodic_average(
     for m in ms:
         _require_int(m, "period value", 1)
         if modulus % m != 0:
-            raise ValueError(f"period {m} does not divide modulus {modulus}")
+            raise ValueError(f"period {_shown(m)} does not divide modulus {_shown(modulus)}")
     _require_within("brute-force modulus", modulus, BRUTE_FORCE_GUARD)
     from fractions import Fraction  # its one user in the package: load it here
     column = [1] * modulus

@@ -15,17 +15,19 @@ the block counts.  This is elementary CRT, not the multiplicativity of E,
 which the count thus checks.  A block of M that divides no period counts
 1, so only the blocks of the lcm are counted: the powers of the primes
 below 1,000 and, for what trial division leaves, powers of a coprime base
-built from gcds alone.  Within a block, the residues of each order form a
-0/1 polynomial packed into one integer, and the block count is read off a
-product of these modulo z^L - 1.  Class polynomials are kept, within a
-byte budget, for the next count that needs them.
+built from gcds alone; a base element left composite is trial-divided
+further, as far as a block the step guard can count.  Within a block, the
+residues of each order form a 0/1 polynomial packed into one integer, and
+the block count is read off a product of these modulo z^L - 1.  Class
+polynomials are kept, within a byte budget, for the next count that needs
+them.
 """
 
 from __future__ import annotations
 
 import math
 
-from .orbicyclic import Periods, _coerce, _require_int, _require_within, _Store
+from .orbicyclic import Periods, _coerce, _require_int, _require_within, _shown, _Store
 
 # Bounds one count's steps, summed over its blocks and charged before any
 # work.  A step is one residue visited to build a class or to take a sparse
@@ -34,6 +36,7 @@ from .orbicyclic import Periods, _coerce, _require_int, _require_within, _Store
 # charged (N / 354) ** 1.585 steps (Karatsuba: 12 ns times (N / 30) ** 1.585,
 # at 0.5 us a step), a product by a class of order n taken as n shifted sums
 # n * N / 2700, whichever is less, and each reduction mod z^L - 1 N / 900.
+# A trial division past 1,000, made to split a block (0.1 us), is one step.
 # First call, 2-core VM, CPython 3.11.7: 0.11-0.42 us per charged step over
 # 60 shapes; the largest prime blocks passed with 3, 4 and 5 coordinates,
 # 61879, 27437 and 16381, take 0.34, 0.42 and 0.39 s, and (2**19,) * 2 +
@@ -66,9 +69,13 @@ def count_congruence_solutions(M: int, t: Periods) -> int:
     _require_int(M, "modulus", 1)
     for mj in t:
         if M % mj != 0:
-            raise ValueError(f"period {mj} does not divide modulus {M}")
+            raise ValueError(f"period {_shown(mj)} does not divide modulus {_shown(M)}")
+    m = t.m
+    blocks, divisions = _blocks(m, t), 0
+    if m > _TRIAL_DIVISORS[-1] ** 2:  # below, every block is a prime power
+        blocks, divisions = _split_blocks(blocks, t)
     plans = []
-    for q in _blocks(t.m, t):
+    for q in blocks:
         orders = sorted([g for mj in t if (g := math.gcd(mj, q)) > 1])
         L = orders.pop()
         if not orders or orders.pop() != L:  # the count is 0: no work, no charge
@@ -76,15 +83,9 @@ def count_congruence_solutions(M: int, t: Periods) -> int:
         if L >> 64:  # the float model could overflow; the pass over Z_L is past the guard
             plans.append((L, q, L, 0, []))
             continue
-        slot = ((len(orders) + 1) * L.bit_length() + 7) // 8 * 8
-        N = L * slot
-        dense = (N / 354) ** 1.585
-        products = [(n, n * N / 2700 < dense) for n in orders]
-        cost = L + (len(orders) + 1) * N / 900
-        for n, sparse in products:
-            cost += n + (n * N / 2700 if sparse else dense)
+        cost, slot, products = _plan(L, orders)
         plans.append((int(cost), q, L, slot, products))
-    steps = sum(plan[0] for plan in plans)
+    steps = divisions + sum(plan[0] for plan in plans)
     if steps > STEP_GUARD:  # the costliest block is sought only for the message
         worst, q = max(plan[:2] for plan in plans)
         _require_within("congruence steps (block {} takes {})", steps, STEP_GUARD, q, worst)
@@ -102,6 +103,18 @@ def count_congruence_solutions(M: int, t: Periods) -> int:
         ones = (1 << slot) - 1
         count *= (w & generators * ones) % ones
     return count
+
+
+def _plan(L: int, orders: list[int]) -> tuple[float, int, list[tuple[int, bool]]]:
+    """(steps, slot, products) of a block whose order L is taken twice, orders the rest."""
+    slot = ((len(orders) + 1) * L.bit_length() + 7) // 8 * 8
+    N = L * slot
+    dense = (N / 354) ** 1.585
+    products = [(n, n * N / 2700 < dense) for n in orders]
+    cost = L + (len(orders) + 1) * N / 900
+    for n, sparse in products:
+        cost += n + (n * N / 2700 if sparse else dense)
+    return cost, slot, products
 
 
 def _blocks(m: int, t: tuple[int, ...]) -> list[int]:
@@ -133,6 +146,54 @@ def _blocks(m: int, t: tuple[int, ...]) -> list[int]:
     if rest > 1:
         blocks.append(rest)
     return blocks
+
+
+def _split_blocks(blocks: list[int], t: tuple[int, ...]) -> tuple[list[int], int]:
+    """The _blocks of t, each one they leave composite split further; and the
+    trial divisions that took.
+
+    Only a base element past 1,000^2, which no prime below 1,000 divides, may
+    be composite, and it is split only if two periods reach it in full, so
+    that its count is not 0 at once.
+    """
+    split, divisions = [], 0
+    for q in blocks:
+        if q > _TRIAL_DIVISORS[-1] ** 2 and all(q % p for p in _TRIAL_DIVISORS):
+            reached = [g for mj in t if (g := math.gcd(mj, q)) > 1]
+            if reached.count(q) > 1:
+                parts, spent = _trial_split(q, len(reached) - 2)
+                split += parts
+                divisions += spent
+                continue
+        split.append(q)
+    return split, divisions
+
+
+def _trial_split(q: int, others: int) -> tuple[list[int], int]:
+    """q's prime-power parts found by trial division, then its cofactor; and the
+    divisions made.
+
+    q has no prime below 1,000; its order q is taken twice and others more
+    coordinates have order above 1, so a block of a prime p of q has all its
+    orders p or above.  Odd d is tried up to the square root of what is left,
+    and no further than the largest L whose block of such orders fits in
+    STEP_GUARD: a prime past it is refused whatever block it lands in.
+    """
+    lo, hi = 1, STEP_GUARD  # a block's steps rise with its orders
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if _plan(mid, [mid] * others)[0] <= STEP_GUARD else (lo, mid - 1)
+    parts, start = [], _TRIAL_DIVISORS[-1] + 2
+    d = start
+    while d <= lo and d * d <= q:
+        if q % d == 0:
+            part = 1
+            while q % d == 0:
+                part *= d
+                q //= d
+            parts.append(part)
+        d += 2
+    return parts + [q] * (q > 1), (d - start) // 2
 
 
 def _coprime_base(values: list[int]) -> list[int]:

@@ -26,7 +26,7 @@ from itertools import product, repeat
 from operator import mul
 
 from .arith import PRINT_DIGITS, _exact_quotient, _factorize, _require_int
-from .arith import _require_printable, _require_within, divisors, is_prime
+from .arith import _require_printable, _require_within, _shown, divisors, is_prime
 
 TRIPLES_GUARD = 10**4
 
@@ -58,7 +58,7 @@ class PeriodTuple(tuple):
         return PeriodTuple(v for v in self if v > 1)
 
     def __repr__(self) -> str:
-        return f"PeriodTuple({list(self)!r})"
+        return f"PeriodTuple([{', '.join(map(_shown, self))}])"
 
 
 Periods = Iterable[int]

@@ -16,6 +16,11 @@ no admissibility condition and prunes every branch whose remaining sum
 cannot be reached.  Its sorted output is kept once per (gamma, ell), and
 so is the result of the epimorphism route; Harvey's route, the oracle,
 is recomputed on every call.  The guards are checked as a list is built.
+The generator draws from one search table per ell (divisors, their
+contributions and reach bitsets), kept at the widest target asked of it,
+so a sweep over gamma builds each table once; the two caches hold at most
+(GAMMA_GUARD + 1) * ELL_GUARD lists, 0.6 MB, and the tables at most
+ELL_GUARD, 0.13 MB, over the guarded domain.
 """
 
 from __future__ import annotations
@@ -167,6 +172,39 @@ def _check_order(gamma: int, ell: int) -> None:
     _require_int(ell, "group order", 1)
 
 
+# One search table per group order, {ell: (top, divs, parts, reach)}, exact for
+# every target up to the top it was built for; a request past that top rebuilds
+# it wider, so neither the order of requests nor a guard lifted by rebinding
+# can draw from a table too narrow.  A sweep over gamma then pays once per ell,
+# and the guarded domain keeps at most ELL_GUARD tables.  Measured with
+# tracemalloc under CPython 3.11.7: all 200, built for gamma = 6, 0.13 MB.
+_search_tables: dict[int, tuple[int, list[int], list[int], list[int]]] = {}
+
+
+def _search_table(ell: int, top: int) -> tuple[int, list[int], list[int], list[int]]:
+    """(top', divs, parts, reach) for ell, exact for every target up to top' >= top.
+
+    divs are the divisors >= 2, largest contribution first, and parts their
+    contributions ell - ell/d; reach[i] has bit k <= top' set iff k is a sum
+    of parts[i:], repeats allowed.
+    """
+    table = _search_tables.get(ell)
+    if table is not None and table[0] >= top:
+        return table
+    divs = divisors(ell)[:0:-1]
+    parts = [ell - ell // d for d in divs]
+    mask = (2 << top) - 1
+    reach = [1] * (len(parts) + 1)
+    for i in range(len(parts) - 1, -1, -1):
+        bits, step = reach[i + 1], parts[i]
+        while step <= top:  # add 0..2^j - 1 copies of parts[i] after j rounds
+            bits |= (bits << step) & mask
+            step *= 2
+        reach[i] = bits
+    table = _search_tables[ell] = (top, divs, parts, reach)
+    return table
+
+
 def _candidate_signatures(gamma: int, ell: int) -> Iterator[OrbifoldSignature]:
     """Signatures solving Riemann-Hurwitz in the bounded search space.
 
@@ -177,18 +215,8 @@ def _candidate_signatures(gamma: int, ell: int) -> Iterator[OrbifoldSignature]:
     branch is entered only if the sum it leaves is still a sum of the
     contributions from its divisor on.  (gamma, ell) must pass _check_order and the guards.
     """
-    divs = divisors(ell)[:0:-1]  # the divisors >= 2, largest contribution first
-    parts = [ell - ell // d for d in divs]
     top = 2 * gamma - 2 + 2 * ell  # the g = 0 target, the largest
-    mask = (2 << top) - 1
-    # reach[i] has bit k set iff k is a sum of parts[i:], repeats allowed
-    reach = [1] * (len(parts) + 1)
-    for i in range(len(parts) - 1, -1, -1):
-        bits, step = reach[i + 1], parts[i]
-        while step <= top:  # add 0..2^j - 1 copies of parts[i] after j rounds
-            bits |= (bits << step) & mask
-            step *= 2
-        reach[i] = bits
+    _, divs, parts, reach = _search_table(ell, top)
 
     def rec(start: int, left: int, slots: int, periods: tuple[int, ...]):
         if left == 0:

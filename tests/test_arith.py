@@ -38,6 +38,7 @@ from orbicyclic.orbicyclic import (
     enumerate_nonvanishing_triples,
     f_r,
     h_poly,
+    local_profile,
 )
 from orbicyclic.orbifold import (
     OrbifoldSignature,
@@ -864,6 +865,24 @@ MR_REFUSAL = "Miller-Rabin argument a {}-digit number exceeds the guard 33170440
             (1, -(10**5000)),
             ValueError,
             "edge count must be an integer >= 1, got a negative 5001-digit number",
+        ),
+        (
+            periodic_average,
+            (von_sterneck, (3,), 10**5000),
+            ValueError,
+            "period 3 does not divide modulus a 5001-digit number",
+        ),
+        (
+            local_profile,
+            ((10**5000,), 3),
+            ValueError,
+            "3 divides no value of PeriodTuple([a 5001-digit number])",
+        ),
+        (
+            count_congruence_solutions,
+            (10**5000, (3,)),
+            ValueError,
+            "period 3 does not divide modulus a 5001-digit number",
         ),
     ],
 )

@@ -173,6 +173,31 @@ def test_blocks_of_large_primes():
     assert count_congruence_solutions(math.lcm(*t) * 1021, t) == E_closed(t) != 0
 
 
+def test_trial_division_splits_what_the_base_leaves_whole():
+    # a block the gcd base leaves composite was once refused at 1,049,373 steps
+    # for 1009 * 1013; trial division past 1,000 splits it, each division charged
+    for q in (1009 * 1013, 1009 * 1013 * 1019):
+        for r in (2, 3):
+            t = (q,) * r
+            assert count_congruence_solutions(q, t) == E_closed(t) != 0, t
+    assert count_congruence_solutions(1022117, (1022117, 1022117)) == 1008 * 1012
+    assert congruence._split_blocks([1022117], (1022117,) * 2) == ([1009, 1013], 5)
+    # a block whose count is 0 at once is left whole, with no division
+    assert congruence._split_blocks([2, 1022117], (1022117, 2, 2)) == ([2, 1022117], 0)
+    # two primes past 10^6: trial division stops at the largest order a block
+    # with three coordinates can count, 61,907, and the refusal charges the
+    # 30,454 divisions it took
+    M = 1000003 * 1000033
+    start = perf_counter()
+    message = (
+        r"^congruence steps \(block 1000036000099 takes 991409768063970048\)"
+        r" 991409768064000502 exceeds the guard 1000000$"
+    )
+    with pytest.raises(GuardError, match=message):
+        count_congruence_solutions(M, (M, M, M))
+    assert perf_counter() - start < 1
+
+
 def test_step_charge_bounds_the_fold_pairs(monkeypatch):
     # replays each count with an empty store, tallying the residues visited
     # (class builds and shifted sums, one gcd each) and the dense products,
@@ -303,4 +328,5 @@ def test_oracle_imports_nothing_from_what_it_checks():
         ".orbicyclic:_coerce",
         ".orbicyclic:_require_int",
         ".orbicyclic:_require_within",
+        ".orbicyclic:_shown",
     }

@@ -2,10 +2,17 @@ from time import perf_counter
 
 import pytest
 
+from orbicyclic import epi
 from orbicyclic.arith import euler_phi, jordan_phi
 from orbicyclic.epi import count_epi
 from orbicyclic.orbicyclic import E_bruteforce, E_closed, equals_phi_classification
-from orbicyclic.orbifold import OrbifoldSignature, enumerate_orbifolds, epi_nonvanishing
+from orbicyclic.orbifold import (
+    ELL_GUARD,
+    GAMMA_GUARD,
+    OrbifoldSignature,
+    enumerate_orbifolds,
+    epi_nonvanishing,
+)
 
 
 def sig(g, *periods):
@@ -90,3 +97,47 @@ def test_equals_totient_criterion():
                     s.g == 0 and s.m == ell and equals_phi_classification(s.periods)
                 )
                 assert (count_epi(s, ell) == euler_phi(ell)) == expected
+
+
+def test_memo_matches_the_formula_on_the_guarded_grid():
+    # each of the 521 orbifolds of the guarded grid, counted then read back,
+    # against the formula with E's defining mean in place of the closed form
+    found = [
+        (s, ell)
+        for gamma in range(GAMMA_GUARD + 1)
+        for ell in range(1, ELL_GUARD + 1)
+        for s in enumerate_orbifolds(gamma, ell)
+    ]
+    assert len(found) == len(set(found)) == 521
+    for s, ell in found:
+        m = s.m
+        expected = m ** (2 * s.g) * jordan_phi(2 * s.g, ell // m) * E_bruteforce(s.periods)
+        assert count_epi(s, ell) == count_epi(s, ell) == expected, (s, ell)
+    info = epi._counts.cache_info()
+    assert (info.maxsize, info.currsize, info.hits) == (1024, 521, 521)
+
+
+def test_memo_counts_each_orbifold_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(epi, "E_closed", lambda t: calls.append(t) or E_closed(t))
+    for _ in range(3):
+        assert count_epi(sig(1, 2, 2), 2) == 4
+        assert count_epi(sig(1, 2, 2), 4) == 12
+    assert calls == [(2, 2), (2, 2)]
+
+
+def test_memo_keeps_refusals_after_a_cached_call():
+    # lru_cache takes True for 1 and 2.0 for 2, so no key is made before the
+    # checks; a plain tuple still fails on the attribute it lacks
+    assert count_epi(sig(0, 2, 3, 6), 6) == 2
+    assert [count_epi(sig(1), ell) for ell in (1, 2)] == [1, 3]
+    for bad in (True, 2.0):
+        with pytest.raises(ValueError, match=f"^group order must be an integer >= 1, got {bad}$"):
+            count_epi(sig(1), bad)
+    for ell, attribute in ((6, "periods"), (1, "m")):
+        with pytest.raises(AttributeError, match=f"^'tuple' object has no attribute '{attribute}'$"):
+            count_epi((0, (2, 3, 6)), ell)
+    # a refusal is never kept: the same guard refuses again
+    for _ in range(2):
+        with pytest.raises(ValueError, match="exceed the 4300-digit print limit"):
+            count_epi(sig(10**5), 3)

@@ -5,6 +5,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import conftest
 import pytest
 
 import orbicyclic
@@ -332,20 +333,51 @@ def test_import_loads_only_what_the_package_uses():
 
 def test_import_fills_no_cache():
     # a cache filled at import would be paid again by every process start; the
-    # budgeted stores are dicts, which the cache_info probe cannot see, so they
-    # are found by type: a module-level dict with a budget attribute
+    # stores and search tables are dicts, which the cache_info probe cannot
+    # see, so every module-level dict is probed too, by type, as conftest
+    # finds them; the CLI's subcommand table is the one filled at import
     probe = (
-        "import sys, orbicyclic\n"
-        "modules = [m for name, m in list(sys.modules.items()) if name.startswith('orbicyclic')]\n"
-        "caches = {f'{m.__name__}.{k}': v.cache_info().currsize\n"
-        "          for m in modules for k, v in vars(m).items() if hasattr(v, 'cache_info')}\n"
-        "stores = {id(v): (f'{m.__name__}.{k}', len(v)) for m in modules\n"
-        "          for k, v in vars(m).items() if isinstance(v, dict) and hasattr(v, 'budget')}\n"
-        "caches.update(stores.values())\n"
-        "print(len(stores), len(caches), *sorted(k for k, n in caches.items() if n))"
+        "import sys, orbicyclic.cli\n"
+        "sizes = {}\n"
+        "for name, m in sorted(sys.modules.items()):\n"
+        "    for k, v in vars(m).items() if name.startswith('orbicyclic') else ():\n"
+        "        if hasattr(v, 'cache_info'):\n"
+        "            sizes.setdefault(id(v), (f'{name}.{k}', v.cache_info().currsize))\n"
+        "        elif isinstance(v, dict) and not k.startswith('__'):\n"
+        "            sizes.setdefault(id(v), (f'{name}.{k}', len(v)))\n"
+        "print(len(sizes), *sorted(k for k, n in sizes.values() if n))"
     )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run(
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout.split()
-    assert out[0] == "3" and int(out[1]) > 3 and out[2:] == []
+    # six functools caches, three budgeted stores, the search tables and COMMANDS
+    assert out == ["11", "orbicyclic.cli.COMMANDS"]
+
+
+def test_fixture_clears_every_cache():
+    # a cache that outlives a test lets the next one pass on kept values,
+    # without running the code it counts calls of: every cache the package
+    # holds, found by type, is emptied by fresh_caches or exempt with a reason
+    import orbicyclic.cli  # noqa: F401  (binds COMMANDS, so it is found)
+
+    caches = conftest.module_caches()
+    cleared = {id(cache) for cache in conftest.CLEARED}
+    kept = sorted(name for name, cache in caches.items() if id(cache) not in cleared)
+    assert kept == sorted(conftest.EXEMPT)
+    assert all(conftest.EXEMPT.values())
+
+    def sizes():
+        return {
+            name: len(cache) if isinstance(cache, dict) else cache.cache_info().currsize
+            for name, cache in caches.items()
+            if name not in conftest.EXEMPT
+        }
+
+    # fill every cleared cache, then empty them the fixture's way
+    orbicyclic.theta(2, 6)
+    orbicyclic.E_bruteforce((4, 6))
+    orbicyclic.count_congruence_solutions(12, (4, 6, 12))
+    assert all(sizes().values()), sizes()
+    conftest.clear_caches()
+    assert not any(sizes().values()), sizes()

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from itertools import combinations_with_replacement
 
@@ -264,6 +265,39 @@ class TestCaches:
                 fn(True, 2)
             with pytest.raises(ValueError, match="^group order must be an integer >= 1, got 2.0$"):
                 fn(1, 2.0)
+
+
+class TestSearchTables:
+    GRID = [(gamma, ell) for ell in range(1, ELL_GUARD + 1) for gamma in range(GAMMA_GUARD + 1)]
+    # sha256 of repr of the lists above, drawn in GRID order while the
+    # generator still built its divisors and reach bitsets on every call
+    DIGEST = "1cf15926c2fa6578dd50bc7367c419573447d4c82cd2abdf10232a7c9e22751c"
+
+    def test_any_request_order_draws_the_same_candidates(self, monkeypatch):
+        # a table kept for a narrower request must never serve a wider one,
+        # whether gamma rises or falls; each list is compared as drawn, in order
+        alone = {}
+        for key in self.GRID:
+            orbifold._search_tables.clear()
+            alone[key] = list(_candidate_signatures(*key))
+        lists = [alone[key] for key in self.GRID]
+        assert hashlib.sha256(repr(lists).encode()).hexdigest() == self.DIGEST
+        builds = []
+        monkeypatch.setattr(orbifold, "divisors", lambda ell: builds.append(ell) or divisors(ell))
+        for gammas, built in (
+            (range(GAMMA_GUARD + 1), GAMMA_GUARD + 1),  # each request wider than the last
+            (range(GAMMA_GUARD, -1, -1), 1),  # the first is the widest
+        ):
+            orbifold._search_tables.clear()
+            builds.clear()
+            for ell in range(1, ELL_GUARD + 1):
+                for gamma in gammas:
+                    assert list(_candidate_signatures(gamma, ell)) == alone[gamma, ell]
+            assert len(orbifold._search_tables) == ELL_GUARD
+            assert builds == [ell for ell in range(1, ELL_GUARD + 1) for _ in range(built)]
+            # every table ends as wide as gamma = GAMMA_GUARD asks
+            for ell, (top, *_) in orbifold._search_tables.items():
+                assert top == 2 * GAMMA_GUARD - 2 + 2 * ell
 
 
 class TestCensus:
