@@ -20,7 +20,8 @@ further, as far as a block the step guard can count.  Within a block, the
 residues of each order form a 0/1 polynomial packed into one integer, and
 the block count is read off a product of these modulo z^L - 1.  Class
 polynomials are kept, within a byte budget, for the next count that needs
-them.
+them, and so is each count, once per period tuple and step guard, in a
+store of its own that no evaluator of E reads.
 """
 
 from __future__ import annotations
@@ -70,6 +71,12 @@ def count_congruence_solutions(M: int, t: Periods) -> int:
     for mj in t:
         if M % mj != 0:
             raise ValueError(f"period {_shown(mj)} does not divide modulus {_shown(M)}")
+    return _counts[STEP_GUARD, t]
+
+
+def _count(key: tuple[int, tuple[int, ...]]) -> int:
+    """The count for key = (STEP_GUARD, t), counted under that guard."""
+    t = key[1]
     m = t.m
     blocks, divisions = _blocks(m, t), 0
     if m > _TRIAL_DIVISORS[-1] ** 2:  # below, every block is a prime power
@@ -246,3 +253,19 @@ def _class_polynomial(key: tuple[int, int, int]) -> int:
 # three e-triangle rounds keep 62 classes, 0.01 MB.
 _ENTRY_BYTES = 200
 _polynomials = _Store(_class_polynomial, 2**22, lambda key, _: key[0] * key[1] // 8 + _ENTRY_BYTES)
+
+
+# One count per period tuple: a sweep repeats its tuples (an e-triangle round
+# draws about 1,790 distinct ones among 10,000), and the count does not depend
+# on the admissible M.  The key holds the step guard, since the trial division
+# that splits a block stops at a bound set by it, so the charge does too: a
+# count is kept only under the guard it passed, so a kept count is refused
+# exactly when a first call would be, and a refusal is never kept.  Each entry
+# is charged _ENTRY_BYTES, 40 bytes per period and the count's bytes, and kept
+# only if it fits in what the budget leaves; nothing is evicted.  Measured with
+# tracemalloc under CPython 3.11.7: three e-triangle rounds keep 2,841 counts,
+# 0.53 MB traced for 0.95 MB charged; full with 5,927 distinct tuples of up to
+# 6 divisors of m <= 5000, 1.16 MB traced for 2.10 MB charged.
+_counts = _Store(
+    _count, 2**21, lambda key, count: _ENTRY_BYTES + 40 * len(key[1]) + count.bit_length() // 8
+)

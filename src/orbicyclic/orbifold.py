@@ -17,10 +17,11 @@ cannot be reached.  Its sorted output is kept once per (gamma, ell), and
 so is the result of the epimorphism route; Harvey's route, the oracle,
 is recomputed on every call.  The guards are checked as a list is built.
 The generator draws from one search table per ell (divisors, their
-contributions and reach bitsets), kept at the widest target asked of it,
-so a sweep over gamma builds each table once; the two caches hold at most
+contributions and reach bitsets), rebuilt at least twice as wide when a
+wider target is asked of it, so a sweep over gamma builds each table a
+logarithmic number of times; the two caches hold at most
 (GAMMA_GUARD + 1) * ELL_GUARD lists, 0.6 MB, and the tables at most
-ELL_GUARD, 0.13 MB, over the guarded domain.
+ELL_GUARD, 0.22 MB, over the guarded domain.
 """
 
 from __future__ import annotations
@@ -174,10 +175,12 @@ def _check_order(gamma: int, ell: int) -> None:
 
 # One search table per group order, {ell: (top, divs, parts, reach)}, exact for
 # every target up to the top it was built for; a request past that top rebuilds
-# it wider, so neither the order of requests nor a guard lifted by rebinding
-# can draw from a table too narrow.  A sweep over gamma then pays once per ell,
-# and the guarded domain keeps at most ELL_GUARD tables.  Measured with
-# tracemalloc under CPython 3.11.7: all 200, built for gamma = 6, 0.13 MB.
+# it at least twice as wide, so neither the order of requests nor a guard lifted
+# by rebinding can draw from a table too narrow, and a sweep over rising gamma
+# pays a logarithmic number of builds per ell (2 for each ell >= 7 over
+# gamma = 0..6).  The guarded domain keeps at most ELL_GUARD tables.  Measured
+# with tracemalloc under CPython 3.11.7: all 200, built for falling gamma from
+# 6, 0.14 MB; for rising gamma, up to twice as wide, 0.22 MB.
 _search_tables: dict[int, tuple[int, list[int], list[int], list[int]]] = {}
 
 
@@ -189,8 +192,10 @@ def _search_table(ell: int, top: int) -> tuple[int, list[int], list[int], list[i
     of parts[i:], repeats allowed.
     """
     table = _search_tables.get(ell)
-    if table is not None and table[0] >= top:
-        return table
+    if table is not None:
+        if table[0] >= top:
+            return table
+        top = max(top, 2 * table[0])
     divs = divisors(ell)[:0:-1]
     parts = [ell - ell // d for d in divs]
     mask = (2 << top) - 1

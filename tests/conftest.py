@@ -1,3 +1,4 @@
+import math
 import sys
 
 import pytest
@@ -25,7 +26,7 @@ def module_caches() -> dict[str, object]:
 
 # Every byte- or length-budgeted store: a module-level dict with a budget attribute.
 STORES = [value for value in module_caches().values() if hasattr(value, "budget")]
-assert len(STORES) == 3
+assert len(STORES) == 6
 
 # What fresh_caches empties before every test.
 CLEARED = [
@@ -57,9 +58,36 @@ def clear_caches() -> None:
 def fresh_caches():
     """Start every test with empty per-modulus, per-order and per-count caches.
 
-    A factorization, Phi column, class polynomial or epimorphism count cached
-    by an earlier test would let a later one pass without running the code it
-    counts calls of, and a candidate list, search table or orbifold list
-    cached before a monkeypatch would hide the patched code.
+    A factorization, Phi column, class polynomial, kept value of E or of the
+    congruence count, or epimorphism count cached by an earlier test would let
+    a later one pass without running the code it counts calls of, and a
+    candidate list, search table or orbifold list cached before a monkeypatch
+    would hide the patched code.
     """
     clear_caches()
+
+
+def wide_tuples(rng, count):
+    """count period lists with lcm in (10**6, 5 * 10**12], from the primes up to 31."""
+    primes, top = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31), {2: 4, 3: 2}
+    seen = 0
+    while seen < count:
+        r = rng.randint(1, 8)
+        entries = [1] * r
+        for q in primes:
+            a = rng.randint(0, top.get(q, 1))
+            s = rng.randint(1, r)
+            for j in range(r):
+                entries[j] *= q ** (a if j < s else rng.randint(0, a))
+            rng.shuffle(entries)
+        if 10**6 < math.lcm(*entries) <= 5 * 10**12:
+            seen += 1
+            yield entries
+
+
+def triangle_tuples(rng, count):
+    """count period lists of up to 4 divisors of one m <= 60, as criterion 1 draws them."""
+    for _ in range(count):
+        m = rng.randint(1, 60)
+        divs = [d for d in range(1, m + 1) if m % d == 0]
+        yield [rng.choice(divs) for _ in range(rng.randint(0, 4))]

@@ -7,6 +7,7 @@ from pathlib import Path
 from time import perf_counter
 
 import pytest
+from conftest import triangle_tuples, wide_tuples
 
 from orbicyclic import congruence
 from orbicyclic.arith import GuardError
@@ -229,9 +230,11 @@ def test_step_charge_bounds_the_fold_pairs(monkeypatch):
         store.clear()
         visited.clear(), products.clear(), generators.clear()
         monkeypatch.setattr(congruence, "STEP_GUARD", 10**9)
+        congruence._counts.clear()  # a kept count would be replayed without its work
         count_congruence_solutions(M, t)
         work = sum(visited) + sum((bits / 30) ** 1.585 / 50 for bits in products)
         monkeypatch.setattr(congruence, "STEP_GUARD", 0)
+        congruence._counts.clear()
         try:
             count_congruence_solutions(M, t)
         except GuardError as refusal:
@@ -289,6 +292,7 @@ def test_polynomial_store_stays_within_its_budget(monkeypatch):
     assert not all((M, (M.bit_length() + 7) // 8 * 8, M) in store for M in pool)
     for M, t, count in sweep:
         store.clear()
+        congruence._counts.clear()  # so that the count is made again, from no class
         assert count_congruence_solutions(M, t) == count == E_closed(t), (M, t)
     # a class past the budget is counted but not kept, and evicts nothing
     kept = dict(store)
@@ -304,10 +308,110 @@ def test_polynomial_store_keeps_a_large_class_across_small_ones(monkeypatch):
     big, small = 65_521, 60
     monkeypatch.setattr(store, "budget", big * 16 // 8 + congruence._ENTRY_BYTES)
     for _ in range(3):
+        congruence._counts.clear()  # a kept count would build no class at all
         assert count_congruence_solutions(big, (big, big)) == E_closed((big, big))
         assert count_congruence_solutions(small, (60, 30, 20)) == E_closed((60, 30, 20))
         assert set(store) == {(big, 16, big)}
         assert store.held == store.budget
+
+
+@pytest.mark.parametrize("draw", [triangle_tuples, wide_tuples])
+def test_kept_count_equals_a_cold_one(draw):
+    # a count is kept per tuple whatever the admissible M: the draws repeat
+    # tuples, and each is asked again at twice its lcm
+    store = congruence._counts
+    tuples = list(draw(random.Random(34), 300))
+    first = [count_congruence_solutions(math.lcm(*t), t) for t in tuples]
+    assert len(store) == len({tuple(sorted(t)) for t in tuples})
+    kept = [count_congruence_solutions(2 * math.lcm(*t), t) for t in tuples]
+    assert len(store) == len({tuple(sorted(t)) for t in tuples})
+    cold = []
+    for t in tuples:
+        store.clear()
+        cold.append(count_congruence_solutions(3 * math.lcm(*t), t))
+    assert first == kept == cold == [E_closed(t) for t in tuples]
+
+
+def test_guard_refuses_a_kept_count(monkeypatch):
+    # the same message as a first call under the guard bound at call time
+    M, t = 720720, (720720, 720720, 360360)
+    assert count_congruence_solutions(M, t) == 2463436800
+    monkeypatch.setattr(congruence, "STEP_GUARD", 0)
+    with pytest.raises(GuardError) as refused:
+        count_congruence_solutions(M, t)
+    charged = int(str(refused.value).split(" exceeds ")[0].split()[-1])
+    monkeypatch.setattr(congruence, "STEP_GUARD", charged - 1)
+    message = f"congruence steps (block 13 takes 26) {charged} exceeds the guard {charged - 1}"
+    for clear in (False, False, True):
+        if clear:
+            congruence._counts.clear()
+        with pytest.raises(GuardError) as refused:
+            count_congruence_solutions(M, t)
+        assert str(refused.value) == message
+    monkeypatch.setattr(congruence, "STEP_GUARD", charged)
+    assert count_congruence_solutions(M, t) == 2463436800
+
+
+def test_kept_count_is_recharged_under_a_new_guard(monkeypatch):
+    # 1009 * 1013 is split by trial division only as far as the guard lets a
+    # block be counted, so the charge depends on the guard: a count kept with
+    # the charge it passed under would misname the refusal
+    M = 1009 * 1013
+    t = (M, M)
+    assert count_congruence_solutions(M, t) == 1008 * 1012
+    for guard, message in (
+        (1500, "(block 1013 takes 1031) 2062"),
+        (1000, "(block 1022117 takes 1049373) 1049373"),
+    ):
+        monkeypatch.setattr(congruence, "STEP_GUARD", guard)
+        for _ in range(2):
+            with pytest.raises(GuardError) as refused:
+                count_congruence_solutions(M, t)
+            assert str(refused.value) == f"congruence steps {message} exceeds the guard {guard}"
+    monkeypatch.setattr(congruence, "STEP_GUARD", 10**6)
+    assert list(congruence._counts.values()) == [1008 * 1012]
+    assert count_congruence_solutions(M, t) == 1008 * 1012
+
+
+def test_bad_arguments_fail_after_a_kept_count():
+    assert count_congruence_solutions(12, (12, 6, 4)) == 4
+    assert count_congruence_solutions(1, ()) == 1
+    assert count_congruence_solutions(2, (2,)) == 0
+    for M, t, message in (
+        (True, (), "modulus must be an integer >= 1, got True"),
+        (2.0, (2,), "modulus must be an integer >= 1, got 2.0"),
+        (0, (), "modulus must be an integer >= 1, got 0"),
+        (12, (True,), "period value must be an integer >= 1, got True"),
+        (12, (2.0,), "period value must be an integer >= 1, got 2.0"),
+        (5, (2,), "period 2 does not divide modulus 5"),
+        (18, (12, 6, 4), "period 12 does not divide modulus 18"),
+    ):
+        with pytest.raises(ValueError) as refused:
+            count_congruence_solutions(M, t)
+        assert str(refused.value) == message
+        assert not isinstance(refused.value, GuardError)
+    assert len(congruence._counts) == 3
+
+
+def test_count_store_stays_within_its_budget(monkeypatch):
+    store = congruence._counts
+    assert store.budget == 2**21
+
+    def charge(key, count):  # bytes per entry, per period and per byte of the count
+        return congruence._ENTRY_BYTES + 40 * len(key[1]) + count.bit_length() // 8
+
+    monkeypatch.setattr(store, "budget", 20_000)
+    for t in triangle_tuples(random.Random(35), 400):
+        before = dict(store)
+        assert count_congruence_solutions(math.lcm(*t), t) == E_closed(t)
+        assert before.items() <= store.items()
+        assert store.held == sum(map(charge, store, store.values())) <= store.budget
+    # filled to within one triangle entry of the budget, so a tuple of ten
+    # periods is past what is left: counted and returned, not kept
+    assert store.held > store.budget - charge((0, (60,) * 4), 0)
+    kept = dict(store)
+    assert count_congruence_solutions(12, (12,) * 10) == E_closed((12,) * 10)
+    assert store == kept
 
 
 def test_oracle_imports_nothing_from_what_it_checks():

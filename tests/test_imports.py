@@ -351,8 +351,8 @@ def test_import_fills_no_cache():
     out = subprocess.run(
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout.split()
-    # six functools caches, three budgeted stores, the search tables and COMMANDS
-    assert out == ["11", "orbicyclic.cli.COMMANDS"]
+    # six functools caches, six budgeted stores, the search tables and COMMANDS
+    assert out == ["14", "orbicyclic.cli.COMMANDS"]
 
 
 def test_fixture_clears_every_cache():

@@ -5,7 +5,9 @@ import time
 from itertools import combinations_with_replacement
 
 import pytest
+from conftest import triangle_tuples, wide_tuples
 
+from orbicyclic import arith, congruence, orbicyclic
 from orbicyclic.arith import GuardError, divisors, euler_phi, periodic_average, von_sterneck
 from orbicyclic.congruence import count_congruence_solutions
 from orbicyclic.orbicyclic import (
@@ -14,8 +16,10 @@ from orbicyclic.orbicyclic import (
     E_local,
     LocalProfile,
     PeriodTuple,
+    _closed,
     _columns,
     _divisor_table,
+    _means,
     _nonvanishing_triples_by_scan,
     enumerate_nonvanishing_triples,
     equals_phi_classification,
@@ -280,31 +284,140 @@ class TestEValues:
             monkeypatch.setattr(f"orbicyclic.orbicyclic.{name}", refuse)
         assert [E_bruteforce(t) for t in tuples] == expected == [4, 12, 6, 0, 138240, 1]
         # the patches bite: the closed form, which looks them up, now fails
+        # once its kept values are gone
+        _closed.clear()
         with pytest.raises(AssertionError, match="called a primary"):
             E_closed((10, 5, 2))
 
     def test_matches_bruteforce_past_a_million(self):
         # lcms in (10**6, 5 * 10**12] from the primes up to 31, as e-wide draws
         # them; before the class sum every one was past the brute-force guard
-        rng = random.Random(20261019)
-        primes, top = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31), {2: 4, 3: 2}
-        seen = nonzero = 0
-        while seen < 200:
-            r = rng.randint(1, 8)
-            entries = [1] * r
-            for q in primes:
-                a = rng.randint(0, top.get(q, 1))
-                s = rng.randint(1, r)
-                for j in range(r):
-                    entries[j] *= q ** (a if j < s else rng.randint(0, a))
-                rng.shuffle(entries)
-            if 10**6 < math.lcm(*entries) <= 5 * 10**12:
-                value = E_closed(entries)
-                assert E_bruteforce(entries) == value, entries
-                seen, nonzero = seen + 1, nonzero + (value != 0)
+        nonzero = 0
+        for entries in wide_tuples(random.Random(20261019), 200):
+            value = E_closed(entries)
+            assert E_bruteforce(entries) == value, entries
+            nonzero += value != 0
         assert nonzero >= 20
         for d in divisors(720720):
             assert E_bruteforce((d, 720720)) == E_closed((d, 720720))
+
+
+class TestValueStores:
+    EVALUATORS = ((E_closed, _closed), (E_bruteforce, _means))
+
+    @pytest.mark.parametrize("draw", [triangle_tuples, wide_tuples])
+    def test_kept_value_equals_a_cold_one(self, draw):
+        # the small draws repeat (and reorder) tuples, so most calls of the
+        # first pass already hit; the second pass hits throughout
+        tuples = list(draw(random.Random(34), 300))
+        for evaluator, store in self.EVALUATORS:
+            first = [evaluator(t) for t in tuples]
+            assert all(PeriodTuple(t) in store for t in tuples)
+            kept = [evaluator(t) for t in tuples]
+            cold = []
+            for t in tuples:
+                store.clear()
+                cold.append(evaluator(t))
+            assert first == kept == cold
+        assert first == [E_closed(t) for t in tuples]
+
+    def test_each_evaluator_keeps_its_own_values(self):
+        t = (12, 6, 4)
+        stores = (_closed, _means, congruence._counts)
+        for call, own in (
+            (lambda: E_closed(t), _closed),
+            (lambda: E_bruteforce(t), _means),
+            (lambda: count_congruence_solutions(12, t), congruence._counts),
+        ):
+            for store in stores:
+                store.clear()
+            assert call() == 4
+            assert [len(store) for store in stores] == [store is own for store in stores]
+        # a value planted in one store is read by its evaluator alone
+        for store in stores:
+            store.clear()
+        _closed[PeriodTuple(t)] = (-1, 0.0)
+        _means[PeriodTuple(t)] = (-2, 0)
+        assert (E_closed(t), E_bruteforce(t), count_congruence_solutions(12, t)) == (-1, -2, 4)
+
+    def test_bruteforce_guard_refuses_a_kept_mean(self, monkeypatch):
+        t = (720720, 720720)
+        assert E_bruteforce(t) == 138240
+        steps = _means[PeriodTuple(t)][1]
+        assert steps == 720
+        monkeypatch.setattr(orbicyclic, "_MEAN_GUARD", steps - 1)
+        message = f"brute-force steps {steps} exceeds the guard {steps - 1}"
+        for _ in range(2):  # a hit, then the same refusal again: it was not kept
+            with pytest.raises(GuardError, match=f"^{message}$"):
+                E_bruteforce(t)
+        _means.clear()
+        with pytest.raises(GuardError, match=f"^{message}$"):
+            E_bruteforce(t)
+        assert not _means
+        monkeypatch.setattr(orbicyclic, "_MEAN_GUARD", steps)
+        assert E_bruteforce(t) == 138240
+
+    def test_print_limit_refuses_a_kept_value(self, monkeypatch):
+        # the profiles bound E(9 x r) by 2^r * 3^(r-1), about 0.78 r digits, and
+        # the product of the periods has 0.95 r digits: 3,817 at r = 4000
+        t = (9,) * 4000
+        assert E_closed(t) == f_r(9, 4000)
+        assert PeriodTuple(t) in _closed
+        limit = "^E may exceed the 3000-digit print limit$"
+        with monkeypatch.context() as patch:
+            patch.setattr(arith, "PRINT_DIGITS", 3000)
+            patch.setattr(orbicyclic, "PRINT_DIGITS", 3000)
+            for _ in range(2):  # a hit, then the same refusal again: it was not kept
+                with pytest.raises(GuardError, match=limit):
+                    E_closed(t)
+            _closed.clear()
+            with pytest.raises(GuardError, match=limit):
+                E_closed(t)
+            assert not _closed
+        assert E_closed(t) == f_r(9, 4000)
+        # below the product bound a kept value needs no profile
+        monkeypatch.setattr(orbicyclic, "_local_profile", None)
+        assert E_closed(t) == f_r(9, 4000)
+
+    def test_value_past_the_product_bound_is_not_kept(self):
+        # it is bounded afresh on every call, so keeping it would only take
+        # room: 9 x 4507 has a product of 4,301 digits, 2 x 20000 of 6,021
+        for t, value in (((9,) * 4507, f_r(9, 4507)), ((2,) * 20000, 1)):
+            for _ in range(2):
+                assert E_closed(t) == value
+        assert not _closed and _closed.held == 0
+
+    def test_bad_arguments_fail_after_a_kept_call(self):
+        for evaluator, store in self.EVALUATORS:
+            assert [evaluator(t) for t in ((1,), (2, 2), (2,))] == [1, 1, 0]
+            assert len(store) == 3
+            for bad in ((True,), (True, 2), (2.0,), (2.0, 2), (0,)):
+                message = f"^period value must be an integer >= 1, got {bad[0]}$"
+                with pytest.raises(ValueError, match=message):
+                    evaluator(bad)
+            with pytest.raises(TypeError):
+                evaluator(2)
+            assert len(store) == 3
+
+    def test_budget_bounds_what_is_kept(self, monkeypatch):
+        def charge(t, kept):  # bytes per entry, per period and per byte of the value
+            return orbicyclic._ENTRY_BYTES + 40 * len(t) + kept[0].bit_length() // 8
+
+        tuples = list(triangle_tuples(random.Random(35), 400))
+        for evaluator, store in self.EVALUATORS:
+            assert store.budget == 2**21
+            monkeypatch.setattr(store, "budget", 20_000)
+            for t in tuples:
+                before = dict(store)
+                assert evaluator(t) == count_congruence_solutions(math.lcm(*t), t)
+                assert before.items() <= store.items()
+                assert store.held == sum(map(charge, store, store.values())) <= store.budget
+            # filled to within one triangle entry of the budget, so a tuple of
+            # ten periods is past what is left: evaluated and returned, not kept
+            assert store.held > store.budget - charge((60,) * 4, (0,))
+            kept, t = dict(store), (12,) * 10
+            assert evaluator(t) == f_r(12, 10)
+            assert store == kept
 
 
 class TestVanishes:

@@ -284,9 +284,14 @@ class TestSearchTables:
         assert hashlib.sha256(repr(lists).encode()).hexdigest() == self.DIGEST
         builds = []
         monkeypatch.setattr(orbifold, "divisors", lambda ell: builds.append(ell) or divisors(ell))
-        for gammas, built in (
-            (range(GAMMA_GUARD + 1), GAMMA_GUARD + 1),  # each request wider than the last
-            (range(GAMMA_GUARD, -1, -1), 1),  # the first is the widest
+        # rising gamma asks 2*ell - 2 first; each rebuild at least doubles the
+        # top, so from ell = 7 on the second build, 4*ell - 4, covers gamma = 6
+        small = {1: (5, 16), 2: (4, 16), 3: (3, 16), 4: (3, 24), 5: (3, 32), 6: (3, 40)}
+        rising = {ell: small.get(ell, (2, 4 * ell - 4)) for ell in range(1, ELL_GUARD + 1)}
+        falling = {ell: (1, 2 * GAMMA_GUARD - 2 + 2 * ell) for ell in rising}  # the first is widest
+        for gammas, expected in (
+            (range(GAMMA_GUARD + 1), rising),
+            (range(GAMMA_GUARD, -1, -1), falling),
         ):
             orbifold._search_tables.clear()
             builds.clear()
@@ -294,10 +299,12 @@ class TestSearchTables:
                 for gamma in gammas:
                     assert list(_candidate_signatures(gamma, ell)) == alone[gamma, ell]
             assert len(orbifold._search_tables) == ELL_GUARD
-            assert builds == [ell for ell in range(1, ELL_GUARD + 1) for _ in range(built)]
-            # every table ends as wide as gamma = GAMMA_GUARD asks
+            assert builds == [ell for ell, (built, _) in expected.items() for _ in range(built)]
+            # every table ends at least as wide as gamma = GAMMA_GUARD asks, and
+            # less than twice as wide
             for ell, (top, *_) in orbifold._search_tables.items():
-                assert top == 2 * GAMMA_GUARD - 2 + 2 * ell
+                assert top == expected[ell][1]
+                assert 2 * GAMMA_GUARD - 2 + 2 * ell <= top < 2 * (2 * GAMMA_GUARD - 2 + 2 * ell)
 
 
 class TestCensus:
