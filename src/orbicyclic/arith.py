@@ -6,10 +6,11 @@ periodic-average functional whose semi-multiplicativity underlies the
 closed formulas elsewhere in this package.
 
 All functions are pure and use exact integer (or Fraction) arithmetic; the
-one cache kept here is of factorizations.  Three rules serve the whole
+one cache kept here is of factorizations.  Four rules serve the whole
 package: _require_int refuses an argument outside its integer domain with a
-ValueError, and _require_printable and _require_within refuse a valid input
-past a library bound with a GuardError.
+ValueError, _require_printable and _require_within refuse a valid input
+past a library bound with a GuardError, and every kept value lives in a
+_Store, a dict within a byte budget.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import math
 import operator
 from collections import Counter
 from collections.abc import Callable, Iterable
-from functools import lru_cache
 from itertools import count
 
 # A Factorization is an ordered list of (prime, exponent) pairs with the
@@ -35,6 +35,9 @@ BRUTE_FORCE_GUARD = 10**6
 # Python's default int-to-str limit; _require_printable refuses values past it.
 PRINT_DIGITS = 4300
 
+# A refusal by _require_within shows a number of more digits by its digit count.
+_WITHIN_DIGITS = 50
+
 # The first 13 primes make Miller-Rabin deterministic below psi_13, the
 # least strong pseudoprime to all of them (Sorenson and Webster 2015).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -45,17 +48,22 @@ class GuardError(ValueError):
     """A valid input refused by a library bound on cost, printed digits or a proven range."""
 
 
-def _shown(value) -> str:
-    """repr(value), or for an int past Python's int-to-str limit its sign and digit count."""
+def _shown(value, most: float = math.inf) -> str:
+    """repr(value), or for an int past Python's int-to-str limit, or of more than
+    most digits, its sign and digit count."""
     try:
-        return repr(value)
-    except ValueError:
-        size = abs(value)
-        # 2**(b-1) <= size < 2**b leaves two digit counts; one power of 10 decides
-        digits = int(size.bit_length() * math.log10(2)) + 1
-        if size < 10 ** (digits - 1):
-            digits -= 1
-        return f"a {'negative ' if value < 0 else ''}{digits}-digit number"
+        text = repr(value)
+    except ValueError:  # an int past the str limit
+        pass
+    else:
+        if not isinstance(value, int) or len(text.lstrip("-")) <= most:
+            return text
+    size = abs(value)
+    # 2**(b-1) <= size < 2**b leaves two digit counts; one power of 10 decides
+    digits = int(size.bit_length() * math.log10(2)) + 1
+    if size < 10 ** (digits - 1):
+        digits -= 1
+    return f"a {'negative ' if value < 0 else ''}{digits}-digit number"
 
 
 def _require_int(value, what: str, least: int | None = None) -> None:
@@ -88,11 +96,44 @@ def _require_printable(
 def _require_within(what: str, value: int, guard: int, *named: int) -> None:
     """Refuse a valid input whose measure of cost or size, value, passes its guard.
 
-    Each {} in what stands for one of named, shown as the value is.
+    Each {} in what stands for one of named, shown as the value is: by its
+    digit count past _WITHIN_DIGITS digits, so that a refusal stays readable.
     """
     if value > guard:
-        what = what.format(*map(_shown, named))
-        raise GuardError(f"{what} {_shown(value)} exceeds the guard {guard}")
+        what = what.format(*(_shown(v, _WITHIN_DIGITS) for v in named))
+        raise GuardError(f"{what} {_shown(value, _WITHIN_DIGITS)} exceeds the guard {guard}")
+
+
+# Bytes charged per kept entry for its key, int header and dict slot, beside
+# what a store's size function charges for the value itself.
+_ENTRY_BYTES = 200
+
+
+class _Store(dict):
+    """{key: build(key)}, each value kept only while the charges sum to <= budget bytes.
+
+    A value's charge is size(key, value) bytes.  The first values that fit are
+    kept and none is evicted, so a call never costs more than with an empty
+    store; a build that raises keeps nothing.
+    """
+
+    # read on every miss, where slots save about 0.3 us against an instance dict
+    __slots__ = ("build", "budget", "size", "held")
+
+    def __init__(self, build: Callable, budget: float, size: Callable) -> None:
+        self.build, self.budget, self.size, self.held = build, budget, size, 0
+
+    def __missing__(self, key):
+        value = self.build(key)
+        size = self.size(key, value)
+        if self.held + size <= self.budget:
+            self[key] = value
+            self.held += size
+        return value
+
+    def clear(self) -> None:
+        super().clear()
+        self.held = 0
 
 
 def _exact_quotient(numerator: int, denominator: int, what: str) -> int:
@@ -181,19 +222,14 @@ def factorize(n: int) -> Factorization:
     then deterministic Miller-Rabin plus Pollard rho (Brent's variant with
     batched gcds) for a cofactor that trial division leaves undecided; that
     cofactor must be below MR_BOUND (GuardError otherwise); no
-    sub-exponential machinery.  The factorizations of the 4096 most
-    recently used n are kept; every call returns a fresh list.
+    sub-exponential machinery.  Factorizations are kept in _factorizations;
+    every call returns a fresh list.
     """
     _require_int(n, "factorize argument", 1)
-    return list(_factorize(n))
+    return list(_factorizations[n])
 
 
-# Every E and every totient factors its modulus, and a sweep repeats its
-# moduli, so each factorization is kept.  Measured with tracemalloc under
-# CPython 3.11.7: 4096 entries for n near 10**6, or near 10**12, hold about
-# 1.4 MB, a few tenths of a KB each.
-@lru_cache(maxsize=4096)
-def _factorize(n: int) -> tuple[tuple[int, int], ...]:
+def _factor(n: int) -> tuple[tuple[int, int], ...]:
     """factorize(n) as a tuple, for an n already known to be an int >= 1."""
     exponents: dict[int, int] = {}
     for p in (2, 3, 5):
@@ -220,6 +256,16 @@ def _factorize(n: int) -> tuple[tuple[int, int], ...]:
             stack.append(f)
             stack.append(m // f)
     return tuple(sorted(exponents.items()))
+
+
+# Every E and every totient factors its modulus, and a sweep repeats its
+# moduli, so each factorization is kept, {n: ((p, a), ...)}, indexed by an n
+# already known to be an int >= 1.  A prime power is charged 100 bytes: its
+# pair, two ints and a pointer.  Measured with tracemalloc under CPython
+# 3.11.7: one benchmark round keeps 60 (e-triangle), 67 (e-wide) and 200
+# (atlas), 0.02-0.05 MB; full, about 4,000 n near 10**6 or 10**12, 1.4-1.5 MB
+# traced for 2.1 MB charged.
+_factorizations = _Store(_factor, 2**21, lambda n, fac: _ENTRY_BYTES + 100 * len(fac))
 
 
 def divisors(n: int) -> list[int]:

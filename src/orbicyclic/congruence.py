@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import math
 
-from .orbicyclic import Periods, _coerce, _require_int, _require_within, _shown, _Store
+from .orbicyclic import _ENTRY_BYTES, Periods, _coerce, _require_int, _require_within, _shown
+from .orbicyclic import _Store
 
 # Bounds one count's steps, summed over its blocks and charged before any
 # work.  A step is one residue visited to build a class or to take a sparse
@@ -244,14 +245,10 @@ def _class_polynomial(key: tuple[int, int, int]) -> int:
 # pairs (2-core VM, CPython 3.11.7) the store took 69.6k to 76.4k ops/s in
 # the median against building every class afresh (10 of 10 pairs; IQR
 # without it 68.1k-70.9k), and p90 0.0259 to 0.0216 ms.  Each class is
-# charged its packed bytes plus _ENTRY_BYTES for its key, int header and
-# dict slot; it is kept only if it fits in what the budget leaves, and
-# nothing is ever evicted: a sweep past the budget keeps its first classes,
-# and a call never costs more than with an empty store.  Measured with
-# tracemalloc under CPython 3.11.7: full with the 2,701 classes of order L
-# of the L < 5000 at one-byte slots, 4.29 MB traced for 4.19 MB charged;
-# three e-triangle rounds keep 62 classes, 0.01 MB.
-_ENTRY_BYTES = 200
+# charged its packed bytes plus _ENTRY_BYTES.  Measured with tracemalloc under
+# CPython 3.11.7: full with the 2,701 classes of order L of the L < 5000 at
+# one-byte slots, 4.29 MB traced for 4.19 MB charged; an e-triangle round keeps
+# 61 classes, 0.01 MB.
 _polynomials = _Store(_class_polynomial, 2**22, lambda key, _: key[0] * key[1] // 8 + _ENTRY_BYTES)
 
 
@@ -261,10 +258,9 @@ _polynomials = _Store(_class_polynomial, 2**22, lambda key, _: key[0] * key[1] /
 # that splits a block stops at a bound set by it, so the charge does too: a
 # count is kept only under the guard it passed, so a kept count is refused
 # exactly when a first call would be, and a refusal is never kept.  Each entry
-# is charged _ENTRY_BYTES, 40 bytes per period and the count's bytes, and kept
-# only if it fits in what the budget leaves; nothing is evicted.  Measured with
-# tracemalloc under CPython 3.11.7: three e-triangle rounds keep 2,841 counts,
-# 0.53 MB traced for 0.95 MB charged; full with 5,927 distinct tuples of up to
+# is charged _ENTRY_BYTES, 40 bytes per period and the count's bytes.  Measured
+# with tracemalloc under CPython 3.11.7: an e-triangle round keeps 1,779
+# counts, 0.31 MB traced for 0.59 MB charged; full with 5,927 distinct tuples of up to
 # 6 divisors of m <= 5000, 1.16 MB traced for 2.10 MB charged.
 _counts = _Store(
     _count, 2**21, lambda key, count: _ENTRY_BYTES + 40 * len(key[1]) + count.bit_length() // 8

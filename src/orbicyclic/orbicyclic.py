@@ -32,8 +32,8 @@ from collections.abc import Callable, Iterable, Iterator
 from itertools import product, repeat
 from operator import mul
 
-from .arith import PRINT_DIGITS, _exact_quotient, _factorize, _require_int
-from .arith import _require_printable, _require_within, _shown, divisors, is_prime
+from .arith import _ENTRY_BYTES, PRINT_DIGITS, _exact_quotient, _factorizations, _require_int
+from .arith import _require_printable, _require_within, _shown, _Store, divisors, is_prime
 
 TRIPLES_GUARD = 10**4
 
@@ -95,7 +95,7 @@ def local_profile(t: Periods, p: int) -> LocalProfile:
 
 
 def _local_profile(t: PeriodTuple, p: int) -> LocalProfile:
-    """local_profile without the primality test, for primes from _factorize."""
+    """local_profile without the primality test, for primes from _factorizations."""
     exps = []
     for mj in t:
         e = 0
@@ -154,7 +154,7 @@ def E_closed(t: Periods) -> int:
 
 def _closed_value(t: PeriodTuple, digits: float) -> int:
     """E_closed(t), digits the log10 of the product of t; refused past the print limit."""
-    fac = _factorize(t.m)  # a PeriodTuple's lcm is already a valid argument
+    fac = _factorizations[t.m]  # a PeriodTuple's lcm is already a valid argument
     if digits >= PRINT_DIGITS and not vanishes(t)[0]:
         profiles = [_local_profile(t, p) for p, _ in fac]
         logs = [q.r_p * math.log10(q.p - 1) + q.v * math.log10(q.p) for q in profiles]
@@ -181,35 +181,10 @@ def _closed_entry(t: PeriodTuple) -> tuple[int, float]:
 _MEAN_GUARD = 2**18
 
 
-class _Store(dict):
-    """{key: build(key)}, each value kept only while the sizes sum to <= budget.
-
-    A value's size is size(key, value), its length by default; nothing is evicted.
-    """
-
-    # read on every miss, where slots save about 0.3 us against an instance dict
-    __slots__ = ("build", "budget", "size", "held")
-
-    def __init__(self, build: Callable, budget: int, size: Callable = lambda k, v: len(v)):
-        self.build, self.budget, self.size, self.held = build, budget, size, 0
-
-    def __missing__(self, key):
-        value = self.build(key)
-        size = self.size(key, value)
-        if self.held + size <= self.budget:
-            self[key] = value
-            self.held += size
-        return value
-
-    def clear(self) -> None:
-        super().clear()
-        self.held = 0
-
-
 def _divisor_table(M: int, local: Callable[[int, int], list[int]]) -> tuple[int, ...]:
     """prod of local(p, a)[e] over the p^a || M, for each divisor prod p^e of M."""
     table = [1]
-    for p, a in _factorize(M):  # the last prime's exponent varies fastest: one order per M
+    for p, a in _factorizations[M]:  # the last prime's exponent varies fastest: one order per M
         factors = local(p, a)
         table = [v * f for v in table for f in factors]
     return tuple(table)
@@ -235,10 +210,13 @@ def _von_sterneck_column(key: tuple[int, int]) -> tuple[int, ...]:
 
 
 # E_bruteforce's tables, one tuple per lcm and per (lcm, period), aligned by
-# _divisor_table.  With tracemalloc, CPython 3.11.7, each full with the 2^15
-# divisors of the product of the first 15 primes: 1.34 MB each.
-_classes = _Store(_class_sizes, 2**15)
-_columns = _Store(_von_sterneck_column, 2**15)
+# _divisor_table, each divisor charged 40 bytes, its pointer and its int.
+# Measured with tracemalloc under CPython 3.11.7: an e-triangle round keeps 60
+# and 261 tables, 0.01 and 0.05 MB, an e-wide round 22 and 58, 0.01 and 0.04 MB;
+# the 2^15-divisor tables of the product of the first 15 primes, 1.34 MB traced
+# for 1.31 MB charged each, still fit.
+_classes = _Store(_class_sizes, 2**21, lambda M, table: _ENTRY_BYTES + 40 * len(table))
+_columns = _Store(_von_sterneck_column, 2**21, lambda key, table: _ENTRY_BYTES + 40 * len(table))
 
 
 def E_bruteforce(t: Periods) -> int:
@@ -261,7 +239,7 @@ def _mean(t: PeriodTuple) -> tuple[int, int]:
     for m in t:
         counts[m] = counts.get(m, 0) + 1
     kbits = 1 + (len(t) + 1) * M.bit_length() // 1024
-    tau = math.prod([a + 1 for _, a in _factorize(M)])
+    tau = math.prod([a + 1 for _, a in _factorizations[M]])
     steps = tau * ((len(counts) + 1) * kbits * math.isqrt(kbits) + len(counts))
     _require_within("brute-force steps", steps, _MEAN_GUARD)
     terms = _classes[M]
@@ -280,13 +258,11 @@ def _mean(t: PeriodTuple) -> tuple[int, int]:
 # about 1,790 distinct ones among 10,000, and a call that finds its tuple costs
 # about 1 us, most of it the coercion, against 3-3.5 us (e-triangle 77k to 132k
 # ops/s, median of 10 alternated 28 s pairs, 2-core VM).  Each entry is charged
-# _ENTRY_BYTES, 40 bytes per period and the value's bytes; it is kept only if
-# it fits in what the budget leaves, and nothing is evicted, so a call never
-# costs more than with an empty store.  Measured with tracemalloc under
-# CPython 3.11.7: three e-triangle rounds keep 2,841 tuples in each store,
-# 0.59 and 0.53 MB traced for 0.95 MB charged; full with 5,927 distinct tuples
-# of up to 6 divisors of m <= 5000, 1.65 and 1.21 MB traced for 2.10 MB charged.
-_ENTRY_BYTES = 200
+# _ENTRY_BYTES, 40 bytes per period and the value's bytes.  Measured with
+# tracemalloc under CPython 3.11.7: an e-triangle round keeps 1,779 tuples in
+# each store, 0.35 and 0.31 MB traced for 0.59 MB charged; full with 5,927
+# distinct tuples of up to 6 divisors of m <= 5000, 1.65 and 1.21 MB traced for
+# 2.10 MB charged.
 
 
 def _entry_bytes(t: PeriodTuple, kept: tuple[int, float | int]) -> int:
@@ -308,7 +284,7 @@ def _vanishing_primes(t: PeriodTuple) -> Iterator[tuple[int, int]]:
 
     The witnesses are the odd p with s(p) = 1 and p = 2 with s(2) odd.
     """
-    for p, _ in _factorize(t.m):
+    for p, _ in _factorizations[t.m]:
         s = _local_profile(t, p).s
         if (s % 2 == 1) if p == 2 else (s == 1):
             yield p, s
@@ -336,7 +312,7 @@ def f_r(m: int, r: int) -> int:
         return 1
     _require_printable("f_r", r - 1, m)
     result = 1
-    for p, a in _factorize(m):
+    for p, a in _factorizations[m]:
         result *= (p - 1) * p ** ((r - 1) * (a - 1)) * _h_poly(r, p)
         if result == 0:
             return 0
@@ -355,7 +331,7 @@ def enumerate_nonvanishing_triples(m: int) -> list[tuple[int, int, int]]:
     _require_int(m, "lcm", 1)
     _require_within("triples lcm", m, TRIPLES_GUARD)
     per_prime: list[list[tuple[int, int, int]]] = []
-    for p, a in _factorize(m):
+    for p, a in _factorizations[m]:
         options = [] if p == 2 else [(p**a, p**a, p**a)]
         for c in range(a):
             top, low = p**a, p**c
@@ -386,7 +362,7 @@ def equals_phi_classification(t: Periods) -> bool:
         r(2) even when a = 1.
     """
     t = _coerce(t)
-    for p, _ in _factorize(t.m):
+    for p, _ in _factorizations[t.m]:
         prof = _local_profile(t, p)
         a, s, r_p = prof.a, prof.s, prof.r_p
         if s == 2 and r_p == 2:

@@ -16,12 +16,10 @@ no admissibility condition and prunes every branch whose remaining sum
 cannot be reached.  Its sorted output is kept once per (gamma, ell), and
 so is the result of the epimorphism route; Harvey's route, the oracle,
 is recomputed on every call.  The guards are checked as a list is built.
-The generator draws from one search table per ell (divisors, their
-contributions and reach bitsets), rebuilt at least twice as wide when a
-wider target is asked of it, so a sweep over gamma builds each table a
-logarithmic number of times; the two caches hold at most
-(GAMMA_GUARD + 1) * ELL_GUARD lists, 0.6 MB, and the tables at most
-ELL_GUARD, 0.22 MB, over the guarded domain.
+The generator draws from search tables (divisors, their contributions and
+reach bitsets), one per ell and all-ones top 2^k - 1, the least at or above
+the target asked, so any order of requests builds the same tables.  Each
+kind is kept in a store within a byte budget.
 """
 
 from __future__ import annotations
@@ -29,9 +27,8 @@ from __future__ import annotations
 import math
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator
-from functools import lru_cache
 
-from .arith import _require_int, _require_within, divisors
+from .arith import _ENTRY_BYTES, _require_int, _require_within, _Store, divisors
 from .orbicyclic import PeriodTuple, _vanishing_primes
 
 GAMMA_GUARD = 6
@@ -168,34 +165,19 @@ def epi_nonvanishing(sig: OrbifoldSignature, ell: int) -> tuple[bool, list[str]]
 
 
 def _check_order(gamma: int, ell: int) -> None:
-    """Refuse a (gamma, ell) of the wrong type or sign; _candidates applies the guards."""
+    """Refuse a (gamma, ell) of the wrong type or sign; _sorted_candidates applies the guards."""
     _require_int(gamma, "gamma", 0)
     _require_int(ell, "group order", 1)
 
 
-# One search table per group order, {ell: (top, divs, parts, reach)}, exact for
-# every target up to the top it was built for; a request past that top rebuilds
-# it at least twice as wide, so neither the order of requests nor a guard lifted
-# by rebinding can draw from a table too narrow, and a sweep over rising gamma
-# pays a logarithmic number of builds per ell (2 for each ell >= 7 over
-# gamma = 0..6).  The guarded domain keeps at most ELL_GUARD tables.  Measured
-# with tracemalloc under CPython 3.11.7: all 200, built for falling gamma from
-# 6, 0.14 MB; for rising gamma, up to twice as wide, 0.22 MB.
-_search_tables: dict[int, tuple[int, list[int], list[int], list[int]]] = {}
-
-
-def _search_table(ell: int, top: int) -> tuple[int, list[int], list[int], list[int]]:
-    """(top', divs, parts, reach) for ell, exact for every target up to top' >= top.
+def _search_space(key: tuple[int, int]) -> tuple[list[int], list[int], list[int]]:
+    """(divs, parts, reach) for key = (ell, top), exact for every target up to top.
 
     divs are the divisors >= 2, largest contribution first, and parts their
-    contributions ell - ell/d; reach[i] has bit k <= top' set iff k is a sum
+    contributions ell - ell/d; reach[i] has bit k <= top set iff k is a sum
     of parts[i:], repeats allowed.
     """
-    table = _search_tables.get(ell)
-    if table is not None:
-        if table[0] >= top:
-            return table
-        top = max(top, 2 * table[0])
+    ell, top = key
     divs = divisors(ell)[:0:-1]
     parts = [ell - ell // d for d in divs]
     mask = (2 << top) - 1
@@ -206,8 +188,19 @@ def _search_table(ell: int, top: int) -> tuple[int, list[int], list[int], list[i
             bits |= (bits << step) & mask
             step *= 2
         reach[i] = bits
-    table = _search_tables[ell] = (top, divs, parts, reach)
-    return table
+    return divs, parts, reach
+
+
+# The search tables, {(ell, top): (divs, parts, reach)}, top = 2^k - 1 the
+# smallest such top at or above the target asked, so any order of requests
+# builds the same tables and none serves a target past its top; over
+# gamma <= 6 an ell >= 5 takes one or two.  Each reach bitset is charged its
+# top / 8 bytes and 120 for its header and the divisor and contribution beside
+# it.  Measured with tracemalloc under CPython 3.11.7: an atlas round, which
+# covers the guarded grid, keeps 237 tables, 0.18 MB traced for 0.24 MB charged.
+_search_tables = _Store(
+    _search_space, 2**20, lambda key, table: _ENTRY_BYTES + len(table[2]) * (key[1] // 8 + 120)
+)
 
 
 def _candidate_signatures(gamma: int, ell: int) -> Iterator[OrbifoldSignature]:
@@ -221,7 +214,7 @@ def _candidate_signatures(gamma: int, ell: int) -> Iterator[OrbifoldSignature]:
     contributions from its divisor on.  (gamma, ell) must pass _check_order and the guards.
     """
     top = 2 * gamma - 2 + 2 * ell  # the g = 0 target, the largest
-    _, divs, parts, reach = _search_table(ell, top)
+    divs, parts, reach = _search_tables[ell, (1 << top.bit_length()) - 1]
 
     def rec(start: int, left: int, slots: int, periods: tuple[int, ...]):
         if left == 0:
@@ -241,18 +234,9 @@ def _candidate_signatures(gamma: int, ell: int) -> Iterator[OrbifoldSignature]:
                 yield OrbifoldSignature(g, periods)
 
 
-# One candidate list and one E-route list per (gamma, ell) of the guarded
-# domain, so both caches hold at most (GAMMA_GUARD + 1) * ELL_GUARD = 1,400
-# keys.  Measured with tracemalloc under CPython 3.11.7: the whole domain
-# (1,049 candidates) holds about 0.6 MB in both together.  lru_cache takes
-# True for 1 and 2.0 for 2, so every lookup comes after _check_order; the
-# guards are checked on a miss, before any work, so a hit costs no check.
-_DOMAIN = (GAMMA_GUARD + 1) * ELL_GUARD
-
-
-@lru_cache(maxsize=_DOMAIN)
-def _candidates(gamma: int, ell: int) -> tuple[OrbifoldSignature, ...]:
-    """The candidate signatures for (gamma, ell), sorted by (g, r, periods)."""
+def _sorted_candidates(key: tuple[int, int]) -> tuple[OrbifoldSignature, ...]:
+    """The candidate signatures for key = (gamma, ell), sorted by (g, r, periods)."""
+    gamma, ell = key
     _require_within("gamma", gamma, GAMMA_GUARD)
     _require_within("group order", ell, ELL_GUARD)
     # the module global, so that a rebinding of the generator sees every draw
@@ -260,10 +244,25 @@ def _candidates(gamma: int, ell: int) -> tuple[OrbifoldSignature, ...]:
     return tuple(sorted(found, key=lambda s: (s.g, s.r, s.periods)))
 
 
-@lru_cache(maxsize=_DOMAIN)
-def _epi_route(gamma: int, ell: int) -> tuple[OrbifoldSignature, ...]:
-    """The candidates whose epimorphism count is nonzero."""
-    return tuple(sig for sig in _candidates(gamma, ell) if epi_nonvanishing(sig, ell)[0])
+def _nonvanishing(key: tuple[int, int]) -> tuple[OrbifoldSignature, ...]:
+    """The candidates for key = (gamma, ell) whose epimorphism count is nonzero."""
+    return tuple(sig for sig in _candidates[key] if epi_nonvanishing(sig, key[1])[0])
+
+
+def _list_bytes(key: tuple[int, int], sigs: tuple[OrbifoldSignature, ...]) -> int:
+    return _ENTRY_BYTES + 150 * len(sigs)
+
+
+# One candidate list and one E-route list per (gamma, ell).  A dict takes True
+# for 1 and 2.0 for 2, so every lookup comes after _check_order; the guards
+# are checked on a miss, before any work, so a kept list costs no check.  A
+# list is charged 150 bytes per signature, which the E route shares with the
+# candidate list.  Measured with tracemalloc under CPython 3.11.7: an atlas
+# round keeps all 1,400 pairs of the guarded grid in each, 0.17 and 0.23 MB
+# traced (the latter with the 521 signatures both hold) for 0.44 and 0.36 MB
+# charged.
+_candidates = _Store(_sorted_candidates, 2**20, _list_bytes)
+_epi_route = _Store(_nonvanishing, 2**20, _list_bytes)
 
 
 def enumerate_orbifolds(gamma: int, ell: int) -> list[OrbifoldSignature]:
@@ -276,7 +275,7 @@ def enumerate_orbifolds(gamma: int, ell: int) -> list[OrbifoldSignature]:
     a fresh list.
     """
     _check_order(gamma, ell)
-    return list(_epi_route(gamma, ell))
+    return list(_epi_route[gamma, ell])
 
 
 def enumerate_orbifolds_via_harvey(gamma: int, ell: int) -> list[OrbifoldSignature]:
@@ -291,7 +290,7 @@ def enumerate_orbifolds_via_harvey(gamma: int, ell: int) -> list[OrbifoldSignatu
     # test assumes ell >= 2 and would reject it at gamma = 0.
     return [
         sig
-        for sig in _candidates(gamma, ell)
+        for sig in _candidates[gamma, ell]
         if ell == 1 or harvey_admissible(sig, ell, gamma)[0]
     ]
 

@@ -3,65 +3,46 @@ import sys
 
 import pytest
 
-from orbicyclic import arith, epi, orbifold
+import orbicyclic  # noqa: F401  (imports every layer module)
+from orbicyclic.arith import _Store
 
 
-def module_caches() -> dict[str, object]:
-    """Every cache a module of the package holds, found by type, each once.
+def module_dicts() -> dict[str, dict]:
+    """Every module-level dict of the package, found by type, each once.
 
-    A functools cache (it has cache_clear) or a module-level dict: the
-    budgeted stores and the orbifold search tables are dicts.  Each is named
-    by the first module, in sorted order, that binds it.
+    Each is named by the first module, in sorted order, that binds it.
     """
-    found: dict[int, tuple[str, object]] = {}
+    found: dict[int, tuple[str, dict]] = {}
     for name, module in sorted(sys.modules.items()):
         if name == "orbicyclic" or name.startswith("orbicyclic."):
             for attr, value in vars(module).items():
-                if hasattr(value, "cache_clear") or (
-                    isinstance(value, dict) and not attr.startswith("__")
-                ):
+                if isinstance(value, dict) and not attr.startswith("__"):
                     found.setdefault(id(value), (f"{name}.{attr}", value))
     return dict(found.values())
 
 
-# Every byte- or length-budgeted store: a module-level dict with a budget attribute.
-STORES = [value for value in module_caches().values() if hasattr(value, "budget")]
-assert len(STORES) == 6
+def stores() -> dict[str, _Store]:
+    """Every kept-value store of the package: its module-level _Stores."""
+    return {name: value for name, value in module_dicts().items() if isinstance(value, _Store)}
 
-# What fresh_caches empties before every test.
-CLEARED = [
-    arith._factorize,
-    orbifold._candidates,
-    orbifold._epi_route,
-    orbifold._search_tables,
-    epi._counts,
-    *STORES,
-]
 
-# The caches left filled across tests, each with the reason that is safe.
-EXEMPT = {
-    "orbicyclic.cli.COMMANDS": "the subcommand table, filled at import; no cache",
-    "orbicyclic.mapcount._carrell_chapuy": "values only: no test counts the calls a hit skips",
-    "orbicyclic.mapcount._map_census": "values only: the dart-pair oracle's census, n <= 5",
-}
+STORES = list(stores().values())
+assert len(STORES) == 13
 
 
 def clear_caches() -> None:
-    for cache in CLEARED:
-        if hasattr(cache, "cache_clear"):
-            cache.cache_clear()
-        else:
-            cache.clear()
+    for store in STORES:
+        store.clear()
 
 
 @pytest.fixture(autouse=True)
 def fresh_caches():
-    """Start every test with empty per-modulus, per-order and per-count caches.
+    """Start every test with every store empty.
 
     A factorization, Phi column, class polynomial, kept value of E or of the
-    congruence count, or epimorphism count cached by an earlier test would let
-    a later one pass without running the code it counts calls of, and a
-    candidate list, search table or orbifold list cached before a monkeypatch
+    congruence count, epimorphism count or rooted count kept by an earlier test
+    would let a later one pass without running the code it counts calls of, and
+    a candidate list, search table or orbifold list kept before a monkeypatch
     would hide the patched code.
     """
     clear_caches()

@@ -146,27 +146,36 @@ def test_bruteforce_rows_are_built_once_per_modulus(monkeypatch):
     assert sorted(built) == [(120, 8), (120, 120), (360, 8), (360, 120), (360, 360)]
 
 
-def test_per_modulus_caches_are_bounded():
-    maxsize = arith._factorize.cache_info().maxsize
-    assert isinstance(maxsize, int) and maxsize > 0
-    # E_bruteforce's stores are bounded by the divisors they hold: a value
-    # that does not fit in what is left is returned but not kept
+def test_per_modulus_caches_are_bounded(monkeypatch):
+    # each store is bounded in bytes: a value that does not fit in what is
+    # left is returned but not kept, and the first values that fit stay
+    def charged(store):
+        return sum(store.size(key, value) for key, value in store.items())
+
+    # a factorization is charged 200 bytes and 100 per prime: 360 and 1001
+    # take 500 each, 7 takes 300
+    store = arith._factorizations
+    assert store.budget == 2**21
+    monkeypatch.setattr(store, "budget", 800)
+    for n in (360, 1001, 30, 7):
+        assert factorize(n) == factorize(n)
+    assert set(store) == {360, 7}
+    assert store.held == charged(store) == 800
+    # E_bruteforce's tables are charged 200 bytes and 40 per divisor
     stores = (_classes, _columns)
-    assert all(store.budget == 2**15 for store in stores)
+    assert all(store.budget == 2**21 for store in stores)
     for store in stores:
-        store.budget = 40
-    try:
-        for M in (360, 720, 5040, 12, 6, 60):
-            t = (M, M // 2, 2)
-            assert E_bruteforce(t) == E_closed(t)
-        # the first keys that fit are kept: tau(360) = 24, tau(12) = 6, tau(6) = 4
-        assert set(_columns) == {(360, 360), (12, 12), (12, 6), (6, 6)}
-        assert set(_classes) == {360, 12, 6}
-        for store in stores:
-            assert store.held == sum(map(len, store.values())) <= 40
-    finally:
-        for store in stores:
-            store.budget = 2**15
+        monkeypatch.setattr(store, "budget", 2000)
+    for M in (360, 720, 5040, 12, 6, 60):
+        t = (M, M // 2, 2)
+        assert E_bruteforce(t) == E_closed(t)
+    # the first keys that fit are kept: tau(360) = 24 takes 1160 bytes,
+    # tau(12) = 6 440 and tau(6) = 4 360
+    assert set(_columns) == {(360, 360), (12, 12), (6, 6)}
+    assert set(_classes) == {360, 12, 6}
+    for store in stores:
+        assert store.held == charged(store) == 1960
+        assert all(store.size(key, value) == 200 + 40 * len(value) for key, value in store.items())
 
 
 def test_factorize_large_semiprime():
@@ -898,6 +907,19 @@ def test_refusal_survives_a_value_past_the_str_limit(fn, args, error, message):
         fn(*args)
     assert type(refused.value) is error
     assert perf_counter() - start < 1
+
+
+def test_guard_refusal_shows_past_fifty_digits_by_the_digit_count():
+    # a measure or named value of 50 digits is shown in full, one of 51 by its
+    # digit count, whatever its sign
+    big, bigger = 10**50 - 1, 10**50
+    with pytest.raises(GuardError, match=f"^steps {big} exceeds the guard 1$"):
+        arith._require_within("steps", big, 1)
+    message = "^steps at a negative 51-digit number a 51-digit number exceeds the guard 1$"
+    with pytest.raises(GuardError, match=message):
+        arith._require_within("steps at {}", bigger, 1, -bigger)
+    assert arith._shown(-big, 50) == str(-big)
+    assert arith._shown(bigger) == str(bigger)  # no bound: shown in full below the str limit
 
 
 def test_shown_counts_the_digits_of_an_unprintable_int():

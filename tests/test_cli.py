@@ -87,16 +87,17 @@ class TestEValue:
 
     def test_congruence_guard_refuses_a_huge_block(self, capsys):
         # a block of order 2**700 is refused by the guard, not by a float
-        # overflow, so the record still goes out and the check is skipped
-        q = str(2**700)
+        # overflow, so the record still goes out and the check is skipped; the
+        # refusal shows its 211-digit numbers by their digit count
+        q, shown = str(2**700), "a 211-digit number"
         start = perf_counter()
         code, out, err = run(capsys, "e", q, q, "--congruence", q)
         assert perf_counter() - start < 1
         assert code == 0
         assert out == f"E({q}, {q}) = {2**699}\n"
         assert err == (
-            f"check[congruence(M={q})]: skipped (congruence steps (block {q} takes "
-            f"{q}) {q} exceeds the guard 1000000)\n"
+            f"check[congruence(M={q})]: skipped (congruence steps (block {shown} takes "
+            f"{shown}) {shown} exceeds the guard 1000000)\n"
         )
 
     def test_congruence_past_a_million(self, capsys):
@@ -365,6 +366,14 @@ class TestFreegroup:
         assert err == (
             "check[transitive_pairs]: skipped "
             "(tuple-scan steps 55987200 exceeds the guard 500000)\n"
+        )
+
+    def test_check_past_the_scan_guard_shows_a_huge_charge_by_its_digits(self, capsys):
+        code, _, err = run(capsys, "freegroup", "--rank", "400", "--index", "12", "--check")
+        assert code == 0
+        assert err == (
+            "check[transitive_pairs]: skipped "
+            "(tuple-scan steps a 3469-digit number exceeds the guard 500000)\n"
         )
 
     def test_guard(self, capsys):

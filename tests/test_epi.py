@@ -99,9 +99,13 @@ def test_equals_totient_criterion():
                 assert (count_epi(s, ell) == euler_phi(ell)) == expected
 
 
-def test_memo_matches_the_formula_on_the_guarded_grid():
+def test_memo_matches_the_formula_on_the_guarded_grid(monkeypatch):
     # each of the 521 orbifolds of the guarded grid, counted then read back,
     # against the formula with E's defining mean in place of the closed form
+    store = epi._counts
+    builds = []
+    build = store.build
+    monkeypatch.setattr(store, "build", lambda key: builds.append(key) or build(key))
     found = [
         (s, ell)
         for gamma in range(GAMMA_GUARD + 1)
@@ -113,8 +117,10 @@ def test_memo_matches_the_formula_on_the_guarded_grid():
         m = s.m
         expected = m ** (2 * s.g) * jordan_phi(2 * s.g, ell // m) * E_bruteforce(s.periods)
         assert count_epi(s, ell) == count_epi(s, ell) == expected, (s, ell)
-    info = epi._counts.cache_info()
-    assert (info.maxsize, info.currsize, info.hits) == (1024, 521, 521)
+    # each counted once and read back once, all within the budget
+    assert sorted(builds) == sorted(found) and set(store) == set(found)
+    assert store.held == sum(map(store.size, store, store.values())) <= store.budget
+    assert store.budget == 2**21
 
 
 def test_memo_counts_each_orbifold_once(monkeypatch):
@@ -127,7 +133,7 @@ def test_memo_counts_each_orbifold_once(monkeypatch):
 
 
 def test_memo_keeps_refusals_after_a_cached_call():
-    # lru_cache takes True for 1 and 2.0 for 2, so no key is made before the
+    # a store takes True for 1 and 2.0 for 2, so no key is made before the
     # checks; a plain tuple still fails on the attribute it lacks
     assert count_epi(sig(0, 2, 3, 6), 6) == 2
     assert [count_epi(sig(1), ell) for ell in (1, 2)] == [1, 3]

@@ -320,9 +320,10 @@ def test_cli_binds_no_library_knowledge():
 def test_import_loads_only_what_the_package_uses():
     # Fraction is imported inside periodic_average, its one user; rho's walks
     # need no RNG, and the records and annotations come from collections, so
-    # typing (and the re and enum it loads) stays out; -S keeps site's own
-    # imports out of the probe
-    unused = "{'fractions', 'decimal', 'random', 'typing', 're', 'enum'}"
+    # typing (and the re and enum it loads) stays out; every kept value is in
+    # an arith._Store, so no functools cache loads functools; -S keeps site's
+    # own imports out of the probe
+    unused = "{'fractions', 'decimal', 'random', 'typing', 're', 'enum', 'functools'}"
     probe = f"import sys, orbicyclic; print(*sorted({unused} & set(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run(
@@ -332,52 +333,98 @@ def test_import_loads_only_what_the_package_uses():
 
 
 def test_import_fills_no_cache():
-    # a cache filled at import would be paid again by every process start; the
-    # stores and search tables are dicts, which the cache_info probe cannot
-    # see, so every module-level dict is probed too, by type, as conftest
-    # finds them; the CLI's subcommand table is the one filled at import
+    # a store filled at import would be paid again by every process start;
+    # every module-level dict is probed, by type, as conftest finds them, and
+    # the CLI's subcommand table is the one filled at import
     probe = (
         "import sys, orbicyclic.cli\n"
-        "sizes = {}\n"
+        "from orbicyclic.arith import _Store\n"
+        "found = {}\n"
         "for name, m in sorted(sys.modules.items()):\n"
         "    for k, v in vars(m).items() if name.startswith('orbicyclic') else ():\n"
-        "        if hasattr(v, 'cache_info'):\n"
-        "            sizes.setdefault(id(v), (f'{name}.{k}', v.cache_info().currsize))\n"
-        "        elif isinstance(v, dict) and not k.startswith('__'):\n"
-        "            sizes.setdefault(id(v), (f'{name}.{k}', len(v)))\n"
-        "print(len(sizes), *sorted(k for k, n in sizes.values() if n))"
+        "        if isinstance(v, dict) and not k.startswith('__'):\n"
+        "            found.setdefault(id(v), (f'{name}.{k}', v))\n"
+        "stores = [v for _, v in found.values() if isinstance(v, _Store)]\n"
+        "print(len(stores), *sorted(k for k, v in found.values() if v))"
     )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run(
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout.split()
-    # six functools caches, six budgeted stores, the search tables and COMMANDS
-    assert out == ["14", "orbicyclic.cli.COMMANDS"]
+    assert out == ["13", "orbicyclic.cli.COMMANDS"]
+
+
+def functools_caches(source: str) -> list[str]:
+    """Each functools import, and each mention of a functools cache, by line."""
+    caches = {"cache", "lru_cache", "cached_property"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import) and "functools" in [a.name for a in node.names]:
+            found.append(f"functools (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found.append(f"functools (line {node.lineno})")
+        elif getattr(node, "id", getattr(node, "attr", None)) in caches:
+            found.append(f"{ast.unparse(node)} (line {node.lineno})")
+    return found
+
+
+def test_finds_a_functools_cache():
+    source = (
+        "import functools\n"
+        "from functools import lru_cache as keep\n"
+        "@functools.cache\n"
+        "def f(x):\n"
+        "    return x\n"
+        "g = lru_cache(maxsize=4)(f)\n"
+        "h = f(1)\n"
+    )
+    assert functools_caches(source) == [
+        "functools (line 1)",
+        "functools (line 2)",
+        "functools.cache (line 3)",
+        "lru_cache (line 6)",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_keeps_no_functools_cache(path):
+    # every kept value lives in an arith._Store, bounded in bytes
+    assert functools_caches(path.read_text()) == []
+
+
+def test_every_module_dict_is_a_store():
+    # one kept-value store for the whole package: a module-level dict is an
+    # arith._Store, whose budget bounds it in bytes, save the CLI's subcommand
+    # table; the store class is defined once, as is its entry charge
+    import orbicyclic.cli  # noqa: F401  (binds COMMANDS, so it is found)
+    from orbicyclic.arith import _Store
+
+    plain = [name for name, d in conftest.module_dicts().items() if not isinstance(d, _Store)]
+    assert plain == ["orbicyclic.cli.COMMANDS"]
+    defined = [
+        (path.name, ast.unparse(node).splitlines()[0])
+        for path in MODULES
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.ClassDef) and node.name == "_Store"
+        or isinstance(node, ast.Assign) and "_ENTRY_BYTES" in map(ast.unparse, node.targets)
+    ]
+    assert defined == [("arith.py", "_ENTRY_BYTES = 200"), ("arith.py", "class _Store(dict):")]
 
 
 def test_fixture_clears_every_cache():
-    # a cache that outlives a test lets the next one pass on kept values,
-    # without running the code it counts calls of: every cache the package
-    # holds, found by type, is emptied by fresh_caches or exempt with a reason
+    # a store that outlives a test lets the next one pass on kept values,
+    # without running the code it counts calls of: fresh_caches empties every
+    # store the package holds, found by type
     import orbicyclic.cli  # noqa: F401  (binds COMMANDS, so it is found)
 
-    caches = conftest.module_caches()
-    cleared = {id(cache) for cache in conftest.CLEARED}
-    kept = sorted(name for name, cache in caches.items() if id(cache) not in cleared)
-    assert kept == sorted(conftest.EXEMPT)
-    assert all(conftest.EXEMPT.values())
+    stores = conftest.stores()
+    assert sorted(map(id, stores.values())) == sorted(map(id, conftest.STORES))
 
-    def sizes():
-        return {
-            name: len(cache) if isinstance(cache, dict) else cache.cache_info().currsize
-            for name, cache in caches.items()
-            if name not in conftest.EXEMPT
-        }
-
-    # fill every cleared cache, then empty them the fixture's way
+    # fill every store, then empty them the fixture's way
     orbicyclic.theta(2, 6)
     orbicyclic.E_bruteforce((4, 6))
     orbicyclic.count_congruence_solutions(12, (4, 6, 12))
-    assert all(sizes().values()), sizes()
+    orbicyclic.dart_pair_oracle(1, 3)
+    assert [name for name, store in stores.items() if not store] == []
     conftest.clear_caches()
-    assert not any(sizes().values()), sizes()
+    assert [name for name, store in stores.items() if store or store.held] == []

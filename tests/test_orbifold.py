@@ -1,5 +1,6 @@
 import hashlib
 import math
+from collections import Counter
 from itertools import combinations_with_replacement
 
 import pytest
@@ -206,7 +207,7 @@ class TestEnumeration:
         total = 0
         for gamma in range(GAMMA_GUARD + 1):
             for ell in range(1, ELL_GUARD + 1):
-                found = orbifold._candidates(gamma, ell)
+                found = orbifold._candidates[gamma, ell]
                 assert len(found) == len(set(found)), (gamma, ell)
                 assert list(found) == sorted(found, key=lambda s: (s.g, s.r, s.periods))
                 assert all(rh_gamma(s, ell) == gamma for s in found), (gamma, ell)
@@ -223,16 +224,28 @@ class TestEnumeration:
 
 
 class TestCaches:
-    def test_bounded_by_the_guarded_domain(self):
-        for cache in (orbifold._candidates, orbifold._epi_route):
-            assert cache.cache_info().maxsize == (GAMMA_GUARD + 1) * ELL_GUARD
-        for gamma in range(GAMMA_GUARD + 1):
-            for ell in range(1, ELL_GUARD + 1):
-                enumerate_orbifolds(gamma, ell)
-                enumerate_orbifolds(gamma, ell)
-        for cache in (orbifold._candidates, orbifold._epi_route):
-            info = cache.cache_info()
-            assert info.currsize == info.misses == (GAMMA_GUARD + 1) * ELL_GUARD
+    def test_bounded_by_the_guarded_domain(self, monkeypatch):
+        # the whole guarded domain fits in both stores' byte budgets: each list
+        # is built once, on its first call, and kept
+        stores, builds = (orbifold._candidates, orbifold._epi_route), ([], [])
+        for store, built in zip(stores, builds):
+
+            def counted(key, build=store.build, record=built.append):
+                record(key)
+                return build(key)
+
+            monkeypatch.setattr(store, "build", counted)
+        domain = [
+            (gamma, ell) for gamma in range(GAMMA_GUARD + 1) for ell in range(1, ELL_GUARD + 1)
+        ]
+        for gamma, ell in domain:
+            enumerate_orbifolds(gamma, ell)
+            enumerate_orbifolds(gamma, ell)
+        for store, built in zip(stores, builds):
+            assert built == domain
+            assert len(store) == (GAMMA_GUARD + 1) * ELL_GUARD
+            assert store.held == sum(map(store.size, store, store.values())) <= store.budget
+            assert store.budget == 2**20
 
     def test_each_route_draws_the_candidates_once(self, monkeypatch):
         # the cached list is built through the module's generator binding, so
@@ -258,7 +271,7 @@ class TestCaches:
             assert fn(2, 2) == expected
 
     def test_non_integers_are_refused_after_a_cached_call(self):
-        # lru_cache takes True for 1 and 2.0 for 2, so the checks come first
+        # a store takes True for 1 and 2.0 for 2, so the checks come first
         for fn in (enumerate_orbifolds, enumerate_orbifolds_via_harvey):
             assert fn(1, 2) == [sig(0, 2, 2, 2, 2), sig(1)]
             with pytest.raises(ValueError, match="^gamma must be an integer >= 0, got True$"):
@@ -274,37 +287,37 @@ class TestSearchTables:
     DIGEST = "1cf15926c2fa6578dd50bc7367c419573447d4c82cd2abdf10232a7c9e22751c"
 
     def test_any_request_order_draws_the_same_candidates(self, monkeypatch):
-        # a table kept for a narrower request must never serve a wider one,
-        # whether gamma rises or falls; each list is compared as drawn, in order
+        # a table is kept per (ell, 2^k - 1), the least such top at or above the
+        # target asked, so it never serves a wider request, and rising and
+        # falling gamma build the same tables; each list is compared as drawn
         alone = {}
         for key in self.GRID:
             orbifold._search_tables.clear()
             alone[key] = list(_candidate_signatures(*key))
         lists = [alone[key] for key in self.GRID]
         assert hashlib.sha256(repr(lists).encode()).hexdigest() == self.DIGEST
-        builds = []
-        monkeypatch.setattr(orbifold, "divisors", lambda ell: builds.append(ell) or divisors(ell))
-        # rising gamma asks 2*ell - 2 first; each rebuild at least doubles the
-        # top, so from ell = 7 on the second build, 4*ell - 4, covers gamma = 6
-        small = {1: (5, 16), 2: (4, 16), 3: (3, 16), 4: (3, 24), 5: (3, 32), 6: (3, 40)}
-        rising = {ell: small.get(ell, (2, 4 * ell - 4)) for ell in range(1, ELL_GUARD + 1)}
-        falling = {ell: (1, 2 * GAMMA_GUARD - 2 + 2 * ell) for ell in rising}  # the first is widest
-        for gammas, expected in (
-            (range(GAMMA_GUARD + 1), rising),
-            (range(GAMMA_GUARD, -1, -1), falling),
-        ):
-            orbifold._search_tables.clear()
+        store, builds = orbifold._search_tables, []
+        build = store.build
+        monkeypatch.setattr(store, "build", lambda key: builds.append(key) or build(key))
+        # over gamma <= 6 the g = 0 target runs from 2*ell - 2 to 2*ell + 10
+        expected = {
+            (ell, (1 << top.bit_length()) - 1)
+            for ell in range(1, ELL_GUARD + 1)
+            for top in range(2 * ell - 2, 2 * ell + 11, 2)
+        }
+        tables = []
+        for gammas in (range(GAMMA_GUARD + 1), range(GAMMA_GUARD, -1, -1)):
+            store.clear()
             builds.clear()
             for ell in range(1, ELL_GUARD + 1):
                 for gamma in gammas:
                     assert list(_candidate_signatures(gamma, ell)) == alone[gamma, ell]
-            assert len(orbifold._search_tables) == ELL_GUARD
-            assert builds == [ell for ell, (built, _) in expected.items() for _ in range(built)]
-            # every table ends at least as wide as gamma = GAMMA_GUARD asks, and
-            # less than twice as wide
-            for ell, (top, *_) in orbifold._search_tables.items():
-                assert top == expected[ell][1]
-                assert 2 * GAMMA_GUARD - 2 + 2 * ell <= top < 2 * (2 * GAMMA_GUARD - 2 + 2 * ell)
+            # each table built once, at most two per ell >= 5, all within the budget
+            assert len(builds) == len(set(builds)) and set(builds) == expected
+            assert max(Counter(ell for ell, _ in builds if ell >= 5).values()) == 2
+            assert store.held == sum(map(store.size, store, store.values())) <= store.budget
+            tables.append(dict(store))
+        assert tables[0] == tables[1]
 
 
 class TestCensus:

@@ -102,6 +102,15 @@ def test_tuple_scan_guard_counts_steps():
     assert perf_counter() - start < 1
 
 
+def test_a_huge_charge_is_shown_by_its_digit_count():
+    # at the rank and index guards the scan's charge has 3,469 digits, which
+    # the refusal once printed in full
+    message = "tuple-scan steps a 3469-digit number exceeds the guard 500000"
+    with pytest.raises(GuardError) as refused:
+        transitive_pair_counts(RANK_GUARD, 12)
+    assert str(refused.value) == message
+
+
 @pytest.mark.parametrize("rank, largest", [(1, 12), (2, 7), (3, 4), (4, 3), (5, 3)])
 def test_tuple_scan_reach(rank, largest):
     # the oracle equals Hall's recursion and the Jordan sum at the largest
