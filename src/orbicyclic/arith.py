@@ -345,7 +345,7 @@ def ramanujan_sum(n: int, k: int) -> int:
 
 def periodic_average(
     f: Callable[[int, int], int], periods: Iterable[int], modulus: int
-) -> Fraction:
+) -> __import__("fractions").Fraction:  # loaded when the hint is read, not at import
     """Exact mean (1/M) * sum_{k=1..M} prod_j f(k, m_j), summed over every k.
 
     f(k, m) must be periodic in k modulo m (caller contract) and every

@@ -20,8 +20,8 @@ further, as far as a block the step guard can count.  Within a block, the
 residues of each order form a 0/1 polynomial packed into one integer, and
 the block count is read off a product of these modulo z^L - 1.  Class
 polynomials are kept, within a byte budget, for the next count that needs
-them, and so is each count, once per period tuple and step guard, in a
-store of its own that no evaluator of E reads.
+them, and so is each count, once per period tuple, in a store of its own
+that no evaluator of E reads; a count refused by the step guard is not kept.
 """
 
 from __future__ import annotations
@@ -72,12 +72,11 @@ def count_congruence_solutions(M: int, t: Periods) -> int:
     for mj in t:
         if M % mj != 0:
             raise ValueError(f"period {_shown(mj)} does not divide modulus {_shown(M)}")
-    return _counts[STEP_GUARD, t]
+    return _counts[t]
 
 
-def _count(key: tuple[int, tuple[int, ...]]) -> int:
-    """The count for key = (STEP_GUARD, t), counted under that guard."""
-    t = key[1]
+def _count(t: tuple[int, ...]) -> int:
+    """The count for t at its lcm, refused past STEP_GUARD before any class is built."""
     m = t.m
     blocks, divisions = _blocks(m, t), 0
     if m > _TRIAL_DIVISORS[-1] ** 2:  # below, every block is a prime power
@@ -254,14 +253,12 @@ _polynomials = _Store(_class_polynomial, 2**22, lambda key, _: key[0] * key[1] /
 
 # One count per period tuple: a sweep repeats its tuples (an e-triangle round
 # draws about 1,790 distinct ones among 10,000), and the count does not depend
-# on the admissible M.  The key holds the step guard, since the trial division
-# that splits a block stops at a bound set by it, so the charge does too: a
-# count is kept only under the guard it passed, so a kept count is refused
-# exactly when a first call would be, and a refusal is never kept.  Each entry
-# is charged _ENTRY_BYTES, 40 bytes per period and the count's bytes.  Measured
+# on the admissible M.  The step guard is checked before any class is built, so
+# a refusal is never kept and a kept count is returned as kept.  Each entry is
+# charged _ENTRY_BYTES, 40 bytes per period and the count's bytes.  Measured
 # with tracemalloc under CPython 3.11.7: an e-triangle round keeps 1,779
-# counts, 0.31 MB traced for 0.59 MB charged; full with 5,927 distinct tuples of up to
-# 6 divisors of m <= 5000, 1.16 MB traced for 2.10 MB charged.
+# counts, 0.21 MB traced for 0.59 MB charged; full with 5,945 distinct tuples of
+# up to 6 divisors of m <= 5000, 0.82 MB traced for 2.10 MB charged.
 _counts = _Store(
-    _count, 2**21, lambda key, count: _ENTRY_BYTES + 40 * len(key[1]) + count.bit_length() // 8
+    _count, 2**21, lambda t, count: _ENTRY_BYTES + 40 * len(t) + count.bit_length() // 8
 )

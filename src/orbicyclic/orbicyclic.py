@@ -17,11 +17,12 @@ r(p) counts arguments divisible by p, and h_s is the integer polynomial
 h_s(x) = ((x-1)^(s-1) + (-1)^s) / x.
 
 E_closed and E_bruteforce each keep their values, one per period tuple, in a
-store of their own within a byte budget, each value with what its refusal
-depends on, so that a sweep evaluates a repeated tuple once per evaluator;
-E_bruteforce also keeps its class sizes per lcm and its Phi columns per
-(lcm, period).  The stores do not extend reach: a first call does all the
-work it did without them, and about 0.6 us more to keep its value.
+store of their own within a byte budget, so that a sweep evaluates a repeated
+tuple once per evaluator; E_bruteforce also keeps its class sizes per lcm and
+its Phi columns per (lcm, period).  Each guard is a module constant checked
+before any work, so a refusal is never kept and a kept value is returned as
+kept.  The stores do not extend reach: a first call does all the work it did
+without them, and about 0.6 us more to keep its value.
 """
 
 from __future__ import annotations
@@ -35,6 +36,11 @@ from operator import mul
 from .arith import _ENTRY_BYTES, PRINT_DIGITS, _exact_quotient, _factorizations, _require_int
 from .arith import _require_printable, _require_within, _shown, _Store, divisors, is_prime
 
+# Bounds the lcm of enumerate_nonvanishing_triples, and so the triples --check
+# scan, _nonvanishing_triples_by_scan, which evaluates tau(m)^3 triples of
+# divisors.  Best of 3 fresh processes, 2-core VM, CPython 3.11.7: m = 7560 and
+# 9240 (tau = 64, 262,144 triples) 0.25 and 0.36 s, m = 5040 (216,000) 0.19 s;
+# enumerate_nonvanishing_triples(7560) takes 2 ms.
 TRIPLES_GUARD = 10**4
 
 
@@ -145,17 +151,13 @@ def E_closed(t: Periods) -> int:
     There, unless E vanishes, |h_s(p)| <= (p-1)^(s-1) bounds each local
     factor by (p-1)^r_p * p^v, from profiles alone, before any power.
     """
-    t = _coerce(t)
-    value, digits = _closed[t]
-    if digits >= PRINT_DIGITS:  # past the product bound a kept value is bounded afresh
-        value = _closed_value(t, digits)
-    return value
+    return _closed[_coerce(t)]
 
 
-def _closed_value(t: PeriodTuple, digits: float) -> int:
-    """E_closed(t), digits the log10 of the product of t; refused past the print limit."""
+def _closed_value(t: PeriodTuple) -> int:
+    """E_closed(t), refused past the print limit before any power."""
     fac = _factorizations[t.m]  # a PeriodTuple's lcm is already a valid argument
-    if digits >= PRINT_DIGITS and not vanishes(t)[0]:
+    if sum(map(math.log10, t)) >= PRINT_DIGITS and not vanishes(t)[0]:
         profiles = [_local_profile(t, p) for p, _ in fac]
         logs = [q.r_p * math.log10(q.p - 1) + q.v * math.log10(q.p) for q in profiles]
         _require_printable("E", digits=sum(logs))
@@ -165,12 +167,6 @@ def _closed_value(t: PeriodTuple, digits: float) -> int:
         if result == 0:
             return 0
     return result
-
-
-def _closed_entry(t: PeriodTuple) -> tuple[int, float]:
-    """(E_closed(t), log10 of the product of t): a kept value and what bounds it."""
-    digits = sum(map(math.log10, t))
-    return _closed_value(t, digits), digits
 
 
 # E_bruteforce's steps, charged before any work: tau(M) per distinct period for
@@ -226,14 +222,11 @@ def E_bruteforce(t: Periods) -> int:
     residues share: E = (1/M) * sum_{g | M} phi(M/g) * prod_j Phi(g, m_j) ** c_j,
     c_j the multiplicity of m_j.  No local profile, h_s or product over primes.
     """
-    value, steps = _means[_coerce(t)]
-    if steps > _MEAN_GUARD:  # a kept mean is charged again
-        _require_within("brute-force steps", steps, _MEAN_GUARD)
-    return value
+    return _means[_coerce(t)]
 
 
-def _mean(t: PeriodTuple) -> tuple[int, int]:
-    """(E_bruteforce(t), its steps), refused past _MEAN_GUARD before any work."""
+def _mean(t: PeriodTuple) -> int:
+    """E_bruteforce(t), refused past _MEAN_GUARD before any work."""
     M = t.m
     counts: dict[int, int] = {}
     for m in t:
@@ -246,36 +239,27 @@ def _mean(t: PeriodTuple) -> tuple[int, int]:
     for m, c in counts.items():
         column = _columns[M, m]
         terms = map(mul, terms, column if c == 1 else map(pow, column, repeat(c)))
-    return _exact_quotient(sum(terms), M, "brute-force sum"), steps  # the mean is an integer
+    return _exact_quotient(sum(terms), M, "brute-force sum")  # the mean is an integer
 
 
-# One value per period tuple for each evaluator, kept with what its refusal
-# depends on: E_closed's log10 of the product of periods, which decides whether
-# the print limit is checked, and E_bruteforce's steps, charged again on every
-# call.  So a kept value is refused exactly when a first call would be, and a
-# refusal is never kept.  The stores are apart, so that no evaluator reads a
-# value of another.  A sweep repeats its tuples: an e-triangle round draws
-# about 1,790 distinct ones among 10,000, and a call that finds its tuple costs
-# about 1 us, most of it the coercion, against 3-3.5 us (e-triangle 77k to 132k
+# One value per period tuple for each evaluator, each guard checked by its
+# builder before any work, so a refusal is never kept and a kept value is
+# returned as kept.  The stores are apart, so that no evaluator reads a value
+# of another.  A sweep repeats its tuples: an e-triangle round draws about
+# 1,790 distinct ones among 10,000, and a call that finds its tuple costs about
+# 1 us, most of it the coercion, against 3-3.5 us (e-triangle 77k to 132k
 # ops/s, median of 10 alternated 28 s pairs, 2-core VM).  Each entry is charged
 # _ENTRY_BYTES, 40 bytes per period and the value's bytes.  Measured with
 # tracemalloc under CPython 3.11.7: an e-triangle round keeps 1,779 tuples in
-# each store, 0.35 and 0.31 MB traced for 0.59 MB charged; full with 5,927
-# distinct tuples of up to 6 divisors of m <= 5000, 1.65 and 1.21 MB traced for
-# 2.10 MB charged.
+# each store, 0.21 MB traced for 0.59 MB charged; full with 5,945 distinct
+# tuples of up to 6 divisors of m <= 5000, 0.82 MB traced for 2.10 MB charged.
 
 
-def _entry_bytes(t: PeriodTuple, kept: tuple[int, float | int]) -> int:
-    return _ENTRY_BYTES + 40 * len(t) + kept[0].bit_length() // 8
+def _entry_bytes(t: PeriodTuple, value: int) -> int:
+    return _ENTRY_BYTES + 40 * len(t) + value.bit_length() // 8
 
 
-def _closed_bytes(t: PeriodTuple, kept: tuple[int, float]) -> float:
-    """_entry_bytes, or for a value past the product bound, which every call
-    bounds afresh, more than any budget: no room is spent on it."""
-    return _entry_bytes(t, kept) if kept[1] < PRINT_DIGITS else math.inf
-
-
-_closed = _Store(_closed_entry, 2**21, _closed_bytes)
+_closed = _Store(_closed_value, 2**21, _entry_bytes)
 _means = _Store(_mean, 2**21, _entry_bytes)
 
 

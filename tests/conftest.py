@@ -43,7 +43,9 @@ def fresh_caches():
     congruence count, epimorphism count or rooted count kept by an earlier test
     would let a later one pass without running the code it counts calls of, and
     a candidate list, search table or orbifold list kept before a monkeypatch
-    would hide the patched code.
+    would hide the patched code.  Every guard is checked when a value is built,
+    and a kept value is returned as kept, so a test that rebinds a guard after
+    a value was kept clears the stores first.
     """
     clear_caches()
 

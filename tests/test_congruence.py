@@ -12,7 +12,7 @@ from conftest import triangle_tuples, wide_tuples
 from orbicyclic import congruence
 from orbicyclic.arith import GuardError
 from orbicyclic.congruence import count_congruence_solutions
-from orbicyclic.orbicyclic import E_closed
+from orbicyclic.orbicyclic import E_closed, PeriodTuple
 
 
 def naive_counts(M, r):
@@ -334,45 +334,33 @@ def test_kept_count_equals_a_cold_one(draw):
     assert first == kept == cold == [E_closed(t) for t in tuples]
 
 
-def test_guard_refuses_a_kept_count(monkeypatch):
-    # the same message as a first call under the guard bound at call time
-    M, t = 720720, (720720, 720720, 360360)
-    assert count_congruence_solutions(M, t) == 2463436800
-    monkeypatch.setattr(congruence, "STEP_GUARD", 0)
-    with pytest.raises(GuardError) as refused:
-        count_congruence_solutions(M, t)
-    charged = int(str(refused.value).split(" exceeds ")[0].split()[-1])
-    monkeypatch.setattr(congruence, "STEP_GUARD", charged - 1)
-    message = f"congruence steps (block 13 takes 26) {charged} exceeds the guard {charged - 1}"
-    for clear in (False, False, True):
-        if clear:
-            congruence._counts.clear()
+def test_guard_refuses_a_kept_count():
+    # a refusal is never kept: (99991,) * 3 is refused alike every time, with
+    # the block that passed the guard named
+    message = "congruence steps (block 99991 takes 2863677) 2863677 exceeds the guard 1000000"
+    for _ in range(2):
         with pytest.raises(GuardError) as refused:
-            count_congruence_solutions(M, t)
+            count_congruence_solutions(99991, (99991,) * 3)
         assert str(refused.value) == message
-    monkeypatch.setattr(congruence, "STEP_GUARD", charged)
-    assert count_congruence_solutions(M, t) == 2463436800
+    assert not congruence._counts and congruence._counts.held == 0
 
 
 def test_kept_count_is_recharged_under_a_new_guard(monkeypatch):
-    # 1009 * 1013 is split by trial division only as far as the guard lets a
-    # block be counted, so the charge depends on the guard: a count kept with
-    # the charge it passed under would misname the refusal
+    # 1009 * 1013 is split by trial division, work the count makes once: asked
+    # again at twice the modulus it is read from the store, kept under its
+    # PeriodTuple alone
+    splits = []
+    trial_split = congruence._trial_split
+    monkeypatch.setattr(
+        congruence, "_trial_split", lambda *args: splits.append(args) or trial_split(*args)
+    )
     M = 1009 * 1013
     t = (M, M)
     assert count_congruence_solutions(M, t) == 1008 * 1012
-    for guard, message in (
-        (1500, "(block 1013 takes 1031) 2062"),
-        (1000, "(block 1022117 takes 1049373) 1049373"),
-    ):
-        monkeypatch.setattr(congruence, "STEP_GUARD", guard)
-        for _ in range(2):
-            with pytest.raises(GuardError) as refused:
-                count_congruence_solutions(M, t)
-            assert str(refused.value) == f"congruence steps {message} exceeds the guard {guard}"
-    monkeypatch.setattr(congruence, "STEP_GUARD", 10**6)
-    assert list(congruence._counts.values()) == [1008 * 1012]
-    assert count_congruence_solutions(M, t) == 1008 * 1012
+    assert count_congruence_solutions(2 * M, t) == 1008 * 1012
+    assert len(splits) == 1
+    assert congruence._counts == {t: 1008 * 1012}
+    assert [type(key) for key in congruence._counts] == [PeriodTuple]
 
 
 def test_bad_arguments_fail_after_a_kept_count():
@@ -399,8 +387,8 @@ def test_count_store_stays_within_its_budget(monkeypatch):
     store = congruence._counts
     assert store.budget == 2**21
 
-    def charge(key, count):  # bytes per entry, per period and per byte of the count
-        return congruence._ENTRY_BYTES + 40 * len(key[1]) + count.bit_length() // 8
+    def charge(t, count):  # bytes per entry, per period and per byte of the count
+        return congruence._ENTRY_BYTES + 40 * len(t) + count.bit_length() // 8
 
     monkeypatch.setattr(store, "budget", 20_000)
     for t in triangle_tuples(random.Random(35), 400):
@@ -410,7 +398,7 @@ def test_count_store_stays_within_its_budget(monkeypatch):
         assert store.held == sum(map(charge, store, store.values())) <= store.budget
     # filled to within one triangle entry of the budget, so a tuple of ten
     # periods is past what is left: counted and returned, not kept
-    assert store.held > store.budget - charge((0, (60,) * 4), 0)
+    assert store.held > store.budget - charge((60,) * 4, 0)
     kept = dict(store)
     assert count_congruence_solutions(12, (12,) * 10) == E_closed((12,) * 10)
     assert store == kept

@@ -2,6 +2,7 @@ import ast
 import os
 import subprocess
 import sys
+import typing
 from collections import Counter
 from pathlib import Path
 
@@ -330,6 +331,33 @@ def test_import_loads_only_what_the_package_uses():
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out == "\n"
+
+
+def public_callables():
+    """(name, object) for each name in __all__ and the public methods of its classes."""
+    for name in orbicyclic.__all__:
+        obj = getattr(orbicyclic, name)
+        yield name, obj
+        if isinstance(obj, type):
+            for attr, member in vars(obj).items():
+                if not attr.startswith("_") or attr == "__new__":
+                    member = getattr(member, "fget", getattr(member, "__func__", member))
+                    yield f"{name}.{attr}", member
+
+
+def test_every_public_annotation_resolves():
+    # an annotation names only what its module binds at import, or loads it
+    # itself, so typing.get_type_hints resolves every public signature
+    unresolved = []
+    for name, obj in public_callables():
+        try:
+            typing.get_type_hints(obj)
+        except NameError as error:
+            unresolved.append(f"{name}: {error}")
+    assert unresolved == []
+    assert len(dict(public_callables())) > len(orbicyclic.__all__)
+    hints = typing.get_type_hints(orbicyclic.periodic_average)
+    assert hints["return"].__name__ == "Fraction"
 
 
 def test_import_fills_no_cache():

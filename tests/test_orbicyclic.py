@@ -7,7 +7,7 @@ from itertools import combinations_with_replacement
 import pytest
 from conftest import triangle_tuples, wide_tuples
 
-from orbicyclic import arith, congruence, orbicyclic
+from orbicyclic import congruence, orbicyclic
 from orbicyclic.arith import GuardError, divisors, euler_phi, periodic_average, von_sterneck
 from orbicyclic.congruence import count_congruence_solutions
 from orbicyclic.orbicyclic import (
@@ -302,6 +302,11 @@ class TestEValues:
             assert E_bruteforce((d, 720720)) == E_closed((d, 720720))
 
 
+def charge(t, value):
+    """A kept value's bytes: per entry, per period and per byte of the value."""
+    return orbicyclic._ENTRY_BYTES + 40 * len(t) + value.bit_length() // 8
+
+
 class TestValueStores:
     EVALUATORS = ((E_closed, _closed), (E_bruteforce, _means))
 
@@ -336,56 +341,42 @@ class TestValueStores:
         # a value planted in one store is read by its evaluator alone
         for store in stores:
             store.clear()
-        _closed[PeriodTuple(t)] = (-1, 0.0)
-        _means[PeriodTuple(t)] = (-2, 0)
+        _closed[PeriodTuple(t)] = -1
+        _means[PeriodTuple(t)] = -2
         assert (E_closed(t), E_bruteforce(t), count_congruence_solutions(12, t)) == (-1, -2, 4)
 
-    def test_bruteforce_guard_refuses_a_kept_mean(self, monkeypatch):
-        t = (720720, 720720)
-        assert E_bruteforce(t) == 138240
-        steps = _means[PeriodTuple(t)][1]
-        assert steps == 720
-        monkeypatch.setattr(orbicyclic, "_MEAN_GUARD", steps - 1)
-        message = f"brute-force steps {steps} exceeds the guard {steps - 1}"
-        for _ in range(2):  # a hit, then the same refusal again: it was not kept
-            with pytest.raises(GuardError, match=f"^{message}$"):
+    def test_bruteforce_guard_refuses_a_kept_mean(self):
+        # a refusal is never kept: the product of the first 17 primes has
+        # 2^17 divisors, past _MEAN_GUARD, and is refused alike every time
+        t = (math.prod([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]),)
+        for _ in range(2):
+            with pytest.raises(GuardError) as refused:
                 E_bruteforce(t)
-        _means.clear()
-        with pytest.raises(GuardError, match=f"^{message}$"):
-            E_bruteforce(t)
-        assert not _means
-        monkeypatch.setattr(orbicyclic, "_MEAN_GUARD", steps)
-        assert E_bruteforce(t) == 138240
+            assert str(refused.value) == "brute-force steps 393216 exceeds the guard 262144"
+        assert not _means and _means.held == 0
 
-    def test_print_limit_refuses_a_kept_value(self, monkeypatch):
-        # the profiles bound E(9 x r) by 2^r * 3^(r-1), about 0.78 r digits, and
-        # the product of the periods has 0.95 r digits: 3,817 at r = 4000
-        t = (9,) * 4000
-        assert E_closed(t) == f_r(9, 4000)
-        assert PeriodTuple(t) in _closed
-        limit = "^E may exceed the 3000-digit print limit$"
-        with monkeypatch.context() as patch:
-            patch.setattr(arith, "PRINT_DIGITS", 3000)
-            patch.setattr(orbicyclic, "PRINT_DIGITS", 3000)
-            for _ in range(2):  # a hit, then the same refusal again: it was not kept
-                with pytest.raises(GuardError, match=limit):
-                    E_closed(t)
-            _closed.clear()
-            with pytest.raises(GuardError, match=limit):
-                E_closed(t)
-            assert not _closed
-        assert E_closed(t) == f_r(9, 4000)
-        # below the product bound a kept value needs no profile
-        monkeypatch.setattr(orbicyclic, "_local_profile", None)
-        assert E_closed(t) == f_r(9, 4000)
-
-    def test_value_past_the_product_bound_is_not_kept(self):
-        # it is bounded afresh on every call, so keeping it would only take
-        # room: 9 x 4507 has a product of 4,301 digits, 2 x 20000 of 6,021
-        for t, value in (((9,) * 4507, f_r(9, 4507)), ((2,) * 20000, 1)):
-            for _ in range(2):
-                assert E_closed(t) == value
+    def test_print_limit_refuses_a_kept_value(self):
+        # the print limit is refused alike every time, from the profiles alone
+        for _ in range(2):
+            with pytest.raises(GuardError) as refused:
+                E_closed((999983,) * 800)
+            assert str(refused.value) == "E may exceed the 4300-digit print limit"
         assert not _closed and _closed.held == 0
+
+    def test_value_past_the_product_bound_is_evaluated_once(self, monkeypatch):
+        # 9 x 4507 has a product of 4,301 digits, 2 x 20000 of 6,021: each is
+        # bounded from its profiles, evaluated once and kept like any value
+        calls = []
+        monkeypatch.setattr(orbicyclic, "E_local", lambda q: calls.append(q) or E_local(q))
+        tuples = (((9,) * 4507, f_r(9, 4507)), ((2,) * 20000, 1))
+        for t, value in tuples:
+            calls.clear()
+            assert E_closed(t) == value
+            assert len(calls) == 1
+            assert E_closed(t) == value
+            assert len(calls) == 1
+        assert set(_closed) == {PeriodTuple(t) for t, _ in tuples}
+        assert _closed.held == sum(map(charge, _closed, _closed.values()))
 
     def test_bad_arguments_fail_after_a_kept_call(self):
         for evaluator, store in self.EVALUATORS:
@@ -400,9 +391,6 @@ class TestValueStores:
             assert len(store) == 3
 
     def test_budget_bounds_what_is_kept(self, monkeypatch):
-        def charge(t, kept):  # bytes per entry, per period and per byte of the value
-            return orbicyclic._ENTRY_BYTES + 40 * len(t) + kept[0].bit_length() // 8
-
         tuples = list(triangle_tuples(random.Random(35), 400))
         for evaluator, store in self.EVALUATORS:
             assert store.budget == 2**21
@@ -414,7 +402,7 @@ class TestValueStores:
                 assert store.held == sum(map(charge, store, store.values())) <= store.budget
             # filled to within one triangle entry of the budget, so a tuple of
             # ten periods is past what is left: evaluated and returned, not kept
-            assert store.held > store.budget - charge((60,) * 4, (0,))
+            assert store.held > store.budget - charge((60,) * 4, 0)
             kept, t = dict(store), (12,) * 10
             assert evaluator(t) == f_r(12, 10)
             assert store == kept
