@@ -8,9 +8,10 @@ closed formulas elsewhere in this package.
 All functions are pure and use exact integer (or Fraction) arithmetic; the
 one cache kept here is of factorizations.  Four rules serve the whole
 package: _require_int refuses an argument outside its integer domain with a
-ValueError, _require_printable and _require_within refuse a valid input
-past a library bound with a GuardError, and every kept value lives in a
-_Store, a dict within a byte budget.
+ValueError (_require_ints is its form for a sequence), _require_printable
+and _require_within refuse a valid input past a library bound with a
+GuardError, and every kept value lives in a _Store, a dict within a byte
+budget.
 """
 
 from __future__ import annotations
@@ -77,6 +78,18 @@ def _require_int(value, what: str, least: int | None = None) -> None:
             return
     bound = "" if least is None else f" >= {least}"
     raise ValueError(f"{what} must be an integer{bound}, got {_shown(value)}")
+
+
+def _require_ints(values: Iterable, what: str, least: int) -> list[int]:
+    """list(values), each refused as _require_int refuses it, the first bad one in order.
+
+    One pass: a plain int >= least is settled inline, any other value by the rule.
+    """
+    values = list(values)
+    for v in values:
+        if type(v) is not int or v < least:
+            _require_int(v, what, least)
+    return values
 
 
 def _require_printable(
@@ -355,10 +368,9 @@ def periodic_average(
     an M-long column in C.  Returns a Fraction since the mean need not be an
     integer (f = gcd is the standard example).
     """
-    ms = list(periods)
     _require_int(modulus, "modulus", 1)
+    ms = _require_ints(periods, "period value", 1)
     for m in ms:
-        _require_int(m, "period value", 1)
         if modulus % m != 0:
             raise ValueError(f"period {_shown(m)} does not divide modulus {_shown(modulus)}")
     _require_within("brute-force modulus", modulus, BRUTE_FORCE_GUARD)

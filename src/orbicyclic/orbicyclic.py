@@ -21,8 +21,11 @@ store of their own within a byte budget, so that a sweep evaluates a repeated
 tuple once per evaluator; E_bruteforce also keeps its class sizes per lcm and
 its Phi columns per (lcm, period).  Each guard is a module constant checked
 before any work, so a refusal is never kept and a kept value is returned as
-kept.  The stores do not extend reach: a first call does all the work it did
-without them, and about 0.6 us more to keep its value.
+kept.  A call that finds its tuple kept takes about 0.8 us for three periods,
+0.65 us of it _coerce, which checks and sorts the caller's values before any
+lookup, since a dict takes True for 1 and 2.0 for 2.  The stores do not
+extend reach: a first call does all the work it did without them, and about
+0.6-0.7 us more to keep its value.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from itertools import product, repeat
 from operator import mul
 
 from .arith import _ENTRY_BYTES, PRINT_DIGITS, _exact_quotient, _factorizations, _require_int
-from .arith import _require_printable, _require_within, _shown, _Store, divisors, is_prime
+from .arith import _require_ints, _require_printable, _require_within, _shown, _Store, divisors
+from .arith import is_prime
 
 # Bounds the lcm of enumerate_nonvanishing_triples, and so the triples --check
 # scan, _nonvanishing_triples_by_scan, which evaluates tau(m)^3 triples of
@@ -55,11 +59,7 @@ class PeriodTuple(tuple):
     __slots__ = ()
 
     def __new__(cls, values: Iterable[int] = ()):
-        values = list(values)
-        for v in values:
-            _require_int(v, "period value", 1)
-        values.sort(reverse=True)
-        return tuple.__new__(cls, values)
+        return tuple.__new__(cls, _canonical(values))
 
     @property
     def m(self) -> int:
@@ -77,8 +77,17 @@ class PeriodTuple(tuple):
 Periods = Iterable[int]
 
 
+def _canonical(values: Periods) -> list[int]:
+    """The values of PeriodTuple(values), each checked by the domain rule, nonincreasing."""
+    values = _require_ints(values, "period value", 1)
+    values.sort(reverse=True)
+    return values
+
+
 def _coerce(t: Periods) -> PeriodTuple:
-    return t if isinstance(t, PeriodTuple) else PeriodTuple(t)
+    # tuple.__new__ skips the dispatch to PeriodTuple.__new__: with the one
+    # pass of _require_ints, coercing [12, 6, 4] takes 0.65 us against 0.85-0.95
+    return t if type(t) is PeriodTuple else tuple.__new__(PeriodTuple, _canonical(t))
 
 
 class LocalProfile(namedtuple("LocalProfile", "p a s v r_p")):
@@ -101,7 +110,14 @@ def local_profile(t: Periods, p: int) -> LocalProfile:
 
 
 def _local_profile(t: PeriodTuple, p: int) -> LocalProfile:
-    """local_profile without the primality test, for primes from _factorizations."""
+    """local_profile without the primality test."""
+    if all(mj % p for mj in t):  # for a prime p, the same as p not dividing the lcm
+        raise ValueError(f"{p} divides no value of {t!r}")
+    return LocalProfile(p, *_profile(t, p))
+
+
+def _profile(t: PeriodTuple, p: int) -> tuple[int, int, int, int]:
+    """(a, s, v, r_p) of t at a prime p dividing its lcm, as plain ints."""
     exps = []
     for mj in t:
         e = 0
@@ -110,10 +126,8 @@ def _local_profile(t: PeriodTuple, p: int) -> LocalProfile:
             mj //= p
         if e:
             exps.append(e)
-    if not exps:  # for a prime p, the same as p not dividing the lcm
-        raise ValueError(f"{p} divides no value of {t!r}")
     a, r_p = max(exps), len(exps)
-    return LocalProfile(p, a, exps.count(a), sum(exps) - r_p - a + 1, r_p)
+    return a, exps.count(a), sum(exps) - r_p - a + 1, r_p
 
 
 def h_poly(s: int, x: int) -> int:
@@ -139,8 +153,12 @@ def _h_poly(s: int, x: int) -> int:
 
 def E_local(profile: LocalProfile) -> int:
     """Local factor (p-1)^(r_p-s+1) * p^v * h_s(p) at one prime of a local_profile."""
-    p, s = profile.p, profile.s
-    return (p - 1) ** (profile.r_p - s + 1) * p**profile.v * _h_poly(s, p)
+    return _local_factor(profile.p, profile.s, profile.v, profile.r_p)
+
+
+def _local_factor(p: int, s: int, v: int, r_p: int) -> int:
+    """E_local from the numbers of a profile, which _closed_value reads as plain ints."""
+    return (p - 1) ** (r_p - s + 1) * p**v * _h_poly(s, p)
 
 
 def E_closed(t: Periods) -> int:
@@ -158,12 +176,15 @@ def _closed_value(t: PeriodTuple) -> int:
     """E_closed(t), refused past the print limit before any power."""
     fac = _factorizations[t.m]  # a PeriodTuple's lcm is already a valid argument
     if sum(map(math.log10, t)) >= PRINT_DIGITS and not vanishes(t)[0]:
-        profiles = [_local_profile(t, p) for p, _ in fac]
-        logs = [q.r_p * math.log10(q.p - 1) + q.v * math.log10(q.p) for q in profiles]
+        logs = []
+        for p, _ in fac:
+            _, _, v, r_p = _profile(t, p)
+            logs.append(r_p * math.log10(p - 1) + v * math.log10(p))
         _require_printable("E", digits=sum(logs))
     result = 1
     for p, _ in fac:
-        result *= E_local(_local_profile(t, p))
+        _, s, v, r_p = _profile(t, p)
+        result *= _local_factor(p, s, v, r_p)
         if result == 0:
             return 0
     return result
@@ -246,9 +267,10 @@ def _mean(t: PeriodTuple) -> int:
 # builder before any work, so a refusal is never kept and a kept value is
 # returned as kept.  The stores are apart, so that no evaluator reads a value
 # of another.  A sweep repeats its tuples: an e-triangle round draws about
-# 1,790 distinct ones among 10,000, and a call that finds its tuple costs about
-# 1 us, most of it the coercion, against 3-3.5 us (e-triangle 77k to 132k
-# ops/s, median of 10 alternated 28 s pairs, 2-core VM).  Each entry is charged
+# 1,790 distinct ones among 10,000, and a call that finds its tuple costs
+# 0.75-0.85 us, 0.65 us of it the coercion (timeit, best of 15), against
+# 3-3.5 us without the stores (e-triangle 77k to 132k ops/s, median of 10
+# alternated 28 s pairs, 2-core VM).  Each entry is charged
 # _ENTRY_BYTES, 40 bytes per period and the value's bytes.  Measured with
 # tracemalloc under CPython 3.11.7: an e-triangle round keeps 1,779 tuples in
 # each store, 0.21 MB traced for 0.59 MB charged; full with 5,945 distinct
@@ -269,7 +291,7 @@ def _vanishing_primes(t: PeriodTuple) -> Iterator[tuple[int, int]]:
     The witnesses are the odd p with s(p) = 1 and p = 2 with s(2) odd.
     """
     for p, _ in _factorizations[t.m]:
-        s = _local_profile(t, p).s
+        s = _profile(t, p)[1]
         if (s % 2 == 1) if p == 2 else (s == 1):
             yield p, s
 
@@ -347,15 +369,14 @@ def equals_phi_classification(t: Periods) -> bool:
     """
     t = _coerce(t)
     for p, _ in _factorizations[t.m]:
-        prof = _local_profile(t, p)
-        a, s, r_p = prof.a, prof.s, prof.r_p
+        a, s, v, r_p = _profile(t, p)
         if s == 2 and r_p == 2:
             continue
         if p == 3 and a == 1 and s == 3 and r_p == 3:
             continue
         # Dyadic chain: two top entries, the rest single 2s.  In profile
         # terms v = a - 1 together with s counting the top entries.
-        if p == 2 and r_p >= 3 and prof.v == a - 1:
+        if p == 2 and r_p >= 3 and v == a - 1:
             if a == 1:
                 if r_p % 2 == 0:
                     continue

@@ -28,7 +28,7 @@ import math
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator
 
-from .arith import _ENTRY_BYTES, _require_int, _require_within, _Store, divisors
+from .arith import _ENTRY_BYTES, _require_int, _require_ints, _require_within, _Store, divisors
 from .orbicyclic import PeriodTuple, _vanishing_primes
 
 GAMMA_GUARD = 6
@@ -47,9 +47,7 @@ class OrbifoldSignature(namedtuple("OrbifoldSignature", "g periods")):
 
     def __new__(cls, g: int, periods: Iterable[int] = ()):
         _require_int(g, "quotient genus", 0)
-        periods = list(periods)
-        for mj in periods:
-            _require_int(mj, "branch order", 2)
+        periods = _require_ints(periods, "branch order", 2)
         periods.sort()
         return super().__new__(cls, g, tuple(periods))
 

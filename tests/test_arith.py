@@ -505,6 +505,16 @@ def test_periodic_average_of_repeated_periods_matches_pointwise_mean():
         assert periodic_average(math.gcd, t, M) == pointwise, t
 
 
+@pytest.mark.parametrize(
+    "periods, shown",
+    [((2, True), "True"), ((2.0, 2), "2.0"), ((2, 0, 2.0), "0"), (iter((1, -1, True)), "-1")],
+)
+def test_periodic_average_names_the_first_bad_period(periods, shown):
+    message = f"^period value must be an integer >= 1, got {shown}$"
+    with pytest.raises(ValueError, match=message):
+        periodic_average(von_sterneck, periods, 2)
+
+
 def test_periodic_average_rejects_bad_modulus():
     with pytest.raises(ValueError):
         periodic_average(von_sterneck, (4, 3), 4)

@@ -2,6 +2,7 @@ import ast
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from pathlib import Path
 from time import perf_counter
@@ -334,7 +335,7 @@ def test_kept_count_equals_a_cold_one(draw):
     assert first == kept == cold == [E_closed(t) for t in tuples]
 
 
-def test_guard_refuses_a_kept_count():
+def test_step_guard_refusal_is_never_kept():
     # a refusal is never kept: (99991,) * 3 is refused alike every time, with
     # the block that passed the guard named
     message = "congruence steps (block 99991 takes 2863677) 2863677 exceeds the guard 1000000"
@@ -345,7 +346,7 @@ def test_guard_refuses_a_kept_count():
     assert not congruence._counts and congruence._counts.held == 0
 
 
-def test_kept_count_is_recharged_under_a_new_guard(monkeypatch):
+def test_count_is_kept_once_across_moduli(monkeypatch):
     # 1009 * 1013 is split by trial division, work the count makes once: asked
     # again at twice the modulus it is read from the store, kept under its
     # PeriodTuple alone
@@ -367,12 +368,17 @@ def test_bad_arguments_fail_after_a_kept_count():
     assert count_congruence_solutions(12, (12, 6, 4)) == 4
     assert count_congruence_solutions(1, ()) == 1
     assert count_congruence_solutions(2, (2,)) == 0
+    assert count_congruence_solutions(2, (2, 2)) == 1
+    # the Fraction(2) tuples compare and hash equal to the kept (2,) and (2, 2)
     for M, t, message in (
         (True, (), "modulus must be an integer >= 1, got True"),
         (2.0, (2,), "modulus must be an integer >= 1, got 2.0"),
         (0, (), "modulus must be an integer >= 1, got 0"),
         (12, (True,), "period value must be an integer >= 1, got True"),
         (12, (2.0,), "period value must be an integer >= 1, got 2.0"),
+        (2, (Fraction(2),), "period value must be an integer >= 1, got Fraction(2, 1)"),
+        (2, (Fraction(2), 2), "period value must be an integer >= 1, got Fraction(2, 1)"),
+        (Fraction(2), (2, 2), "modulus must be an integer >= 1, got Fraction(2, 1)"),
         (5, (2,), "period 2 does not divide modulus 5"),
         (18, (12, 6, 4), "period 12 does not divide modulus 18"),
     ):
@@ -380,7 +386,7 @@ def test_bad_arguments_fail_after_a_kept_count():
             count_congruence_solutions(M, t)
         assert str(refused.value) == message
         assert not isinstance(refused.value, GuardError)
-    assert len(congruence._counts) == 3
+    assert len(congruence._counts) == 4
 
 
 def test_count_store_stays_within_its_budget(monkeypatch):

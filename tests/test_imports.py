@@ -333,6 +333,28 @@ def test_import_loads_only_what_the_package_uses():
     assert out == "\n"
 
 
+def test_cli_import_loads_a_pinned_set():
+    # the CLI's launch-to-import time is what a cold CLI call pays first, so
+    # each module that `import orbicyclic.cli` adds under -S is pinned
+    # (CPython 3.11): argparse, csv and json, and what they load
+    probe = (
+        "import sys, orbicyclic\n"
+        "loaded = set(sys.modules)\n"
+        "import orbicyclic.cli\n"
+        "print(*sorted(set(sys.modules) - loaded))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert out == [
+        "_csv", "_functools", "_json", "_sre", "_stat", "argparse", "copyreg", "csv", "enum",
+        "functools", "genericpath", "gettext", "json", "json.decoder", "json.encoder",
+        "json.scanner", "orbicyclic.cli", "os", "os.path", "posixpath", "re", "re._casefix",
+        "re._compiler", "re._constants", "re._parser", "stat", "types", "warnings",
+    ]
+
+
 def public_callables():
     """(name, object) for each name in __all__ and the public methods of its classes."""
     for name in orbicyclic.__all__:

@@ -2,6 +2,7 @@ import math
 import random
 import re
 import time
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
@@ -69,6 +70,45 @@ class TestPeriodTuple:
             E_closed([3, "x"])
         with pytest.raises(ValueError, match="got None"):
             count_congruence_solutions(12, [3, None])
+
+    def test_constructor_and_coercion_build_alike(self):
+        # PeriodTuple(x) and the evaluators' _coerce(x) share one builder: the
+        # same tuple, or the same refusal naming the first bad value in order
+        class Order(int):
+            pass
+
+        cases = [
+            (lambda: [3, 12, 4], (12, 4, 3)),
+            (lambda: (2, 5, 2), (5, 2, 2)),
+            (lambda: (v for v in (4, 1, 6)), (6, 4, 1)),
+            (lambda: [], ()),
+            (lambda: [Order(6), 3], (6, 3)),
+            (lambda: [True], "True"),
+            (lambda: [3, 2.0], "2.0"),
+            (lambda: [Fraction(2), 2], "Fraction(2, 1)"),
+            (lambda: [2, None], "None"),
+            (lambda: ["x"], "'x'"),
+            (lambda: [0], "0"),
+            (lambda: [5, -2], "-2"),
+            (lambda: [3, 0, 2.0], "0"),
+            (lambda: [2.0, 0, None], "2.0"),
+            (lambda: (v for v in (4, True, 0)), "True"),
+        ]
+        for make, expected in cases:
+            outcomes = []
+            for build in (PeriodTuple, orbicyclic._coerce):
+                try:
+                    t = build(make())
+                except ValueError as refused:
+                    outcomes.append(str(refused))
+                else:
+                    assert type(t) is PeriodTuple
+                    outcomes.append(t)
+            if isinstance(expected, str):
+                expected = f"period value must be an integer >= 1, got {expected}"
+            assert outcomes == [expected, expected]
+        t = PeriodTuple([4, 6])
+        assert orbicyclic._coerce(t) is t
 
 
 class TestLocalProfile:
@@ -280,7 +320,9 @@ class TestEValues:
         def refuse(*args):
             raise AssertionError("an oracle called a primary")
 
-        for name in ("E_closed", "_local_profile", "E_local", "_h_poly"):
+        for name in (
+            "E_closed", "_local_profile", "_profile", "E_local", "_local_factor", "_h_poly"
+        ):
             monkeypatch.setattr(f"orbicyclic.orbicyclic.{name}", refuse)
         assert [E_bruteforce(t) for t in tuples] == expected == [4, 12, 6, 0, 138240, 1]
         # the patches bite: the closed form, which looks them up, now fails
@@ -345,7 +387,7 @@ class TestValueStores:
         _means[PeriodTuple(t)] = -2
         assert (E_closed(t), E_bruteforce(t), count_congruence_solutions(12, t)) == (-1, -2, 4)
 
-    def test_bruteforce_guard_refuses_a_kept_mean(self):
+    def test_bruteforce_refusal_is_never_kept(self):
         # a refusal is never kept: the product of the first 17 primes has
         # 2^17 divisors, past _MEAN_GUARD, and is refused alike every time
         t = (math.prod([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]),)
@@ -355,7 +397,7 @@ class TestValueStores:
             assert str(refused.value) == "brute-force steps 393216 exceeds the guard 262144"
         assert not _means and _means.held == 0
 
-    def test_print_limit_refuses_a_kept_value(self):
+    def test_print_limit_refusal_is_never_kept(self):
         # the print limit is refused alike every time, from the profiles alone
         for _ in range(2):
             with pytest.raises(GuardError) as refused:
@@ -367,7 +409,10 @@ class TestValueStores:
         # 9 x 4507 has a product of 4,301 digits, 2 x 20000 of 6,021: each is
         # bounded from its profiles, evaluated once and kept like any value
         calls = []
-        monkeypatch.setattr(orbicyclic, "E_local", lambda q: calls.append(q) or E_local(q))
+        local_factor = orbicyclic._local_factor
+        monkeypatch.setattr(
+            orbicyclic, "_local_factor", lambda *q: calls.append(q) or local_factor(*q)
+        )
         tuples = (((9,) * 4507, f_r(9, 4507)), ((2,) * 20000, 1))
         for t, value in tuples:
             calls.clear()
@@ -382,8 +427,11 @@ class TestValueStores:
         for evaluator, store in self.EVALUATORS:
             assert [evaluator(t) for t in ((1,), (2, 2), (2,))] == [1, 1, 0]
             assert len(store) == 3
-            for bad in ((True,), (True, 2), (2.0,), (2.0, 2), (0,)):
-                message = f"^period value must be an integer >= 1, got {bad[0]}$"
+            # all but (0,) compare and hash equal to a kept tuple
+            two = Fraction(2)
+            for bad in ((True,), (True, 2), (2.0,), (2.0, 2), (two,), (two, 2), (0,)):
+                shown = re.escape(repr(bad[0]))
+                message = f"^period value must be an integer >= 1, got {shown}$"
                 with pytest.raises(ValueError, match=message):
                     evaluator(bad)
             with pytest.raises(TypeError):

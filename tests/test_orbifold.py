@@ -60,6 +60,11 @@ class TestSignature:
             sig(0, 0)
         with pytest.raises(ValueError, match="got None"):
             OrbifoldSignature(0, (2, None))
+        # the first bad branch order in input order is named
+        for periods, shown in (((3, True), "True"), ((2.0, 3), "2.0"), ((3, 1, 2.0), "1")):
+            message = f"^branch order must be an integer >= 2, got {shown}$"
+            with pytest.raises(ValueError, match=message):
+                OrbifoldSignature(0, periods)
         for genus in (1.5, True):
             with pytest.raises(ValueError):
                 sig(genus, 2, 2)
