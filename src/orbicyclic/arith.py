@@ -6,7 +6,8 @@ periodic-average functional whose semi-multiplicativity underlies the
 closed formulas elsewhere in this package.
 
 All functions are pure and use exact integer (or Fraction) arithmetic; the
-one cache kept here is of factorizations.  Four rules serve the whole
+caches kept here are of factorizations and of the one exponent that
+factorization's p - 1 stage raises 2 to.  Four rules serve the whole
 package: _require_int refuses an argument outside its integer domain with a
 ValueError (_require_ints is its form for a sequence), _require_printable
 and _require_within refuse a valid input past a library bound with a
@@ -20,7 +21,7 @@ import math
 import operator
 from collections import Counter
 from collections.abc import Callable, Iterable
-from itertools import count
+from itertools import compress, count
 
 # A Factorization is an ordered list of (prime, exponent) pairs with the
 # primes strictly increasing; [] represents 1.
@@ -186,21 +187,21 @@ def is_prime(n: int) -> bool:
 
 # Rho takes about sqrt(p) steps for the least prime p of n, so the slowest
 # cofactor factorize accepts is a product of two primes just below
-# sqrt(MR_BOUND), about 2**40.7.  Measured on a 2-core VM under CPython
-# 3.11.7 over 16 such semiprimes, two rounds: median 0.8-0.9 s, range
-# 0.45-2.2 s per call.  That is the worst case, so the walk needs no step
-# budget.
+# sqrt(MR_BOUND), about 2**40.7, that stage one leaves to rho.  Measured on a
+# 2-core VM under CPython 3.11.7 over 16 such semiprimes, two rounds, stage
+# one in front: median 0.9 s, range 0.24-2.0 s per call.  That is the worst
+# case, so the walk needs no step budget.
 def _pollard_rho(n: int) -> int:
     """Return a nontrivial factor of an odd composite n (Brent's variant).
 
     Brent's cycle detection (Brent 1980) on the walk y -> y^2 + c mod n.
     In round r = 1, 2, 4, ... the point x = y is saved, y takes r steps
     unchecked and then r more, each multiplying x - y into a running
-    product mod n, with one gcd per batch of steps.  If a batch's gcd is
-    n, the batch is replayed from its saved start with one gcd per step;
-    only if that also gives n is a fresh walk taken.  Every walk starts
-    from y = 2, the first with c = 1 and each fresh one with the next c, so
-    the factor found depends only on n.
+    product, reduced mod n once per four steps, with one gcd per batch of
+    steps.  If a batch's gcd is n, the batch is replayed from its saved
+    start with one gcd per step; only if that also gives n is a fresh walk
+    taken.  Every walk starts from y = 2, the first with c = 1 and each
+    fresh one with the next c, so the factor found depends only on n.
     """
     batch = 128
     for c in count(1):
@@ -212,9 +213,16 @@ def _pollard_rho(n: int) -> int:
                 y = (y * y + c) % n
             for k in range(0, r, batch):
                 ys = y
-                for _ in range(min(batch, r - k)):
+                steps = min(batch, r - k)
+                for _ in range(steps % 4):
                     y = (y * y + c) % n
                     q = q * (x - y) % n
+                for _ in range(steps // 4):
+                    y1 = (y * y + c) % n
+                    y2 = (y1 * y1 + c) % n
+                    y3 = (y2 * y2 + c) % n
+                    y = (y3 * y3 + c) % n
+                    q = q * (x - y1) * (x - y2) * (x - y3) * (x - y) % n
                 g = math.gcd(q, n)
                 if g != 1:
                     break
@@ -228,13 +236,52 @@ def _pollard_rho(n: int) -> int:
             return g
 
 
+def _smooth_exponent(bound: int) -> int:
+    """The product of the largest power <= bound of each prime <= bound."""
+    sieve = bytearray([1]) * (bound + 1)
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(bound) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, bound + 1, i)))
+    exponent = 1
+    for p in compress(range(bound + 1), sieve):
+        power = p
+        while power * p <= bound:
+            power *= p
+        exponent *= power
+    return exponent
+
+
+# Pollard's p - 1 stage one needs one exponent, {bound: exponent}, built on
+# first use, never at import: bound _TRIAL_LIMIT gives 14,447 bits, built in
+# about 1 ms and charged 2,005 bytes.
+_smooth_exponents = _Store(
+    _smooth_exponent, 2**12, lambda bound, e: _ENTRY_BYTES + e.bit_length() // 8
+)
+
+
+def _split(n: int) -> int:
+    """Return a nontrivial factor of an odd composite n.
+
+    Pollard's p - 1 stage one (Pollard 1974) with the bound _TRIAL_LIMIT:
+    E is the product of the largest power <= the bound of each prime <= it,
+    and g = gcd(2^E - 1, n) splits n when the order of 2 divides E modulo
+    some but not every prime power of n, as it does modulo p when every
+    prime power dividing p - 1 is at most the bound.  It runs in one C-level
+    pow; when g is 1 or n, Brent's rho splits n.
+    """
+    g = math.gcd(pow(2, _smooth_exponents[_TRIAL_LIMIT], n) - 1, n)
+    return g if 1 < g < n else _pollard_rho(n)
+
+
 def factorize(n: int) -> Factorization:
     """Factor n >= 1 into (prime, exponent) pairs, primes increasing.
 
     Trial division up to 10**4, which alone decides every n below 10**8,
-    then deterministic Miller-Rabin plus Pollard rho (Brent's variant with
-    batched gcds) for a cofactor that trial division leaves undecided; that
-    cofactor must be below MR_BOUND (GuardError otherwise); no
+    then deterministic Miller-Rabin for a cofactor that trial division leaves
+    undecided, split by Pollard's p - 1 stage one with the same bound 10**4
+    or, where that fails, by Pollard rho (Brent's variant with batched
+    gcds); that cofactor must be below MR_BOUND (GuardError otherwise); no
     sub-exponential machinery.  Factorizations are kept in _factorizations;
     every call returns a fresh list.
     """
@@ -265,7 +312,7 @@ def _factor(n: int) -> tuple[tuple[int, int], ...]:
         if is_prime(m):
             exponents[m] = exponents.get(m, 0) + 1
         else:
-            f = _pollard_rho(m)
+            f = _split(m)
             stack.append(f)
             stack.append(m // f)
     return tuple(sorted(exponents.items()))

@@ -27,7 +27,7 @@ def stores() -> dict[str, _Store]:
 
 
 STORES = list(stores().values())
-assert len(STORES) == 13
+assert len(STORES) == 14
 
 
 def clear_caches() -> None:

@@ -122,7 +122,8 @@ def test_factorize_runs_rho_once_per_modulus(monkeypatch):
     calls = []
     real = arith._pollard_rho
     monkeypatch.setattr(arith, "_pollard_rho", lambda n: calls.append(n) or real(n))
-    p, q = 1_000_003, 1_000_033
+    # neither p - 1 nor q - 1 is 10**4-smooth, so stage one leaves p * q to rho
+    p, q = 1_000_003, 1_000_039
     assert factorize(p * q) == [(p, 1), (q, 1)]
     assert calls == [p * q]
     assert factorize(p * q) == [(p, 1), (q, 1)]
@@ -178,6 +179,39 @@ def test_per_modulus_caches_are_bounded(monkeypatch):
         assert all(store.size(key, value) == 200 + 40 * len(value) for key, value in store.items())
 
 
+# n: (its factorization, the cofactors left to rho).  Stage one gives
+# gcd(2^E - 1, n), which is divisible by each prime p of n whose p - 1 is a
+# product of prime powers <= 10**4 ("smooth"), and by no other for these n.
+SPLITS = {
+    # 1000032 = 2^5 * 3 * 11 * 947 is smooth, 1000002 = 2 * 3 * 166667 is
+    # not: stage one gives 1000033
+    1_000_003 * 1_000_033: ([(1_000_003, 1), (1_000_033, 1)], []),
+    # 1000032 and 1000036 = 2^2 * 29 * 37 * 233 are both smooth: stage one
+    # gives n, and rho splits it
+    1_000_033 * 1_000_037: ([(1_000_033, 1), (1_000_037, 1)], [1_000_033 * 1_000_037]),
+    # 1000002 and 1000038 = 2 * 3 * 13 * 12821 are not: stage one gives 1
+    1_000_003 * 1_000_039: ([(1_000_003, 1), (1_000_039, 1)], [1_000_003 * 1_000_039]),
+    # 10006 = 2 * 5003 and 10008 = 2^3 * 3^2 * 139 are smooth, 4294967290 =
+    # 2 * 5 * 19 * 22605091 is not: stage one splits off 10007 * 10009, and
+    # both of its primes are smooth, so rho splits that
+    10007 * 10009 * 4294967291: ([(10007, 1), (10009, 1), (4294967291, 1)], [10007 * 10009]),
+    # 2^E = 1 mod 10007 but not mod 10007^2, so stage one gives 10007 for
+    # the square, and for the cube and then the square left from it
+    10007**2: ([(10007, 2)], []),
+    10007**3: ([(10007, 3)], []),
+}
+
+
+@pytest.mark.parametrize("n", SPLITS)
+def test_cofactor_split_by_stage_one_or_rho(monkeypatch, n):
+    calls = []
+    real = arith._pollard_rho
+    monkeypatch.setattr(arith, "_pollard_rho", lambda m: calls.append(m) or real(m))
+    fac, rho = SPLITS[n]
+    assert factorize(n) == fac
+    assert calls == rho
+
+
 def test_factorize_large_semiprime():
     p, q = 1_000_003, 1_000_033
     assert factorize(p * q) == [(p, 1), (q, 1)]
@@ -185,7 +219,7 @@ def test_factorize_large_semiprime():
 
 def test_factorize_cofactors_split_more_than_once():
     # every prime factor lies past the 10**4 trial limit and n > 10**8, so
-    # rho must split a prime power or split more than once
+    # stage one or rho must split a prime power or split more than once
     assert factorize(10007**2) == [(10007, 2)]
     assert factorize(10007**3) == [(10007, 3)]
     assert factorize(10007 * 10009 * 10037) == [(10007, 1), (10009, 1), (10037, 1)]

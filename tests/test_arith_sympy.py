@@ -8,14 +8,20 @@ from orbicyclic.arith import euler_phi, factorize, jordan_phi, mobius
 sympy = pytest.importorskip("sympy")
 
 # p * q with p, q prime: balanced, unbalanced and 2**31 - 1 based below
-# 2**64, and two primes near 2**41 just below MR_BOUND, the hardest
-# cofactor factorize accepts
+# 2**64; three pairs near 10**6 that stage one splits, leaves to rho as n
+# and leaves to rho as 1; two primes near 2**41 just below MR_BOUND, the
+# hardest cofactor factorize accepts; and one product of three primes, two
+# of which stage one splits off together
 SEMIPRIMES = [
     4294967279 * 4294967291,
     2147483647 * 4294967291,
     998244353 * 1000000007,
     65537 * 281470681808891,
+    1000003 * 1000033,
+    1000033 * 1000037,
+    1000003 * 1000039,
     1799999999977 * 1842802258109,
+    10007 * 10009 * 4294967291,
 ]
 
 up_to_1e12 = st.integers(1, 10**12)
@@ -31,8 +37,9 @@ def test_factorize_mobius_and_totient_agree_with_sympy(n):
 
 def test_semiprimes_agree_with_sympy():
     for n in SEMIPRIMES:
-        assert factorize(n) == sorted(sympy.factorint(n).items())
-        assert mobius(n) == sympy.mobius(n) == 1
+        fac = factorize(n)
+        assert fac == sorted(sympy.factorint(n).items())
+        assert mobius(n) == sympy.mobius(n) == (-1) ** len(fac)
         assert euler_phi(n) == sympy.totient(n)
 
 

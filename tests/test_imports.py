@@ -401,7 +401,27 @@ def test_import_fills_no_cache():
     out = subprocess.run(
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout.split()
-    assert out == ["13", "orbicyclic.cli.COMMANDS"]
+    assert out == ["14", "orbicyclic.cli.COMMANDS"]
+
+
+def test_stage_one_exponent_is_built_once_per_process():
+    # the p - 1 exponent is built on the first cofactor past trial division,
+    # never at import, and kept for every later one
+    probe = (
+        "from orbicyclic import arith\n"
+        "store = arith._smooth_exponents\n"
+        "print(len(store), store.held)\n"
+        "built, build = [], store.build\n"
+        "store.build = lambda bound: built.append(bound) or build(bound)\n"
+        "for n in (10**8 - 1, 1000003 * 1000033, 1000003 * 1000039, 10007**3):\n"
+        "    arith.factorize(n)\n"
+        "print(*built, store.held)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "0 0\n10000 2005\n"
 
 
 def functools_caches(source: str) -> list[str]:
@@ -475,6 +495,7 @@ def test_fixture_clears_every_cache():
     orbicyclic.E_bruteforce((4, 6))
     orbicyclic.count_congruence_solutions(12, (4, 6, 12))
     orbicyclic.dart_pair_oracle(1, 3)
+    orbicyclic.factorize(10007**2)  # a cofactor past trial division: the p - 1 exponent
     assert [name for name, store in stores.items() if not store] == []
     conftest.clear_caches()
     assert [name for name, store in stores.items() if store or store.held] == []
