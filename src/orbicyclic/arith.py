@@ -6,8 +6,9 @@ periodic-average functional whose semi-multiplicativity underlies the
 closed formulas elsewhere in this package.
 
 All functions are pure and use exact integer (or Fraction) arithmetic; the
-caches kept here are of factorizations and of the one exponent that
-factorization's p - 1 stage raises 2 to.  Four rules serve the whole
+caches kept here are of factorizations and of the two tables of
+factorization's p - 1 method: the exponent stage one raises 2 to and the
+pairs stage two multiplies over.  Four rules serve the whole
 package: _require_int refuses an argument outside its integer domain with a
 ValueError (_require_ints is its form for a sequence), _require_printable
 and _require_within refuse a valid input past a library bound with a
@@ -28,6 +29,9 @@ from itertools import compress, count
 Factorization = list[tuple[int, int]]
 
 _TRIAL_LIMIT = 10_000
+# Trial division stops at the first odd d past _TRIAL_LIMIT, and decides
+# alone every n below d**2
+_PAST_TRIAL = 10_001**2
 
 # periodic_average calls f per residue of each distinct period and multiplies
 # modulus-long rows in C.  Best of 3, 2-core VM, CPython 3.11.7: von_sterneck
@@ -187,10 +191,11 @@ def is_prime(n: int) -> bool:
 
 # Rho takes about sqrt(p) steps for the least prime p of n, so the slowest
 # cofactor factorize accepts is a product of two primes just below
-# sqrt(MR_BOUND), about 2**40.7, that stage one leaves to rho.  Measured on a
-# 2-core VM under CPython 3.11.7 over 16 such semiprimes, two rounds, stage
-# one in front: median 0.9 s, range 0.24-2.0 s per call.  That is the worst
-# case, so the walk needs no step budget.
+# sqrt(MR_BOUND), about 2**40.7, that both p - 1 stages leave to rho.
+# Measured on a 2-core VM under CPython 3.11.7 over 17 semiprimes near
+# sqrt(MR_BOUND)**2, both stages in front: the 11 they leave to rho took a
+# median 0.62 s, range 0.24-1.1 s per call.  That is the worst case, so the
+# walk needs no step budget.
 def _pollard_rho(n: int) -> int:
     """Return a nontrivial factor of an odd composite n (Brent's variant).
 
@@ -236,15 +241,20 @@ def _pollard_rho(n: int) -> int:
             return g
 
 
-def _smooth_exponent(bound: int) -> int:
-    """The product of the largest power <= bound of each prime <= bound."""
+def _prime_sieve(bound: int) -> bytearray:
+    """sieve[i] == 1 exactly for the primes i <= bound."""
     sieve = bytearray([1]) * (bound + 1)
     sieve[:2] = b"\0\0"
     for i in range(2, math.isqrt(bound) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytes(len(range(i * i, bound + 1, i)))
+    return sieve
+
+
+def _smooth_exponent(bound: int) -> int:
+    """The product of the largest power <= bound of each prime <= bound."""
     exponent = 1
-    for p in compress(range(bound + 1), sieve):
+    for p in compress(range(bound + 1), _prime_sieve(bound)):
         power = p
         while power * p <= bound:
             power *= p
@@ -252,38 +262,120 @@ def _smooth_exponent(bound: int) -> int:
     return exponent
 
 
-# Pollard's p - 1 stage one needs one exponent, {bound: exponent}, built on
-# first use, never at import: bound _TRIAL_LIMIT gives 14,447 bits, built in
-# about 1 ms and charged 2,005 bytes.
-_smooth_exponents = _Store(
-    _smooth_exponent, 2**12, lambda bound, e: _ENTRY_BYTES + e.bit_length() // 8
-)
+# Stage two's wheel, 2 * 3 * 5 * 7 * 11: every prime q past 11 is k * w - j
+# or k * w + j for one k and one j < w / 2 coprime to w.
+_WHEEL = 2310
+
+
+def _stage_two_rows(low: int, high: int) -> tuple[bytes, ...]:
+    """Stage two's pairs for the primes in (low, high], low >= _WHEEL / 2.
+
+    Row k lists, by index among the j < _WHEEL / 2 coprime to _WHEEL, each j
+    for which k * _WHEEL - j or k * _WHEEL + j is such a prime.
+    """
+    half = _WHEEL // 2
+    sieve = _prime_sieve(high + _WHEEL)
+    sieve[: low + 1] = bytes(low + 1)
+    sieve[high + 1 :] = bytes(_WHEEL)
+    babies = [j for j in range(1, half, 2) if math.gcd(j, _WHEEL) == 1]
+    rows = [b""]
+    for c in range(_WHEEL, high + half, _WHEEL):
+        window = sieve[c - half : c + half]  # window[half + d] is sieve[c + d]
+        rows.append(bytes(i for i, j in enumerate(babies) if window[half - j] or window[half + j]))
+    return tuple(rows)
+
+
+def _stage_table(key):
+    """Stage one's exponent for the key bound, stage two's rows for a key (low, high)."""
+    return _stage_two_rows(*key) if isinstance(key, tuple) else _smooth_exponent(key)
+
+
+def _stage_table_bytes(key, table) -> int:
+    """A table's charge: the exponent's bytes, or each row's and 41 for its header and slot."""
+    if isinstance(table, int):
+        return _ENTRY_BYTES + table.bit_length() // 8
+    return _ENTRY_BYTES + 41 * len(table) + sum(map(len, table))
+
+
+# Pollard's p - 1 method needs two tables, {key: table}, each built on first
+# use, never at import.  Stage one's exponent, key _TRIAL_LIMIT, has 14,447
+# bits, is built in 1.2 ms and is charged 2,005 bytes; stage two's rows, key
+# (_TRIAL_LIMIT, _STAGE_TWO_BOUND), hold 6,534 pairs in 44 rows, are built in
+# 2.3 ms and are charged 8,538 bytes (tracemalloc: 8,246).
+_stage_tables = _Store(_stage_table, 2**14, _stage_table_bytes)
+
+# Stage two covers the primes in (_TRIAL_LIMIT, _STAGE_TWO_BOUND].  Mean
+# factorize time over 600 products of two 32-bit primes drawn as e-wide draws
+# them (random.Random(1)), two alternated passes, 2-core VM, CPython 3.11.7:
+# 26.0-26.7 ms with no stage two, 21.8-23.7 ms to 3 * 10**4, 19.3-19.9 ms to
+# 10**5, 22.4-22.6 ms to 3 * 10**5 and 26.8-34.4 ms to 10**6.  To 10**5 it
+# splits 135 of the 416 cofactors that stage one leaves, at 1.6-2.7 ms each.
+_STAGE_TWO_BOUND = 10**5
+
+
+def _stage_two(h: int, n: int) -> int:
+    """The product, mod n, of V(k w) - V(j) over stage two's pairs (k, j).
+
+    V(x) = h^x + h^-x mod n and w = _WHEEL.  The babies V(j), for the j <
+    w / 2 coprime to w, come from V(j + 2) = V(j) V(2) - V(j - 2), the
+    giants from V((k + 1) w) = V(k w) V(w) - V((k - 1) w).
+    """
+    rows = _stage_tables[_TRIAL_LIMIT, _STAGE_TWO_BOUND]
+    v = (h + pow(h, -1, n)) % n
+    two = (v * v - 2) % n
+    babies = []
+    before = v  # V(-1) = V(1)
+    for j in range(1, _WHEEL // 2, 2):
+        if math.gcd(j, _WHEEL) == 1:
+            babies.append(v)
+        before, v = v, (v * two - before) % n
+    step = (v * v - 2) % n  # v is V(w / 2), so this is V(w)
+    before, giant = step, 2  # V(-w) and V(0)
+    product = 1
+    for row in rows:
+        terms = map(babies.__getitem__, row)
+        for _ in range(len(row) % 4):
+            product = product * (giant - next(terms)) % n
+        for a, b, c, d in zip(terms, terms, terms, terms):
+            product = product * (giant - a) * (giant - b) * (giant - c) * (giant - d) % n
+        before, giant = giant, (giant * step - before) % n
+    return product
 
 
 def _split(n: int) -> int:
     """Return a nontrivial factor of an odd composite n.
 
-    Pollard's p - 1 stage one (Pollard 1974) with the bound _TRIAL_LIMIT:
-    E is the product of the largest power <= the bound of each prime <= it,
-    and g = gcd(2^E - 1, n) splits n when the order of 2 divides E modulo
-    some but not every prime power of n, as it does modulo p when every
-    prime power dividing p - 1 is at most the bound.  It runs in one C-level
-    pow; when g is 1 or n, Brent's rho splits n.
+    Pollard's p - 1 method (Pollard 1974) in two stages, then Brent's rho.
+    Stage one takes h = 2^E mod n, where E is the product of the largest
+    power <= _TRIAL_LIMIT of each prime <= it, in one C-level pow; its gcd
+    g = gcd(h - 1, n) is divisible by each prime p of n modulo which h has
+    order 1, as it has when every prime power dividing p - 1 is at most the
+    bound.  Where g is 1, stage two (Montgomery 1987) multiplies V(k w) -
+    V(j) = h^-(k w) (h^(k w) - h^j) (h^(k w) - h^-j) over pairs that cover
+    every prime in (_TRIAL_LIMIT, _STAGE_TWO_BOUND] as k w - j or k w + j,
+    reduced mod n once per four terms, and takes one gcd: it is divisible by
+    each prime p modulo which h has a covered prime order.  Where the last
+    gcd taken is 1 or n, rho splits n.
     """
-    g = math.gcd(pow(2, _smooth_exponents[_TRIAL_LIMIT], n) - 1, n)
+    h = pow(2, _stage_tables[_TRIAL_LIMIT], n)
+    g = math.gcd(h - 1, n)
+    if g == 1:
+        g = math.gcd(_stage_two(h, n), n)
     return g if 1 < g < n else _pollard_rho(n)
 
 
 def factorize(n: int) -> Factorization:
     """Factor n >= 1 into (prime, exponent) pairs, primes increasing.
 
-    Trial division up to 10**4, which alone decides every n below 10**8,
-    then deterministic Miller-Rabin for a cofactor that trial division leaves
-    undecided, split by Pollard's p - 1 stage one with the same bound 10**4
-    or, where that fails, by Pollard rho (Brent's variant with batched
-    gcds); that cofactor must be below MR_BOUND (GuardError otherwise); no
-    sub-exponential machinery.  Factorizations are kept in _factorizations;
-    every call returns a fresh list.
+    Trial division up to 10**4, which alone decides every n below 10**8 and
+    is skipped from 10001**2 on for an n that one gcd shows coprime to every
+    prime up to 10**4; then deterministic Miller-Rabin for a cofactor that
+    trial division leaves undecided, split by Pollard's p - 1 method, stage
+    one with the same bound 10**4 and stage two to 10**5, or, where both
+    fail, by Pollard rho (Brent's variant with batched gcds); that cofactor
+    must be below MR_BOUND (GuardError otherwise); no sub-exponential
+    machinery.  Factorizations are kept in _factorizations; every call
+    returns a fresh list.
     """
     _require_int(n, "factorize argument", 1)
     return list(_factorizations[n])
@@ -292,20 +384,25 @@ def factorize(n: int) -> Factorization:
 def _factor(n: int) -> tuple[tuple[int, int], ...]:
     """factorize(n) as a tuple, for an n already known to be an int >= 1."""
     exponents: dict[int, int] = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            exponents[p] = exponents.get(p, 0) + 1
-            n //= p
-    d = 7
-    while d <= _TRIAL_LIMIT and d * d <= n:
-        while n % d == 0:
-            exponents[d] = exponents.get(d, 0) + 1
-            n //= d
-        d += 2
-    if d * d > n:  # trial division passed sqrt(n), so n is 1 or a prime
-        if n > 1:
-            exponents[n] = 1
-        return tuple(sorted(exponents.items()))
+    # From _PAST_TRIAL on, trial division of an n with no prime <= _TRIAL_LIMIT
+    # runs all 5,000 steps and finds nothing.  Every such prime divides stage
+    # one's exponent, so one gcd with it shows that at once; a gcd with 30
+    # first spares an n with a factor 2, 3 or 5 that gcd's 8-10 us.
+    if n < _PAST_TRIAL or math.gcd(n, 30) > 1 or math.gcd(n, _stage_tables[_TRIAL_LIMIT]) > 1:
+        for p in (2, 3, 5):
+            while n % p == 0:
+                exponents[p] = exponents.get(p, 0) + 1
+                n //= p
+        d = 7
+        while d <= _TRIAL_LIMIT and d * d <= n:
+            while n % d == 0:
+                exponents[d] = exponents.get(d, 0) + 1
+                n //= d
+            d += 2
+        if d * d > n:  # trial division passed sqrt(n), so n is 1 or a prime
+            if n > 1:
+                exponents[n] = 1
+            return tuple(sorted(exponents.items()))
     stack = [n]
     while stack:
         m = stack.pop()

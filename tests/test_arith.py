@@ -122,8 +122,9 @@ def test_factorize_runs_rho_once_per_modulus(monkeypatch):
     calls = []
     real = arith._pollard_rho
     monkeypatch.setattr(arith, "_pollard_rho", lambda n: calls.append(n) or real(n))
-    # neither p - 1 nor q - 1 is 10**4-smooth, so stage one leaves p * q to rho
-    p, q = 1_000_003, 1_000_039
+    # 1000002 = 2 * 3 * 166667 and 1000158 = 2 * 3 * 166693: both p - 1 stages
+    # give 1 and leave p * q to rho
+    p, q = 1_000_003, 1_000_159
     assert factorize(p * q) == [(p, 1), (q, 1)]
     assert calls == [p * q]
     assert factorize(p * q) == [(p, 1), (q, 1)]
@@ -182,6 +183,8 @@ def test_per_modulus_caches_are_bounded(monkeypatch):
 # n: (its factorization, the cofactors left to rho).  Stage one gives
 # gcd(2^E - 1, n), which is divisible by each prime p of n whose p - 1 is a
 # product of prime powers <= 10**4 ("smooth"), and by no other for these n.
+# Where it gives 1, stage two's gcd is divisible by each p whose p - 1 is a
+# smooth number times one prime in (10**4, 10**5], and by no other for these n.
 SPLITS = {
     # 1000032 = 2^5 * 3 * 11 * 947 is smooth, 1000002 = 2 * 3 * 166667 is
     # not: stage one gives 1000033
@@ -189,8 +192,14 @@ SPLITS = {
     # 1000032 and 1000036 = 2^2 * 29 * 37 * 233 are both smooth: stage one
     # gives n, and rho splits it
     1_000_033 * 1_000_037: ([(1_000_033, 1), (1_000_037, 1)], [1_000_033 * 1_000_037]),
-    # 1000002 and 1000038 = 2 * 3 * 13 * 12821 are not: stage one gives 1
-    1_000_003 * 1_000_039: ([(1_000_003, 1), (1_000_039, 1)], [1_000_003 * 1_000_039]),
+    # 1000002 and 1000038 = 2 * 3 * 13 * 12821 are not smooth: stage one
+    # gives 1, and stage two gives 1000039, from the prime 12821
+    1_000_003 * 1_000_039: ([(1_000_003, 1), (1_000_039, 1)], []),
+    # 1000038 and 1000170 = 2 * 3^2 * 5 * 11113 are both covered by stage
+    # two: it gives n, and rho splits it
+    1_000_039 * 1_000_171: ([(1_000_039, 1), (1_000_171, 1)], [1_000_039 * 1_000_171]),
+    # 1000002 and 1000158 = 2 * 3 * 166693 are not: both stages give 1
+    1_000_003 * 1_000_159: ([(1_000_003, 1), (1_000_159, 1)], [1_000_003 * 1_000_159]),
     # 10006 = 2 * 5003 and 10008 = 2^3 * 3^2 * 139 are smooth, 4294967290 =
     # 2 * 5 * 19 * 22605091 is not: stage one splits off 10007 * 10009, and
     # both of its primes are smooth, so rho splits that
@@ -212,6 +221,64 @@ def test_cofactor_split_by_stage_one_or_rho(monkeypatch, n):
     assert calls == rho
 
 
+def next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+def order_of_h(p):
+    """The order of 2^E modulo a prime p < 10**8, from p - 1's factorization."""
+    order = p - 1
+    for r, a in factorize(p - 1):
+        for _ in range(a):
+            if pow(2, order // r, p) == 1:
+                order //= r
+    return order // math.gcd(order, arith._stage_tables[arith._TRIAL_LIMIT])
+
+
+def test_p_minus_one_stages_follow_their_definition(monkeypatch):
+    # Stage two multiplies V(k w) - V(j) over each (k, j), j < w / 2 coprime
+    # to w, with k w - j or k w + j a prime in (10**4, 10**5].  A prime p
+    # divides that term exactly when the order o of h = 2^E mod p divides k w
+    # - j or k w + j, so p divides the product exactly when o divides one of
+    # the covered numbers, as it does when o is a prime in the range; where o
+    # is 1, stage one's gcd already holds p.  Rho runs where neither stage
+    # holds exactly one of the two primes.
+    low, high, w = arith._TRIAL_LIMIT, arith._STAGE_TWO_BOUND, arith._WHEEL
+    covered = set()
+    for q in range(low + 1, high + 1, 2):
+        if is_prime(q):
+            k = (q + w // 2) // w
+            j = abs(q - k * w)
+            covered.update((k * w - j, k * w + j))
+    top = max(covered)
+
+    def caught(o):
+        return any(m in covered for m in range(o, top + 1, o))
+
+    calls = []
+    real = arith._pollard_rho
+    monkeypatch.setattr(arith, "_pollard_rho", lambda m: calls.append(m) or real(m))
+    rng = random.Random(40)
+    by_stage_two = 0
+    for _ in range(200):
+        p, q = sorted(next_prime(rng.randrange(low, 10**7 - 10**3)) for _ in "pq")
+        if p == q:
+            continue
+        op, oq = order_of_h(p), order_of_h(q)
+        if op == 1 or oq == 1:
+            to_rho = op == oq
+        else:
+            to_rho = caught(op) == caught(oq)
+            by_stage_two += not to_rho
+        calls.clear()
+        arith._factorizations.clear()
+        assert factorize(p * q) == [(p, 1), (q, 1)]
+        assert calls == ([p * q] if to_rho else []), (p, q, op, oq)
+    assert by_stage_two >= 25
+
+
 def test_factorize_large_semiprime():
     p, q = 1_000_003, 1_000_033
     assert factorize(p * q) == [(p, 1), (q, 1)]
@@ -224,6 +291,22 @@ def test_factorize_cofactors_split_more_than_once():
     assert factorize(10007**3) == [(10007, 3)]
     assert factorize(10007 * 10009 * 10037) == [(10007, 1), (10009, 1), (10037, 1)]
     assert factorize(10007**2 * 10009) == [(10007, 2), (10009, 1)]
+
+
+def test_factorize_at_the_trial_division_edge():
+    # below 10001**2 trial division alone decides n; from it on, an n coprime
+    # to every prime <= 10**4 skips trial division by one gcd with E.  Across
+    # the edge, each n must come out as a product of increasing primes
+    edge = 10_001**2
+    assert arith._PAST_TRIAL == edge
+    for n in range(edge - 300, edge + 300):
+        fac = factorize(n)
+        assert math.prod(p**a for p, a in fac) == n
+        assert all(is_prime(p) for p, _ in fac) and sorted(fac) == fac
+    # 10001 = 73 * 137, and the nearest primes on each side
+    assert factorize(edge) == [(73, 2), (137, 2)]
+    assert factorize(100_019_977) == [(100_019_977, 1)]
+    assert factorize(100_020_023) == [(100_020_023, 1)]
 
 
 def test_pollard_rho_splits_every_small_odd_composite():

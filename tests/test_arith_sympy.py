@@ -9,9 +9,12 @@ sympy = pytest.importorskip("sympy")
 
 # p * q with p, q prime: balanced, unbalanced and 2**31 - 1 based below
 # 2**64; three pairs near 10**6 that stage one splits, leaves to rho as n
-# and leaves to rho as 1; two primes near 2**41 just below MR_BOUND, the
-# hardest cofactor factorize accepts; and one product of three primes, two
-# of which stage one splits off together
+# and leaves to stage two as 1; two primes near 2**41 just below MR_BOUND,
+# the hardest cofactor factorize accepts; one product of three primes, two
+# of which stage one splits off together; and two pairs near 2**32 with
+# 4294967291, one that stage two splits (4294966812 = 2^2 * 3 * 61 * 179 *
+# 32779) and one that it leaves to rho, since the largest prime of
+# 4294728838 = 2 * 109 * 197 * 100003 lies just past its bound 10**5
 SEMIPRIMES = [
     4294967279 * 4294967291,
     2147483647 * 4294967291,
@@ -22,6 +25,8 @@ SEMIPRIMES = [
     1000003 * 1000039,
     1799999999977 * 1842802258109,
     10007 * 10009 * 4294967291,
+    4294966813 * 4294967291,
+    4294728839 * 4294967291,
 ]
 
 up_to_1e12 = st.integers(1, 10**12)

@@ -405,23 +405,25 @@ def test_import_fills_no_cache():
 
 
 def test_stage_one_exponent_is_built_once_per_process():
-    # the p - 1 exponent is built on the first cofactor past trial division,
-    # never at import, and kept for every later one
+    # the p - 1 exponent is built on the first n from 10001**2 on with no
+    # factor 2, 3 or 5, never at import, and stage two's rows on the first
+    # cofactor that stage one leaves to it; each is kept for every later one
     probe = (
         "from orbicyclic import arith\n"
-        "store = arith._smooth_exponents\n"
+        "store = arith._stage_tables\n"
         "print(len(store), store.held)\n"
         "built, build = [], store.build\n"
-        "store.build = lambda bound: built.append(bound) or build(bound)\n"
-        "for n in (10**8 - 1, 1000003 * 1000033, 1000003 * 1000039, 10007**3):\n"
+        "store.build = lambda key: built.append(key) or build(key)\n"
+        "for n in (10**8 - 1, 1000003 * 1000033, 1000003 * 1000039, 10007**3, 1000039 * 1000171):\n"
         "    arith.factorize(n)\n"
-        "print(*built, store.held)"
+        "    print(len(built), store.held)\n"
+        "print(*built)"
     )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run(
         [sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out == "0 0\n10000 2005\n"
+    assert out == "0 0\n0 0\n1 2005\n2 10543\n2 10543\n2 10543\n10000 (10000, 100000)\n"
 
 
 def functools_caches(source: str) -> list[str]:
@@ -495,7 +497,7 @@ def test_fixture_clears_every_cache():
     orbicyclic.E_bruteforce((4, 6))
     orbicyclic.count_congruence_solutions(12, (4, 6, 12))
     orbicyclic.dart_pair_oracle(1, 3)
-    orbicyclic.factorize(10007**2)  # a cofactor past trial division: the p - 1 exponent
+    orbicyclic.factorize(1000003 * 1000039)  # split by stage two: both p - 1 tables
     assert [name for name, store in stores.items() if not store] == []
     conftest.clear_caches()
     assert [name for name, store in stores.items() if store or store.held] == []
